@@ -47,7 +47,7 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_round12(float(v)) for v in obj]
+        return _round12(obj.tolist())
     if isinstance(obj, (np.floating,)):
         return _round12(float(obj))
     if isinstance(obj, (np.integer,)):

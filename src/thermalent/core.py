@@ -21,6 +21,10 @@ TAU_NORM = 1e-10
 #: inverse-temperature value representing the zero-temperature limit
 INF_BETA = math.inf
 
+#: smallest Gibbs weight usable at finite beta: the smallest normal double,
+#: so that population-to-weight ratios cannot overflow
+_SMALLEST_WEIGHT = np.finfo(float).tiny
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -54,6 +58,19 @@ class GibbsContext:
     @property
     def beta_is_infinite(self) -> bool:
         return math.isinf(self.beta)
+
+    def checked_gamma(self) -> np.ndarray:
+        """``gamma`` for the curve kernel, which reads a zero weight as beta = inf.
+
+        Raises ValueError when a finite beta has weights that underflowed to
+        zero or to subnormals (whose ratios overflow), rather than silently
+        switching to zero-temperature semantics.
+        """
+        if not self.beta_is_infinite and self.gamma.min() < _SMALLEST_WEIGHT:
+            raise ValueError(
+                f"Gibbs weights underflow at beta={self.beta:g} (smallest "
+                f"{self.gamma.min():.3g}); pass beta=inf for the zero-temperature limit")
+        return self.gamma
 
     def to_json(self) -> str:
         beta = "inf" if self.beta_is_infinite else self.beta
@@ -117,6 +134,8 @@ class PopVector:
         p = np.array(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty 1-d sequence")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if p.min() < -TAU_NORM:
             raise ValueError(f"negative probability {p.min()}")
         p = np.clip(p, 0.0, None)
@@ -178,33 +197,31 @@ class BetaOrdering:
 PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 
-def beta_order(p: PopVector, ctx: GibbsContext) -> BetaOrdering:
-    """Order levels by non-increasing population-to-Gibbs ratio.
+def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Zero-based level orderings, one row per state, by non-increasing
+    population-to-Gibbs ratio.
 
-    Ties break by ascending level index (a stable sort).  At infinite beta,
-    levels with zero Gibbs weight but non-zero population rank first (among
-    themselves by descending population); unpopulated zero-weight levels
-    rank last.
+    ``gammas`` is a matching (n, d) array or one shared (d,) Gibbs vector.
+    Ties break by ascending level index.  A zero Gibbs weight (infinite beta)
+    has no finite ratio: populated zero-weight levels rank first, among
+    themselves by descending population, and unpopulated ones rank last.
     """
+    P = np.asarray(P, dtype=float)
+    G = np.asarray(gammas, dtype=float)
+    zero = G == 0
+    if not zero.any():
+        # the secondary key below is constant: the lexsort is this stable sort
+        return np.argsort(-(P / G), axis=-1, kind="stable")
+    ratio = np.divide(P, G, out=np.where(P > 0, np.inf, -np.inf), where=~zero)
+    return np.lexsort((np.where(zero, -P, 0.0), -ratio), axis=-1)
+
+
+def beta_order(p: PopVector, ctx: GibbsContext) -> BetaOrdering:
+    """Order levels by non-increasing population-to-Gibbs ratio (``batch_order``
+    on one row)."""
     if p.dim != ctx.dim:
         raise ValueError(f"dimension mismatch: state {p.dim}, context {ctx.dim}")
-    probs = p.probs
-    gamma = ctx.gamma
-
-    if ctx.beta_is_infinite and (gamma == 0).any():
-        keys = []
-        for i in range(ctx.dim):
-            if gamma[i] == 0 and probs[i] > 0:
-                keys.append((0, -probs[i], i))
-            elif gamma[i] > 0:
-                keys.append((1, -probs[i] / gamma[i], i))
-            else:
-                keys.append((2, 0.0, i))
-        order = sorted(range(ctx.dim), key=lambda i: keys[i])
-        return BetaOrdering(tuple(i + 1 for i in order))
-
-    ratios = probs / gamma
-    order = np.argsort(-ratios, kind="stable")
+    order = batch_order(p.probs[None, :], ctx.checked_gamma())[0]
     return BetaOrdering(tuple(int(i) + 1 for i in order))
 
 

@@ -115,7 +115,7 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Witness at the (2,1,3,4) extreme point for every row (finite beta)."""
+    """Witness at the (2,1,3,4) extreme point for every row, at any beta."""
     return witness_batch(batch_tight_points(P, gammas, PI_STAR))
 
 
@@ -140,64 +140,16 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
 # Negativity maximization over the future thermal cone
 # ---------------------------------------------------------------------------
 
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, w.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / k > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.clip(w + lam, 0.0, None)
-
-
-def _negativity_grad(q: np.ndarray):
-    u, v = q[0] - q[3], q[1] - q[2]
-    r = math.hypot(u, v)
-    g = np.array([u / r - 1.0, v / r, -v / r, -u / r - 1.0]) * 0.5
-    return g
-
-
-def max_negativity_over_cone(p: PopVector, ctx: GibbsContext, *,
-                             step_tol: float = 1e-8, max_iter: int = 400):
+def max_negativity_over_cone(p: PopVector, ctx: GibbsContext):
     """Maximize reachable negativity over the future thermal cone of ``p``.
 
-    Multi-start projected gradient ascent over barycentric weights of the
-    cone's extreme points, one start per vertex.  Returns ``(value, state)``.
+    The negativity is convex (a norm less a linear term), so its maximum over
+    the cone polytope sits at an extreme point.  Returns ``(value, state)``.
     """
-    cone = future_cone(p, ctx)
-    V = cone.points
-    k = V.shape[0]
-
-    def objective(w):
-        return max_negativity(V.T @ w)
-
-    best_val = -1.0
-    best_w = None
-    for start in range(k):
-        w = np.zeros(k)
-        w[start] = 1.0
-        val = objective(w)
-        step = 0.25
-        for _ in range(max_iter):
-            q = V.T @ w
-            if witness_f(q) >= 0.0:
-                break  # flat region; this start cannot ascend
-            g = V @ _negativity_grad(q)
-            improved = False
-            while step >= step_tol:
-                w_new = _project_simplex(w + step * g)
-                val_new = objective(w_new)
-                if val_new > val + 1e-15:
-                    w, val = w_new, val_new
-                    improved = True
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if val > best_val:
-            best_val, best_w = val, w
-    state = PopVector(np.clip(V.T @ best_w, 0.0, None))
-    return best_val, state
+    extremes = [v for _, v in future_cone(p, ctx).extremes]
+    values = [max_negativity(v) for v in extremes]
+    best = int(np.argmax(values))
+    return values[best], extremes[best]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +243,7 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
         return witness_f(extreme_point(p, ctx, PI_STAR))
 
     betas = np.linspace(lo, hi, n_scan)
-    gammas = np.array([make_context(energies, b).gamma for b in betas])
+    gammas = np.array([make_context(energies, b).checked_gamma() for b in betas])
     vals = fstar_batch(np.tile(p.probs, (n_scan, 1)), gammas)
 
     roots = []

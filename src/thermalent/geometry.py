@@ -13,11 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from .core import PI_STAR, GibbsContext, PopVector
-from .entangle import TAU_F, fstar_batch, witness_batch, witness_f
-from .majorization import batch_majorizes, extreme_point, thermo_majorizes
+from .core import GibbsContext, PopVector
+from .entangle import TAU_F, fstar_batch, witness_batch
+from .majorization import batch_majorizes
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
@@ -25,9 +24,11 @@ BLOCK = 65536
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
+def _simplex_block(d: int, rows: int, seed: int, block: int) -> np.ndarray:
+    """One block of uniform simplex points, from the Philox key (seed, block)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)])
-    return np.random.Generator(np.random.Philox(key=key))
+    e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((rows, d))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
@@ -43,8 +44,7 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
     out = np.empty((n, d))
     for block, lo in enumerate(range(0, n, BLOCK)):
         hi = min(lo + BLOCK, n)
-        e = _block_rng(seed, block).standard_exponential((hi - lo, d))
-        out[lo:hi] = e / e.sum(axis=1, keepdims=True)
+        out[lo:hi] = _simplex_block(d, hi - lo, seed, block)
     return out
 
 
@@ -70,15 +70,6 @@ class VolumeEstimate:
                    n_samples=n, seed=seed)
 
 
-def _tne_mask_scalar(Q: np.ndarray, ctx: GibbsContext) -> np.ndarray:
-    # zero-temperature fallback; the batch path needs positive Gibbs weights
-    out = np.empty(Q.shape[0], dtype=bool)
-    for i, row in enumerate(Q):
-        f_star = witness_f(extreme_point(PopVector(row), ctx, PI_STAR))
-        out[i] = f_star >= -TAU_F
-    return out
-
-
 def membership_mask(set_id: str, Q: np.ndarray, ctx: GibbsContext,
                     origin: PopVector | None = None) -> np.ndarray:
     """Vectorized membership predicate for one batch of simplex samples."""
@@ -87,16 +78,9 @@ def membership_mask(set_id: str, Q: np.ndarray, ctx: GibbsContext,
     if set_id == "NE":
         return witness_batch(Q) >= -TAU_F
     if set_id == "TNE":
-        if ctx.beta_is_infinite:
-            return _tne_mask_scalar(Q, ctx)
-        return fstar_batch(Q, ctx.gamma) >= -TAU_F
+        return fstar_batch(Q, ctx.checked_gamma()) >= -TAU_F
     if set_id == "ENT_CONE":
-        ent = witness_batch(Q) < -TAU_F
-        if ctx.beta_is_infinite:
-            inside = np.array([thermo_majorizes(origin, PopVector(r), ctx) for r in Q])
-        else:
-            inside = batch_majorizes(origin, Q, ctx)
-        return ent & inside
+        return (witness_batch(Q) < -TAU_F) & batch_majorizes(origin, Q, ctx)
     raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")
 
 
@@ -120,8 +104,7 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
 
     def count(block_spec):
         b, lo, hi = block_spec
-        e = _block_rng(seed, b).standard_exponential((hi - lo, 4))
-        Q = e / e.sum(axis=1, keepdims=True)
+        Q = _simplex_block(4, hi - lo, seed, b)
         return int(membership_mask(set_id, Q, ctx, origin).sum())
 
     if threads > 1:
@@ -181,14 +164,15 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
         return BoundaryCloud(points=ground, grid_resolution=grid, iterations=iters,
                              inner_points=ground.copy(), outer_points=ground.copy())
 
+    gamma = ctx.checked_gamma()
     grid_pts = simplex_facet_grid(grid)
-    entanglable = fstar_batch(grid_pts, ctx.gamma) < -TAU_F
+    entanglable = fstar_batch(grid_pts, gamma) < -TAU_F
     outer = grid_pts[entanglable]
-    inner = np.tile(ctx.gamma, (outer.shape[0], 1))
+    inner = np.tile(gamma, (outer.shape[0], 1))
 
     for _ in range(iters):
         mid = 0.5 * (inner + outer)
-        in_tne = fstar_batch(mid, ctx.gamma) >= -TAU_F
+        in_tne = fstar_batch(mid, gamma) >= -TAU_F
         inner[in_tne] = mid[in_tne]
         outer[~in_tne] = mid[~in_tne]
 
@@ -230,6 +214,8 @@ def embed_simplex(points: np.ndarray) -> np.ndarray:
 
 
 def simplex_embedded_volume() -> float:
+    from scipy.spatial import ConvexHull  # lazy: scipy.spatial dominates import time
+
     return float(ConvexHull(embed_simplex(np.eye(4))).volume)
 
 
@@ -251,6 +237,8 @@ class HullMesh:
 
 def convex_hull_export(cloud) -> HullMesh:
     """3-D convex hull of a boundary cloud, as vertex and face lists."""
+    from scipy.spatial import ConvexHull, QhullError  # lazy, as above
+
     pts = cloud.points if isinstance(cloud, BoundaryCloud) else np.asarray(cloud, dtype=float)
     if pts.shape[0] < 4:
         raise ValueError("need at least 4 points for a 3-D hull")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ class TestClassify:
                            "--renorm")
         assert code == 0
         assert result_of(out)["in_TE"] is False  # maximally mixed is the Gibbs state
+
+    def test_rejects_nan_state(self, capsys):
+        code, _, err = run(capsys, "classify", "--state", "nan,0.5,0.5,0")
+        assert code == 2 and "finite" in err
+
+    def test_underflowed_gibbs_weights_rejected(self, capsys):
+        # at beta = 800 the gap-1 weights underflow to 0; reading them as
+        # beta = inf would silently give that limit's f* (-0.81, not -0.49)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "classify", "--state", "0.1,0.2,0.3,0.4",
+                               "--beta", "800")
+        assert code == 2 and "inf" in err
+        code, _, err = run(capsys, "critical-temp", "--state", "0.1,0.2,0.3,0.4",
+                           "--range", "0:1000", "--scan", "50")
+        assert code == 2 and "inf" in err
 
 
 class TestValidationExits:
@@ -205,6 +222,14 @@ class TestOtherSubcommands:
         text = out_file.read_text()
         assert text.split("\n")[1] == "p1,p2,p3,p4"
         assert mesh.read_text().startswith("v ")
+
+    def test_boundary_json_points_are_rows(self, capsys):
+        code, out, _ = run(capsys, "boundary", "--format", "json", "--beta", "0",
+                           "--grid", "6", "--iters", "10")
+        assert code == 0
+        res = result_of(out)
+        assert res["n_points"] == len(res["points"]) > 0
+        assert all(len(row) == 4 and abs(sum(row) - 1) < 1e-9 for row in res["points"])
 
     def test_out_file_json(self, capsys, tmp_path):
         target = tmp_path / "report.json"

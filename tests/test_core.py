@@ -47,6 +47,17 @@ class TestMakeContext:
         ctx = core.make_context((0.0, 1000.0), 5.0)
         assert ctx.gamma[0] == pytest.approx(1.0)
 
+    def test_underflowed_weights_rejected_by_the_kernel_check(self):
+        # built, but a finite beta with a zero weight never reaches the curve
+        # kernel, which reads a zero weight as beta = inf
+        ctx = core.make_context((0.0, 1000.0), 5.0)
+        with pytest.raises(ValueError, match="inf"):
+            ctx.checked_gamma()
+        with pytest.raises(ValueError, match="inf"):
+            core.beta_order(core.PopVector([0.5, 0.5]), ctx)
+        assert np.array_equal(core.make_context((0.0, 1.0), math.inf).checked_gamma(), [1, 0])
+        assert core.make_context((0.0, 1.0), 300.0).checked_gamma()[1] > 0
+
     def test_errors(self):
         with pytest.raises(ValueError):
             core.make_context((), 1.0)
@@ -68,6 +79,11 @@ class TestPopVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             core.PopVector([1.1, -0.1, 0, 0])
+
+    def test_rejects_non_finite(self):
+        for bad in ([math.nan, 0.5, 0.5, 0.0], [math.inf, 0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                core.PopVector(bad)
 
     def test_renorm_helper(self):
         p = core.pop_vector([2, 1, 1], renorm=True)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import random_states
+from tests.test_majorization import ref_extreme_point, state_strategy
 
 
 def ctx2q(beta):
@@ -67,6 +68,28 @@ class TestSubspaceEntanglable:
 
 
 class TestThermallyEntanglable:
+    def test_fstar_continuous_until_weights_underflow(self):
+        # the beta = inf value differs (the zero-temperature lemma); a finite
+        # beta whose weights underflow is rejected instead of taking it
+        p = core.PopVector([0.1, 0.2, 0.3, 0.4])
+        for beta in (30.0, 100.0, 200.0, 300.0, 350.0):
+            rep = en.is_thermally_entanglable(p, ctx2q(beta))
+            assert rep.f_star == pytest.approx(-0.49, abs=1e-12)
+        assert en.is_thermally_entanglable(p, ctx2q(math.inf)).f_star == pytest.approx(-0.81)
+        with pytest.raises(ValueError, match="inf"):
+            en.is_thermally_entanglable(p, ctx2q(800.0))
+
+    @given(state_strategy, st.floats(0.0, 1e4))
+    def test_finite_beta_matches_reference_or_is_rejected(self, probs, beta):
+        ctx = ctx2q(beta)
+        p = core.PopVector(probs)
+        if ctx.gamma.min() < np.finfo(float).tiny:
+            with pytest.raises(ValueError, match="inf"):
+                en.is_thermally_entanglable(p, ctx)
+            return
+        want = en.witness_f(ref_extreme_point(probs, ctx.gamma, core.PI_STAR.perm))
+        assert en.is_thermally_entanglable(p, ctx).f_star == pytest.approx(want, abs=1e-12)
+
     def test_catalysis_initial_not_entanglable(self):
         rep = en.is_thermally_entanglable(core.PopVector([0.4, 0.25, 0.33, 0.02]), ctx2q(0.0))
         assert not rep.in_TE and not rep.in_E
@@ -127,6 +150,15 @@ class TestBruteforceOracle:
 
     def test_catalysis_initial_agrees(self):
         assert en.tne_bruteforce(core.PopVector([0.4, 0.25, 0.33, 0.02]), ctx2q(0.0))
+
+    @given(state_strategy)
+    def test_verdict_against_bruteforce_at_beta_zero(self, probs):
+        # at beta = 0 the oracle permutes p directly and never calls the kernel
+        ctx = ctx2q(0.0)
+        p = core.PopVector(probs)
+        rep = en.is_thermally_entanglable(p, ctx)
+        if abs(rep.f_star) >= 1e-9:
+            assert rep.in_TE == (not en.tne_bruteforce(p, ctx))
 
     def test_theorem_vs_bruteforce_sample(self, rng):
         # the acceptance suite runs the full 1e5; a fast spot check here

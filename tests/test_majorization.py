@@ -3,13 +3,87 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from thermalent import core, majorization as mj
+from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import random_states
 
 
 def ctx2q(beta):
     return core.two_qubit_context(beta)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-row construction of Horodecki & Oppenheim, one state at
+# a time in plain Python, with the zero-temperature rules spelled out.  The
+# package's batch kernel is checked against it.
+# ---------------------------------------------------------------------------
+
+def ref_order(p, gamma):
+    """Zero-based ordering: populated zero-weight levels first by descending
+    population, then finite ratios descending, unpopulated zero-weight
+    levels last; ties by ascending index."""
+    def key(i):
+        if gamma[i] == 0:
+            return (0, -p[i], i) if p[i] > 0 else (2, 0.0, i)
+        return (1, -p[i] / gamma[i], i)
+    return sorted(range(len(p)), key=key)
+
+
+def ref_curve(p, gamma):
+    """Elbows of the curve; a zero-width run keeps its top point, and a jump
+    at x=0 keeps a second x=0 entry above the origin."""
+    order = ref_order(p, gamma)
+    mx, my = [0.0], [0.0]
+    for x, y in zip(np.cumsum(gamma[order]), np.cumsum(p[order])):
+        if mx[-1] == x and len(mx) > 1:
+            my[-1] = y
+        else:
+            mx.append(x)
+            my.append(y)
+    return np.array(mx), np.array(my)
+
+
+def ref_upper(curve, x):
+    """Curve value at x, reading the top of the jump at x=0."""
+    xs, ys = curve
+    start = 1 if xs[1] == 0.0 else 0
+    return np.interp(x, xs[start:], ys[start:])
+
+
+def ref_extreme_point(p, gamma, perm):
+    t0 = np.array(perm) - 1
+    yt = ref_upper(ref_curve(p, gamma), np.cumsum(gamma[t0]))
+    out = np.empty(len(p))
+    out[t0] = np.diff(yt, prepend=0.0)
+    return np.clip(out, 0.0, None)
+
+
+def ref_margin(p, q, gamma):
+    """Least value of p's curve less q's over the elbows of both curves; at
+    x=0 the tops of the jumps are compared."""
+    cp, cq = ref_curve(p, gamma), ref_curve(q, gamma)
+    xs = np.union1d(cp[0], cq[0])
+    return float(np.min(ref_upper(cp, xs) - ref_upper(cq, xs)))
+
+
+def face_or_tied(draw_probs, zeros, tie):
+    """Put states on simplex faces and give levels 2 and 3 (equal Gibbs
+    weights) equal populations."""
+    p = np.array(draw_probs, dtype=float)
+    p[list(zeros)] = 0.0
+    if tie:
+        p[2] = p[1]
+    assume(p.sum() > 0)
+    return p / p.sum()
+
+
+state_strategy = st.builds(
+    face_or_tied,
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    st.sets(st.integers(0, 3), max_size=2),
+    st.booleans())
+beta_strategy = st.one_of(st.floats(0.0, 50.0), st.just(math.inf))
 
 
 class TestCurve:
@@ -217,6 +291,14 @@ class TestFutureCone:
                     for perm in itertools.permutations([0.4, 0.25, 0.33, 0.02])}
         assert got == expected
 
+    def test_duplicates_named_by_first_ordering(self):
+        # levels 2 and 3 share a Gibbs weight; several orderings reach the
+        # same vertices up to rounding, and each vertex is listed once
+        cone = mj.future_cone(core.PopVector([0.4, 0.25, 0.33, 0.02]), ctx2q(1.0))
+        assert len(cone.extremes) == 21
+        assert [o.perm for o, _ in cone.extremes][:3] == [(1, 2, 3, 4), (1, 2, 4, 3),
+                                                         (1, 3, 4, 2)]
+
     def test_labels_recorded(self):
         p = core.PopVector([0.4, 0.25, 0.33, 0.02])
         cone = mj.future_cone(p, ctx2q(0.5))
@@ -254,8 +336,8 @@ class TestBatchHelpers:
         P = random_states(rng, 300)
         batch = mj.batch_tight_points(P, ctx.gamma, core.PI_STAR)
         for row, got in zip(P, batch):
-            ref = mj.extreme_point(core.PopVector(row), ctx, core.PI_STAR)
-            assert np.allclose(got, ref.probs, atol=1e-12)
+            ref = ref_extreme_point(row, ctx.gamma, core.PI_STAR.perm)
+            assert np.allclose(got, ref, atol=1e-12)
 
     def test_batch_majorizes_matches_scalar(self, rng):
         ctx = ctx2q(0.9)
@@ -263,7 +345,7 @@ class TestBatchHelpers:
         Q = random_states(rng, 400)
         got = mj.batch_majorizes(origin, Q, ctx)
         for row, g in zip(Q, got):
-            assert g == mj.thermo_majorizes(origin, core.PopVector(row), ctx)
+            assert g == (ref_margin(origin.probs, row, ctx.gamma) >= -mj.TAU_CMP)
         assert got.any() and not got.all()
 
     def test_batch_per_row_gammas(self, rng):
@@ -274,6 +356,59 @@ class TestBatchHelpers:
         G /= G.sum(axis=1, keepdims=True)
         batch = mj.batch_tight_points(P, G, core.PI_STAR)
         for i in range(0, 200, 17):
-            ctx = core.make_context((0, 1, 1, 2), betas[i])
-            ref = mj.extreme_point(core.PopVector(P[i]), ctx, core.PI_STAR)
-            assert np.allclose(batch[i], ref.probs, atol=1e-12)
+            ref = ref_extreme_point(P[i], G[i], core.PI_STAR.perm)
+            assert np.allclose(batch[i], ref, atol=1e-12)
+
+    def test_ordering_without_zero_weights_matches_the_general_rule(self, rng):
+        # rows without a zero weight take a plain stable sort; in a batch that
+        # holds a zero-weight row they go through the general lexsort instead
+        P = random_states(rng, 500)
+        P[:100, 1] = P[:100, 2]
+        G = np.tile(ctx2q(0.7).gamma, (500, 1))
+        mixed = np.vstack([G, ctx2q(math.inf).gamma])
+        general = core.batch_order(np.vstack([P, P[:1]]), mixed)[:-1]
+        assert np.array_equal(core.batch_order(P, G), general)
+
+
+class TestAgainstReference:
+    """The batch kernel against the per-row reference, at every beta."""
+
+    @given(state_strategy, beta_strategy)
+    def test_order_curve_and_fstar(self, probs, beta):
+        ctx = ctx2q(beta)
+        p = core.PopVector(probs)
+        assert [i - 1 for i in core.beta_order(p, ctx).perm] == ref_order(probs, ctx.gamma)
+        c, ref = mj.curve(p, ctx), ref_curve(probs, ctx.gamma)
+        assert np.array_equal(c.xs, ref[0]) and np.array_equal(c.ys, ref[1])
+        got = en.fstar_batch(probs[None, :], ctx.gamma)[0]
+        want = en.witness_f(ref_extreme_point(probs, ctx.gamma, core.PI_STAR.perm))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @given(state_strategy, beta_strategy)
+    def test_cone_vertices(self, probs, beta):
+        ctx = ctx2q(beta)
+        V = mj.future_cone(core.PopVector(probs), ctx).points
+        R = np.array([ref_extreme_point(probs, ctx.gamma, perm)
+                      for perm in itertools.permutations(range(1, 5))])
+        dist = np.abs(V[:, None, :] - R[None, :, :]).max(axis=2)
+        # each vertex is an extreme point; each extreme point has a vertex
+        # within the merging tolerance of a cluster's two ends
+        assert dist.min(axis=1).max() <= 1e-12
+        assert dist.min(axis=0).max() <= 2 * mj.TAU_CMP
+        # duplicates are named by the first ordering that reaches them
+        perms = list(itertools.permutations(range(1, 5)))
+        for (order, _), row in zip(mj.future_cone(core.PopVector(probs), ctx).extremes, dist):
+            assert order.perm == perms[int(np.flatnonzero(row <= 1e-12)[0])]
+        gaps = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2)
+        assert (gaps + np.eye(len(V)) > mj.TAU_CMP).all()
+
+    @given(state_strategy, st.lists(state_strategy, min_size=1, max_size=8), beta_strategy)
+    def test_dominance(self, origin, rows, beta):
+        ctx = ctx2q(beta)
+        Q = np.array(rows)
+        got = mj.batch_majorizes(core.PopVector(origin), Q, ctx)
+        for q, g in zip(Q, got):
+            margin = ref_margin(origin, q, ctx.gamma)
+            if abs(margin + mj.TAU_CMP) > 1e-12:
+                assert g == (margin >= -mj.TAU_CMP)
+                assert mj.thermo_majorizes(core.PopVector(origin), core.PopVector(q), ctx) == g
