@@ -209,9 +209,6 @@ def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     G = np.asarray(gammas, dtype=float)
     zero = G == 0
-    if not zero.any():
-        # the secondary key below is constant: the lexsort is this stable sort
-        return np.argsort(-(P / G), axis=-1, kind="stable")
     ratio = np.divide(P, G, out=np.where(P > 0, np.inf, -np.inf), where=~zero)
     return np.lexsort((np.where(zero, -P, 0.0), -ratio), axis=-1)
 

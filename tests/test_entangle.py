@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
-from tests.conftest import random_states
-from tests.test_majorization import ref_extreme_point, state_strategy
+from tests.conftest import random_states, ref_extreme_point, state_strategy
 
 
 def ctx2q(beta):
