@@ -1,17 +1,16 @@
 """Command-line entry point.
 
-Every run emits a manifest (subcommand, resolved parameters, seed, version,
-wall time) alongside the result; rerunning with the same parameters and
-seed reproduces the result bytes exactly.  Floats are printed at 12
-significant digits.  Exit codes: 0 success, 2 validation error, 1 internal
-error.
+Every run emits a manifest (subcommand, the parsed arguments as params, the
+resolved seed, version, wall time) alongside the result; rerunning with the
+same parameters and seed reproduces the result bytes exactly.  Floats are
+printed at 12 significant digits.  Exit codes: 0 success, 2 validation
+error, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -22,7 +21,6 @@ from . import __version__
 from .core import PopVector, make_context, pop_vector, two_qubit_context
 from .dynamics import (
     JCConfig,
-    ThermalizationSchedule,
     jc_protocol,
     mtp_entangle_search,
     suggest_n_max,
@@ -63,12 +61,6 @@ def _parse_state(text: str, renorm: bool) -> PopVector:
     return pop_vector(values, renorm=renorm)
 
 
-def _parse_beta(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_range(text: str, parts: int):
     bits = text.split(":")
     if len(bits) != parts:
@@ -77,7 +69,7 @@ def _parse_range(text: str, parts: int):
 
 
 def _context(args, dim_hint: int = 4):
-    if getattr(args, "energies", None):
+    if args.energies:
         energies = [float(x) for x in args.energies.split(",")]
         return make_context(energies, args.beta)
     if dim_hint != 4:
@@ -85,52 +77,31 @@ def _context(args, dim_hint: int = 4):
     return two_qubit_context(args.beta, args.gap)
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
-
-
-def _emit(args, manifest: dict, result, csv_rows=None, csv_header=None) -> None:
-    """Write JSON (default) or CSV with the manifest as a comment line."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_rows is None:
-        raise ValueError("this subcommand has no CSV representation")
-    if fmt == "csv":
-        lines = [f"# manifest: {json.dumps(_round12(manifest), sort_keys=False)}"]
-        lines.append(",".join(csv_header))
-        for row in csv_rows:
+def _emit(args, manifest: dict, result, table) -> None:
+    """Write JSON, or CSV with the manifest as a comment line."""
+    if args.format == "csv":
+        header, rows = table
+        lines = [f"# manifest: {json.dumps(_round12(manifest))}", ",".join(header)]
+        for row in rows:
             lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
                                   for v in row))
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({"manifest": _round12(manifest), "result": _round12(result)},
                           indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _manifest(name: str, params: dict, seed, t0: float) -> dict:
-    return {
-        "subcommand": name,
-        "params": params,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-
-
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each returns (result, table), where table is
+# (header, rows) for the subcommands that can write CSV and None otherwise
 # ---------------------------------------------------------------------------
 
-def _run_classify(args) -> int:
-    t0 = time.perf_counter()
+def _run_classify(args):
     p = _parse_state(args.state, args.renorm)
     ctx = two_qubit_context(args.beta, args.gap)
     rep = is_thermally_entanglable(p, ctx)
@@ -143,14 +114,10 @@ def _run_classify(args) -> int:
         "optimal_theta": rep.optimal_theta,
         "pi_star_point": rep.pi_star_point.probs,
     }
-    params = {"state": args.state, "beta": args.beta, "gap": args.gap,
-              "renorm": args.renorm}
-    _emit(args, _manifest("classify", params, None, t0), result)
-    return 0
+    return result, None
 
 
-def _run_cone(args) -> int:
-    t0 = time.perf_counter()
+def _run_cone(args):
     p = _parse_state(args.state, args.renorm)
     ctx = _context(args, p.dim)
     cone = future_cone(p, ctx)
@@ -159,17 +126,10 @@ def _run_cone(args) -> int:
               "extremes": extremes}
     rows = [tuple(o.perm) + tuple(v.probs) for o, v in cone.extremes]
     header = [f"order{i}" for i in range(1, p.dim + 1)] + [f"p{i}" for i in range(1, p.dim + 1)]
-    params = {"state": args.state, "beta": args.beta, "gap": args.gap,
-              "energies": args.energies}
-    _emit(args, _manifest("cone", params, None, t0), result,
-          csv_rows=[tuple(float(x) if isinstance(x, (float, np.floating)) else x for x in r)
-                    for r in rows],
-          csv_header=header)
-    return 0
+    return result, (header, rows)
 
 
-def _run_curve(args) -> int:
-    t0 = time.perf_counter()
+def _run_curve(args):
     p = _parse_state(args.state, args.renorm)
     ctx = _context(args, p.dim)
     c = curve(p, ctx)
@@ -177,49 +137,34 @@ def _run_curve(args) -> int:
     if args.points > 0:
         xs = sorted(set(xs) | {i / args.points for i in range(args.points + 1)})
     ys = [c.evaluate(x) for x in xs]
-    params = {"state": args.state, "beta": args.beta, "gap": args.gap,
-              "energies": args.energies, "points": args.points}
-    result = {"x": xs, "y": ys}
-    _emit(args, _manifest("curve", params, None, t0), result,
-          csv_rows=list(zip(xs, ys)), csv_header=["x", "y"])
-    return 0
+    return {"x": xs, "y": ys}, (["x", "y"], list(zip(xs, ys)))
 
 
-def _run_volume(args) -> int:
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def _run_volume(args):
+    if args.seed is None:
+        args.seed = int(os.environ.get(SEED_ENV) or 0)
     ctx = two_qubit_context(args.beta, args.gap)
     origin = _parse_state(args.state, args.renorm) if args.state else None
     threads = args.threads or os.cpu_count() or 1
-    est = volume_of(args.set, ctx, origin, args.samples, seed, threads=threads)
+    est = volume_of(args.set, ctx, origin, args.samples, args.seed, threads=threads)
     result = {"set": args.set, "fraction": est.fraction, "std_error": est.std_error,
               "n_samples": est.n_samples, "seed": est.seed}
-    params = {"set": args.set, "beta": args.beta, "gap": args.gap,
-              "state": args.state, "samples": args.samples}
-    _emit(args, _manifest("volume", params, seed, t0), result)
-    return 0
+    return result, None
 
 
-def _run_boundary(args) -> int:
-    t0 = time.perf_counter()
+def _run_boundary(args):
     ctx = two_qubit_context(args.beta, args.gap)
     cloud = tne_boundary(ctx, args.grid, args.iters)
     if args.mesh_out:
         mesh = convex_hull_export(cloud)
         with open(args.mesh_out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_obj())
-    params = {"beta": args.beta, "gap": args.gap, "grid": args.grid,
-              "iters": args.iters, "mesh_out": args.mesh_out}
     result = {"n_points": int(cloud.points.shape[0]),
               "points": cloud.points}
-    rows = [tuple(map(float, row)) for row in cloud.points]
-    _emit(args, _manifest("boundary", params, None, t0), result,
-          csv_rows=rows, csv_header=["p1", "p2", "p3", "p4"])
-    return 0
+    return result, (["p1", "p2", "p3", "p4"], [tuple(row) for row in cloud.points])
 
 
-def _run_critical_temp(args) -> int:
-    t0 = time.perf_counter()
+def _run_critical_temp(args):
     if (args.beta_s is None) == (args.state is None):
         raise ValueError("give exactly one of --beta-s or --state")
     if args.beta_s is not None:
@@ -231,14 +176,10 @@ def _run_critical_temp(args) -> int:
         p = _parse_state(args.state, args.renorm)
         roots = critical_temps_general(p, args.gap, (lo, hi), args.scan)
         result = {"crossings": roots}
-    params = {"beta_s": args.beta_s, "state": args.state, "gap": args.gap,
-              "range": args.range, "scan": args.scan}
-    _emit(args, _manifest("critical-temp", params, None, t0), result)
-    return 0
+    return result, None
 
 
-def _run_jc(args) -> int:
-    t0 = time.perf_counter()
+def _run_jc(args):
     if args.betaE_range:
         a, b, n = _parse_range(args.betaE_range, 3)
         grid = np.linspace(float(a), float(b), int(n))
@@ -251,20 +192,14 @@ def _run_jc(args) -> int:
                          "pass --allow-low-betae to override")
     rows = []
     for be in grid:
-        nmax = args.nmax if args.nmax else suggest_n_max(float(be))
+        nmax = args.nmax if args.nmax is not None else suggest_n_max(float(be))
         res = jc_protocol(JCConfig(initial=args.initial, beta_E=float(be), n_max=nmax))
         rows.append((float(be), res.optimal_time, res.ground_pop, res.negativity))
-    params = {"initial": args.initial, "betaE": args.betaE,
-              "betaE_range": args.betaE_range, "nmax": args.nmax}
-    result = [{"betaE": r[0], "optimal_time": r[1], "ground_pop": r[2],
-               "negativity": r[3]} for r in rows]
-    _emit(args, _manifest("jc", params, None, t0), result,
-          csv_rows=rows, csv_header=["betaE", "optimal_time", "ground_pop", "negativity"])
-    return 0
+    header = ["betaE", "optimal_time", "ground_pop", "negativity"]
+    return [dict(zip(header, r)) for r in rows], (header, rows)
 
 
-def _run_mtp(args) -> int:
-    t0 = time.perf_counter()
+def _run_mtp(args):
     p = _parse_state(args.state, args.renorm)
     ctx = two_qubit_context(args.beta, args.gap)
     res = mtp_entangle_search(p, ctx, args.strategy, args.budget)
@@ -275,14 +210,10 @@ def _run_mtp(args) -> int:
         "best_state": res.best_state.probs,
         "evaluations": res.evaluations,
     }
-    params = {"state": args.state, "beta": args.beta, "gap": args.gap,
-              "strategy": args.strategy, "budget": args.budget}
-    _emit(args, _manifest("mtp", params, None, t0), result)
-    return 0
+    return result, None
 
 
-def _run_catalysis_demo(args) -> int:
-    t0 = time.perf_counter()
+def _run_catalysis_demo(args):
     rep = verify_catalysis(strict=False)
     result = {
         "status": "PASS" if rep.passed else "FAIL",
@@ -294,29 +225,35 @@ def _run_catalysis_demo(args) -> int:
         "system_final": [str(x) for x in rep.system_final],
         "catalyst_final": [str(x) for x in rep.catalyst_final],
     }
-    _emit(args, _manifest("catalysis-demo", {}, None, t0), result)
-    return 0 if rep.passed else 1
+    return result, None
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, state=False, beta=True, seed=False):
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_subcommand(sub, name, run, help, formats=("json",), beta=True, gap=True):
+    """A subcommand's parser with --format (the first of ``formats`` is the
+    default), --out, and --beta and --gap where the subcommand reads them.
+    Options must be spelled out: an abbreviation would let --beta stand for
+    --beta-s on critical-temp."""
+    sp = sub.add_parser(name, help=help, allow_abbrev=False)
+    sp.set_defaults(run=run)
+    sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--out", default=None, help="write output to a file")
+    if beta:
+        sp.add_argument("--beta", type=float, default=0.0,
+                        help="ambient inverse temperature (number or 'inf')")
+    if gap:
+        sp.add_argument("--gap", type=float, default=1.0, help="qubit energy gap E")
+    return sp
+
+
+def _add_state(sp, required=True,
+               help="comma-separated populations, e.g. 0.4,0.25,0.33,0.02"):
+    sp.add_argument("--state", required=required, help=help)
     sp.add_argument("--renorm", action="store_true",
                     help="renormalize --state instead of rejecting it")
-    if state:
-        sp.add_argument("--state", required=True,
-                        help="comma-separated populations, e.g. 0.4,0.25,0.33,0.02")
-    if beta:
-        sp.add_argument("--beta", type=_parse_beta, default=0.0,
-                        help="ambient inverse temperature (number or 'inf')")
-        sp.add_argument("--gap", type=float, default=1.0, help="qubit energy gap E")
-    if seed:
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,84 +262,93 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("classify", help="entanglability verdicts for one state")
-    _add_common(sp, state=True)
-    sp.set_defaults(run=_run_classify)
+    sp = _add_subcommand(sub, "classify", _run_classify, "entanglability verdicts for one state")
+    _add_state(sp)
 
-    sp = sub.add_parser("cone", help="extreme points of the future thermal cone")
-    _add_common(sp, state=True)
+    sp = _add_subcommand(sub, "cone", _run_cone, "extreme points of the future thermal cone",
+                         formats=("json", "csv"))
+    _add_state(sp)
     sp.add_argument("--energies", default=None, help="comma-separated level energies")
-    sp.set_defaults(run=_run_cone)
 
-    sp = sub.add_parser("curve", help="thermomajorization curve samples")
-    _add_common(sp, state=True)
+    sp = _add_subcommand(sub, "curve", _run_curve, "thermomajorization curve samples",
+                         formats=("csv", "json"))
+    _add_state(sp)
     sp.add_argument("--energies", default=None, help="comma-separated level energies")
     sp.add_argument("--points", type=int, default=0, help="extra uniform sample points")
-    sp.set_defaults(run=_run_curve, format="csv")
 
-    sp = sub.add_parser("volume", help="Monte Carlo volume of an entanglability set")
-    _add_common(sp, seed=True)
+    sp = _add_subcommand(sub, "volume", _run_volume, "Monte Carlo volume of an entanglability set")
     sp.add_argument("--set", required=True, choices=("E", "NE", "TNE", "ENT_CONE"))
-    sp.add_argument("--state", default=None, help="origin state (ENT_CONE only)")
+    _add_state(sp, required=False, help="origin state (ENT_CONE only)")
     sp.add_argument("--samples", type=int, default=1_000_000)
+    sp.add_argument("--seed", type=int, default=None,
+                    help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
     sp.add_argument("--threads", type=int, default=None,
                     help="worker threads (default: all cores; result unchanged)")
-    sp.set_defaults(run=_run_volume)
 
-    sp = sub.add_parser("boundary", help="bisection cloud on the TNE boundary")
-    _add_common(sp)
+    sp = _add_subcommand(sub, "boundary", _run_boundary, "bisection cloud on the TNE boundary",
+                         formats=("csv", "json"))
     sp.add_argument("--grid", type=int, default=24, help="facet grid resolution")
     sp.add_argument("--iters", type=int, default=30, help="bisection steps")
     sp.add_argument("--mesh-out", default=None, help="write an OBJ mesh of the hull")
-    sp.set_defaults(run=_run_boundary, format="csv")
 
-    sp = sub.add_parser("critical-temp", help="critical ambient temperatures")
-    _add_common(sp)
+    sp = _add_subcommand(sub, "critical-temp", _run_critical_temp,
+                         "critical ambient temperatures", beta=False)
     sp.add_argument("--beta-s", type=float, default=None,
                     help="inverse temperature of a thermal initial state")
-    sp.add_argument("--state", default=None, help="general initial state to scan")
+    _add_state(sp, required=False, help="general initial state to scan")
     sp.add_argument("--range", default="0:5", help="beta scan range a:b")
     sp.add_argument("--scan", type=int, default=400, help="scan grid size")
-    sp.set_defaults(run=_run_critical_temp)
 
-    sp = sub.add_parser("jc", help="cavity preconditioning protocol")
-    _add_common(sp, beta=False)
+    sp = _add_subcommand(sub, "jc", _run_jc, "cavity preconditioning protocol",
+                         formats=("csv", "json"), beta=False, gap=False)
     sp.add_argument("--initial", choices=("00", "11"), required=True)
     sp.add_argument("--betaE", type=float, default=None)
     sp.add_argument("--betaE-range", default=None, help="sweep a:b:n")
     sp.add_argument("--nmax", type=int, default=None,
                     help="Fock truncation (default: from the tail bound)")
     sp.add_argument("--allow-low-betae", action="store_true")
-    sp.set_defaults(run=_run_jc, format="csv")
 
-    sp = sub.add_parser("mtp", help="schedule search under partial thermalizations")
-    _add_common(sp, state=True)
+    sp = _add_subcommand(sub, "mtp", _run_mtp, "schedule search under partial thermalizations")
+    _add_state(sp)
     sp.add_argument("--strategy", choices=("greedy", "beam"), default="greedy")
     sp.add_argument("--budget", type=int, default=10_000)
-    sp.set_defaults(run=_run_mtp)
 
-    sp = sub.add_parser("catalysis-demo", help="exact catalytic activation check")
-    _add_common(sp, beta=False)
-    sp.set_defaults(run=_run_catalysis_demo)
+    _add_subcommand(sub, "catalysis-demo", _run_catalysis_demo,
+                    "exact catalytic activation check", beta=False, gap=False)
 
     return ap
 
 
+#: parsed arguments that are not run parameters; the seed has its own field
+NOT_PARAMS = ("subcommand", "run", "format", "out", "seed")
+
+
 def dispatch(argv) -> int:
-    """Parse and run; returns the process exit code."""
+    """Parse, run, and write the result with its manifest; returns the exit
+    code.  A FAIL report (catalysis-demo) is written, then exits 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
-        return args.run(args)
+        result, table = args.run(args)
+        manifest = {
+            "subcommand": args.subcommand,
+            "params": {k: v for k, v in vars(args).items() if k not in NOT_PARAMS},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        _emit(args, manifest, result, table)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 1 if isinstance(result, dict) and result.get("status") == "FAIL" else 0
 
 
 def main() -> None:

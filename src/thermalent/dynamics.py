@@ -104,6 +104,14 @@ MIN_BETA_E = 0.2
 
 TAIL_TOL = 1e-8
 
+#: interaction times scanned on [0, T_MAX], in units of the inverse coupling
+TIME_GRID = 2048
+T_MAX = 20.0 * math.pi
+
+#: largest Fock truncation: the transfer scan holds TIME_GRID x (n_max + 1)
+#: doubles, at most 2**24 (128 MB)
+MAX_N_MAX = 2**24 // TIME_GRID - 1
+
 
 @dataclass(frozen=True)
 class JCConfig:
@@ -112,17 +120,16 @@ class JCConfig:
     initial: str            # "00" (both ground) or "11" (both excited)
     beta_E: float           # product of inverse temperature and gap
     n_max: int = 20         # Fock-space truncation
-    coupling: float = 1.0   # qubit-mode coupling; sets the time unit
-    time_grid: int = 2048   # scan resolution for the interaction time
-    t_max: float = 20.0 * math.pi
 
     def __post_init__(self):
         if self.initial not in ("00", "11"):
             raise ValueError("initial must be '00' or '11'")
         if self.beta_E <= 0:
             raise ValueError("beta_E must be positive")
-        if self.n_max < 1 or self.coupling <= 0 or self.time_grid < 16:
-            raise ValueError("invalid cavity configuration")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {self.n_max}; the "
+                             f"default truncation passes the cap for beta_E below about "
+                             f"{-math.log(TAIL_TOL) / MAX_N_MAX:.2g}")
 
 
 def suggest_n_max(beta_E: float, tail: float = TAIL_TOL) -> int:
@@ -142,16 +149,17 @@ def thermal_mode_weights(beta_E: float, n_max: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _transfer_prob(t, weights: np.ndarray, coupling: float, initial: str):
+def _transfer_prob(t, weights: np.ndarray, initial: str):
     """Probability that the coupled qubit flips after interacting for ``t``.
 
-    From |0>: sum_n w_n sin^2(sqrt(n) g t) over occupied levels; from |1>:
-    sum_n w_n sin^2(sqrt(n+1) g t).  Exact within each excitation block.
+    From |0>: sum_n w_n sin^2(sqrt(n) t) over occupied levels; from |1>:
+    sum_n w_n sin^2(sqrt(n+1) t), with t in units of the inverse coupling.
+    Exact within each excitation block.
     """
     n = np.arange(weights.size)
     freq = np.sqrt(n) if initial == "00" else np.sqrt(n + 1)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.sin(np.outer(t, freq) * coupling) ** 2
+    s = np.sin(np.outer(t, freq)) ** 2
     out = s @ weights
     return out if out.size > 1 else float(out[0])
 
@@ -188,14 +196,14 @@ def jc_protocol(cfg: JCConfig) -> JCResult:
     section, and reports the negativity of the rotated final state.
     """
     weights = thermal_mode_weights(cfg.beta_E, cfg.n_max)
-    ts = np.linspace(0.0, cfg.t_max, cfg.time_grid)
-    vals = _transfer_prob(ts, weights, cfg.coupling, cfg.initial)
+    ts = np.linspace(0.0, T_MAX, TIME_GRID)
+    vals = _transfer_prob(ts, weights, cfg.initial)
     k = int(np.argmax(vals))
     dt = ts[1] - ts[0]
     lo = max(0.0, ts[k] - dt)
-    hi = min(cfg.t_max, ts[k] + dt)
-    t_opt = _golden_max(lambda t: _transfer_prob(t, weights, cfg.coupling, cfg.initial), lo, hi)
-    transfer = _transfer_prob(t_opt, weights, cfg.coupling, cfg.initial)
+    hi = min(T_MAX, ts[k] + dt)
+    t_opt = _golden_max(lambda t: _transfer_prob(t, weights, cfg.initial), lo, hi)
+    transfer = _transfer_prob(t_opt, weights, cfg.initial)
 
     residual = 1.0 - transfer
     if cfg.initial == "00":
@@ -206,9 +214,10 @@ def jc_protocol(cfg: JCConfig) -> JCResult:
                     negativity=max_negativity(pops), final_pops=pops)
 
 
-def jc_joint_evolution(initial_qubit: int, beta_E: float, n_max: int, t: float,
-                       coupling: float = 1.0) -> DensityMatrix:
-    """Exact joint qubit+mode state after interacting for time ``t``.
+def jc_joint_evolution(initial_qubit: int, beta_E: float, n_max: int,
+                       t: float) -> DensityMatrix:
+    """Exact joint qubit+mode state after interacting for time ``t`` (in units
+    of the inverse coupling).
 
     Basis |q, n> with index q*(n_max+1) + n.  Used to cross-check the
     block-wise transfer probabilities and the excitation-conserving block
@@ -220,7 +229,7 @@ def jc_joint_evolution(initial_qubit: int, beta_E: float, n_max: int, t: float,
     nm = n_max + 1
     u = np.eye(2 * nm, dtype=complex)
     for n in range(n_max):
-        th = coupling * math.sqrt(n + 1) * t
+        th = math.sqrt(n + 1) * t
         i, j = nm + n, n + 1          # |1, n> and |0, n+1>
         u[i, i] = u[j, j] = math.cos(th)
         u[i, j] = u[j, i] = -1j * math.sin(th)

@@ -23,6 +23,10 @@ BLOCK = 65536
 
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 
+#: largest facet grid resolution: the grid holds 2 m^2 + 2 points, built in
+#: a Python set, about 130k at the cap
+MAX_GRID = 256
+
 
 def _simplex_block(d: int, rows: int, seed: int, block: int) -> np.ndarray:
     """One block of uniform simplex points, from the Philox key (seed, block)."""
@@ -128,8 +132,8 @@ class BoundaryCloud:
 
 def simplex_facet_grid(resolution: int) -> np.ndarray:
     """Regular barycentric grid over the four facets of the 3-simplex."""
-    if resolution < 1:
-        raise ValueError("grid resolution must be >= 1")
+    if not 1 <= resolution <= MAX_GRID:
+        raise ValueError(f"grid resolution must lie in 1..{MAX_GRID}, got {resolution}")
     m = resolution
     pts = set()
     for zero in range(4):

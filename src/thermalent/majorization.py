@@ -29,6 +29,9 @@ TAU_CMP = 1e-10
 #: largest dimension for which all d! orderings are enumerated
 MAX_ENUM_DIM = 8
 
+#: rows per block in the batch calls, which bounds their temporaries
+CHUNK = 200_000
+
 
 @dataclass(frozen=True)
 class ThermoCurve:
@@ -199,25 +202,24 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("nts,ns->nt", F, np.diff(Y, prepend=0.0, axis=1))
 
 
-def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering,
-                       chunk: int = 200_000) -> np.ndarray:
+def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
     """Extreme point of every row's cone for one shared target ordering."""
     P = np.asarray(P, dtype=float)
     t0 = target.zero_based()
     out = np.empty_like(P)
     G_all = np.broadcast_to(np.asarray(gammas, dtype=float), P.shape)
-    for lo in range(0, P.shape[0], chunk):
-        Pb, Gb = P[lo:lo + chunk], G_all[lo:lo + chunk]
+    for lo in range(0, P.shape[0], CHUNK):
+        Pb, Gb = P[lo:lo + CHUNK], G_all[lo:lo + CHUNK]
         _, X, Y = batch_curves(Pb, Gb)
         Yt = batch_eval(X, Y, np.cumsum(Gb[:, t0], axis=1))
         block = np.empty_like(Pb)
         block[:, t0] = np.diff(Yt, prepend=0.0, axis=1)
-        out[lo:lo + chunk] = np.clip(block, 0.0, None)
+        out[lo:lo + CHUNK] = np.clip(block, 0.0, None)
     return out
 
 
 def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
-                    tol: float = TAU_CMP, chunk: int = 200_000) -> np.ndarray:
+                    tol: float = TAU_CMP) -> np.ndarray:
     """Dominance of a fixed origin's curve over each row of ``Q``.
 
     By concavity it suffices to test at each row's own elbows; at x=0 the
@@ -227,7 +229,7 @@ def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
     gamma = ctx.checked_gamma()
     Q = np.asarray(Q, dtype=float)
     ok = np.empty(Q.shape[0], dtype=bool)
-    for lo in range(0, Q.shape[0], chunk):
-        _, X, Y = batch_curves(Q[lo:lo + chunk], gamma)
-        ok[lo:lo + chunk] = np.all(c.evaluate_upper(X) >= Y - tol, axis=1)
+    for lo in range(0, Q.shape[0], CHUNK):
+        _, X, Y = batch_curves(Q[lo:lo + CHUNK], gamma)
+        ok[lo:lo + CHUNK] = np.all(c.evaluate_upper(X) >= Y - tol, axis=1)
     return ok

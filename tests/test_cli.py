@@ -7,6 +7,9 @@ import pytest
 
 from thermalent.cli import dispatch
 
+#: every manifest carries exactly these fields
+MANIFEST_KEYS = {"subcommand", "params", "seed", "version", "wall_time_s"}
+
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
@@ -82,6 +85,50 @@ class TestValidationExits:
         code, _, _ = run(capsys, "--help")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("boundary", "--renorm", "--grid", "2"),
+        ("jc", "--initial", "11", "--betaE", "10", "--renorm"),
+        ("catalysis-demo", "--renorm"),
+        ("critical-temp", "--beta-s", "5", "--beta", "3"),
+    ])
+    def test_options_a_subcommand_would_ignore(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--state", "1,0,0,0"),
+        ("volume", "--set", "E", "--samples", "100"),
+        ("critical-temp", "--beta-s", "5"),
+        ("mtp", "--state", "0,0,0,1"),
+        ("catalysis-demo",),
+    ])
+    def test_csv_only_where_tabular(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2 and "invalid choice" in err
+
+
+class TestSizeCaps:
+    """Sizes that would allocate without bound exit 2 before allocating."""
+
+    def test_low_betae_fock_truncation(self, capsys):
+        # suggest_n_max(1e-6) = 18,420,682: a 2048 x 18.4M transfer grid
+        code, _, err = run(capsys, "jc", "--initial", "00", "--betaE", "1e-6",
+                           "--allow-low-betae")
+        assert code == 2 and "8191" in err
+
+    def test_explicit_nmax(self, capsys):
+        code, _, err = run(capsys, "jc", "--initial", "00", "--betaE", "1",
+                           "--nmax", "100000000")
+        assert code == 2 and "8191" in err
+
+    def test_nmax_zero_is_not_the_default(self, capsys):
+        code, _, err = run(capsys, "jc", "--initial", "11", "--betaE", "10", "--nmax", "0")
+        assert code == 2 and "8191" in err
+
+    def test_boundary_grid(self, capsys):
+        code, _, err = run(capsys, "boundary", "--grid", "100000")
+        assert code == 2 and "256" in err
+
 
 class TestVolume:
     def test_reproducible_result_bytes(self, capsys):
@@ -99,6 +146,21 @@ class TestVolume:
         assert code == 0
         assert json.loads(out)["manifest"]["seed"] == 99
         assert result_of(out)["seed"] == 99
+
+    def test_seed_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("THERMALENT_SEED", "99")
+        code, out, _ = run(capsys, "volume", "--set", "E", "--samples", "5000",
+                           "--seed", "4")
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["seed"] == 4 and result_of(out)["seed"] == 4
+        assert "seed" not in manifest["params"]
+
+    def test_seed_defaults_to_zero(self, capsys, monkeypatch):
+        monkeypatch.delenv("THERMALENT_SEED", raising=False)
+        code, out, _ = run(capsys, "volume", "--set", "E", "--samples", "5000")
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] == 0
 
     def test_ent_cone_requires_state(self, capsys):
         code, _, err = run(capsys, "volume", "--set", "ENT_CONE", "--samples", "100")
@@ -248,3 +310,46 @@ class TestFormatting:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
+
+
+class TestManifest:
+    """The manifest's params are the parsed arguments less --format and --out;
+    the seed has its own field, set only by volume."""
+
+    @pytest.mark.parametrize("argv, params", [
+        (("classify", "--state", "1,0,0,0", "--beta", "1"),
+         {"state": "1,0,0,0", "renorm": False, "beta": 1.0, "gap": 1.0}),
+        (("cone", "--state", "0,0,0,1", "--beta", "inf"),
+         {"state": "0,0,0,1", "renorm": False, "beta": math.inf, "gap": 1.0,
+          "energies": None}),
+        (("curve", "--state", "0.5,0.5,0,0", "--points", "4"),
+         {"state": "0.5,0.5,0,0", "renorm": False, "beta": 0.0, "gap": 1.0,
+          "energies": None, "points": 4}),
+        (("volume", "--set", "E", "--samples", "1000", "--seed", "3", "--threads", "1"),
+         {"set": "E", "state": None, "renorm": False, "beta": 0.0, "gap": 1.0,
+          "samples": 1000, "threads": 1}),
+        (("boundary", "--grid", "2", "--iters", "3", "--format", "json"),
+         {"beta": 0.0, "gap": 1.0, "grid": 2, "iters": 3, "mesh_out": None}),
+        (("critical-temp", "--beta-s", "5"),
+         {"gap": 1.0, "beta_s": 5.0, "state": None, "renorm": False, "range": "0:5",
+          "scan": 400}),
+        (("jc", "--initial", "11", "--betaE", "10", "--nmax", "20", "--format", "json"),
+         {"initial": "11", "betaE": 10.0, "betaE_range": None, "nmax": 20,
+          "allow_low_betae": False}),
+        (("mtp", "--state", "0,0,0,1", "--beta", "2", "--budget", "200"),
+         {"state": "0,0,0,1", "renorm": False, "beta": 2.0, "gap": 1.0,
+          "strategy": "greedy", "budget": 200}),
+        (("catalysis-demo",), {}),
+    ])
+    def test_fields_and_params(self, capsys, argv, params):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if out.startswith("# manifest: "):  # CSV
+            manifest = json.loads(out.split("\n")[0].removeprefix("# manifest: "))
+        else:
+            manifest = json.loads(out)["manifest"]
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["params"] == params
+        assert manifest["seed"] == (3 if argv[0] == "volume" else None)
+        assert manifest["wall_time_s"] >= 0

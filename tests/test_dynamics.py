@@ -124,6 +124,14 @@ class TestJcProtocol:
         with pytest.raises(ValueError):
             dy.JCConfig("00", -1.0)
 
+    def test_fock_truncation_capped(self):
+        # the transfer scan holds time_grid x (n_max + 1) doubles; 8191 keeps
+        # that at 2**24.  suggest_n_max(1e-6) alone is 18,420,682
+        for n_max in (0, dy.suggest_n_max(1e-6), 100_000_000):
+            with pytest.raises(ValueError, match="8191"):
+                dy.JCConfig("00", 1e-6, n_max=n_max)
+        dy.JCConfig("00", 1e-6, n_max=8191)
+
 
 class TestJointEvolution:
     def test_population_matches_block_formula(self):
@@ -131,7 +139,7 @@ class TestJointEvolution:
         w = dy.thermal_mode_weights(be, nmax)
         joint = dy.jc_joint_evolution(0, be, nmax, t)
         excited = joint.populations()[nmax + 1:].sum()
-        assert excited == pytest.approx(dy._transfer_prob(t, w, 1.0, "00"), abs=1e-12)
+        assert excited == pytest.approx(dy._transfer_prob(t, w, "00"), abs=1e-12)
 
     def test_excitation_blocks_preserved(self):
         be, nmax, t = 2.0, dy.suggest_n_max(2.0), 1.3

@@ -160,6 +160,13 @@ class TestBoundary:
         t_cloud = (1.0 - cloud.points[idx][0]) / (1.0 - gamma[0])
         assert abs(t_cloud - flips[0]) <= 1e-3
 
+    def test_grid_resolution_capped(self):
+        # the facet grid is built in an O(grid^2) Python set
+        for grid in (0, 257, 10**6):
+            with pytest.raises(ValueError, match="256"):
+                geo.simplex_facet_grid(grid)
+        assert geo.simplex_facet_grid(256).shape[0] == 2 * 256**2 + 2
+
     def test_grid_point_count(self):
         pts = geo.simplex_facet_grid(6)
         # 4 facets of C(8,2)=28 points; edge points shared by 2 facets,
