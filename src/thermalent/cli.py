@@ -27,6 +27,7 @@ from .dynamics import (
     verify_catalysis,
 )
 from .entangle import (
+    MAX_SCAN,
     critical_temps_general,
     critical_temps_thermal,
     is_thermally_entanglable,
@@ -35,6 +36,14 @@ from .geometry import convex_hull_export, tne_boundary, volume_of
 from .majorization import curve, future_cone
 
 SEED_ENV = "THERMALENT_SEED"
+
+#: most extra sample points of ``curve --points``: each is one curve
+#: evaluation in Python, about 0.8 s and 2 MB of output at the cap
+MAX_POINTS = 100_000
+
+#: most points of a ``jc --betaE-range`` sweep: each runs the protocol once,
+#: a few ms at beta*E >= 0.2
+MAX_SWEEP = 1000
 
 
 def _round12(obj):
@@ -132,6 +141,8 @@ def _run_cone(args):
 def _run_curve(args):
     p = _parse_state(args.state, args.renorm)
     ctx = _context(args, p.dim)
+    if not 0 <= args.points <= MAX_POINTS:
+        raise ValueError(f"--points must lie in 0..{MAX_POINTS}, got {args.points}")
     c = curve(p, ctx)
     xs = list(map(float, c.xs))
     if args.points > 0:
@@ -145,7 +156,7 @@ def _run_volume(args):
         args.seed = int(os.environ.get(SEED_ENV) or 0)
     ctx = two_qubit_context(args.beta, args.gap)
     origin = _parse_state(args.state, args.renorm) if args.state else None
-    threads = args.threads or os.cpu_count() or 1
+    threads = args.threads if args.threads is not None else os.cpu_count() or 1
     est = volume_of(args.set, ctx, origin, args.samples, args.seed, threads=threads)
     result = {"set": args.set, "fraction": est.fraction, "std_error": est.std_error,
               "n_samples": est.n_samples, "seed": est.seed}
@@ -182,7 +193,10 @@ def _run_critical_temp(args):
 def _run_jc(args):
     if args.betaE_range:
         a, b, n = _parse_range(args.betaE_range, 3)
-        grid = np.linspace(float(a), float(b), int(n))
+        n = int(n)
+        if not 1 <= n <= MAX_SWEEP:
+            raise ValueError(f"sweep size n must lie in 1..{MAX_SWEEP}, got {n}")
+        grid = np.linspace(float(a), float(b), n)
     elif args.betaE is not None:
         grid = np.array([args.betaE])
     else:
@@ -274,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                          formats=("csv", "json"))
     _add_state(sp)
     sp.add_argument("--energies", default=None, help="comma-separated level energies")
-    sp.add_argument("--points", type=int, default=0, help="extra uniform sample points")
+    sp.add_argument("--points", type=int, default=0,
+                    help=f"extra uniform sample points, at most {MAX_POINTS}")
 
     sp = _add_subcommand(sub, "volume", _run_volume, "Monte Carlo volume of an entanglability set")
     sp.add_argument("--set", required=True, choices=("E", "NE", "TNE", "ENT_CONE"))
@@ -283,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: all cores; result unchanged)")
+                    help="worker threads, at least 1 (default: all cores; result unchanged)")
 
     sp = _add_subcommand(sub, "boundary", _run_boundary, "bisection cloud on the TNE boundary",
                          formats=("csv", "json"))
@@ -297,13 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inverse temperature of a thermal initial state")
     _add_state(sp, required=False, help="general initial state to scan")
     sp.add_argument("--range", default="0:5", help="beta scan range a:b")
-    sp.add_argument("--scan", type=int, default=400, help="scan grid size")
+    sp.add_argument("--scan", type=int, default=400,
+                    help=f"scan grid size, 2..{MAX_SCAN}")
 
     sp = _add_subcommand(sub, "jc", _run_jc, "cavity preconditioning protocol",
                          formats=("csv", "json"), beta=False, gap=False)
     sp.add_argument("--initial", choices=("00", "11"), required=True)
     sp.add_argument("--betaE", type=float, default=None)
-    sp.add_argument("--betaE-range", default=None, help="sweep a:b:n")
+    sp.add_argument("--betaE-range", default=None,
+                    help=f"sweep a:b:n with n at most {MAX_SWEEP}")
     sp.add_argument("--nmax", type=int, default=None,
                     help="Fock truncation (default: from the tail bound)")
     sp.add_argument("--allow-low-betae", action="store_true")
@@ -322,13 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
 #: parsed arguments that are not run parameters; the seed has its own field
 NOT_PARAMS = ("subcommand", "run", "format", "out", "seed")
 
+#: the parser, built by the first ``dispatch`` so that importing stays cheap
+_PARSER = None
+
 
 def dispatch(argv) -> int:
     """Parse, run, and write the result with its manifest; returns the exit
     code.  A FAIL report (catalysis-demo) is written, then exits 1."""
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     t0 = time.perf_counter()

@@ -33,6 +33,10 @@ TAU_F = 1e-12
 #: golden-ratio conjugate, the branch point of the hot-system extreme state
 PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: largest scan of ``critical_temps_general``: one Gibbs context per point,
+#: about 2 s at the cap
+MAX_SCAN = 100_000
+
 
 def _as_probs(q, d: int = 4) -> np.ndarray:
     a = q.probs if isinstance(q, PopVector) else np.asarray(q, dtype=float)
@@ -234,8 +238,10 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     if p.dim != 4:
         raise ValueError("requires a 4-level state")
     lo, hi = float(beta_range[0]), float(beta_range[1])
-    if not (hi > lo) or n_scan < 2:
+    if not (hi > lo):
         raise ValueError("empty scan range")
+    if not 2 <= n_scan <= MAX_SCAN:
+        raise ValueError(f"scan size must lie in 2..{MAX_SCAN}, got {n_scan}")
     energies = (0.0, gap, gap, 2.0 * gap)
 
     def h(beta):

@@ -84,7 +84,10 @@ def membership_mask(set_id: str, Q: np.ndarray, ctx: GibbsContext,
     if set_id == "TNE":
         return fstar_batch(Q, ctx.checked_gamma()) >= -TAU_F
     if set_id == "ENT_CONE":
-        return (witness_batch(Q) < -TAU_F) & batch_majorizes(origin, Q, ctx)
+        # dominance costs far more than the witness: read it only where needed
+        hits = witness_batch(Q) < -TAU_F
+        hits[hits] = batch_majorizes(origin, Q[hits], ctx)
+        return hits
     raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")
 
 
@@ -101,6 +104,8 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
         raise ValueError("ENT_CONE volume requires an origin state")
     if n <= 0:
         raise ValueError("sample count must be positive")
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
     if ctx.dim != 4:
         raise ValueError("volume predicates are defined for 4-level systems")
 

@@ -12,6 +12,17 @@ Gibbs weights (infinite beta) produce zero-width curve segments; the kernel
 evaluates each as a step at its left edge, so the vertical jump at x=0 stays
 exact and a target at x=0 reads the top of the jump.  The single-state
 functions are calls on a batch of one row.
+
+With one Gibbs vector shared by a batch, a curve's elbow positions depend on
+the state only through its level ordering sigma (one of d!), and its heights
+are linear in the populations.  So the tight point of a target ordering is a
+linear map of p fixed by sigma, q = M_sigma p: the beta-permutations of de
+Oliveira Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109
+(2022).  ``batch_tight_points`` groups each block's rows by ordering, builds
+the map of every ordering present with one ``batch_eval`` call on unit
+rises, and applies it; ``batch_majorizes`` reads the origin's curve once per
+ordering, at that ordering's elbows.  Per-row Gibbs vectors take each row's
+own curve.
 """
 
 from __future__ import annotations
@@ -122,24 +133,23 @@ class ThermalCone:
 def _dedup(points, tol):
     """Indices of the distinct points, in increasing order.
 
-    Points within ``tol`` of each other (max norm) form one cluster, named by
-    its lowest index, so rounding noise between duplicates cannot change the
-    result.  Candidates are scanned in lexicographic order, in which any
-    point within ``tol`` has a first coordinate within ``tol``.
+    Points are taken in index order, and each is kept unless a kept point
+    lies within ``tol`` of it (max norm).  Kept points are therefore more
+    than ``tol`` apart, and each is the first of the points it stands for.
+    The kept points near a point are sought among those whose first
+    coordinate is within ``tol`` of its own.
     """
     pts = np.asarray(points)
-    reps, names = [], []
-    for i in np.lexsort(pts.T[::-1]):
-        k = len(reps) - 1
-        while k >= 0 and pts[reps[k], 0] >= pts[i, 0] - tol:
-            if np.max(np.abs(pts[i] - pts[reps[k]])) <= tol:
-                names[k] = min(names[k], i)
-                break
-            k -= 1
-        else:
-            reps.append(i)
-            names.append(i)
-    return sorted(names)
+    by_first = np.argsort(pts[:, 0], kind="stable")
+    firsts = pts[by_first, 0]
+    lo = np.searchsorted(firsts, pts[:, 0] - tol, side="left").tolist()
+    hi = np.searchsorted(firsts, pts[:, 0] + tol, side="right").tolist()
+    kept = np.zeros(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        near = by_first[lo[i]:hi[i]]
+        near = near[kept[near]]
+        kept[i] = near.size == 0 or not (np.abs(pts[near] - pts[i]).max(axis=1) <= tol).any()
+    return np.flatnonzero(kept).tolist()
 
 
 def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
@@ -202,19 +212,75 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("nts,ns->nt", F, np.diff(Y, prepend=0.0, axis=1))
 
 
+def _ordering_classes(order: np.ndarray):
+    """The distinct orderings of a batch and each row's index among them.
+
+    Rows are grouped by a radix-d code of their first d-1 entries, which fix
+    the last.  Beyond d = 16, where that code would overflow int64, they are
+    grouped by the rows themselves, which is slower.
+    """
+    n, d = order.shape
+    if d ** (d - 1) > np.iinfo(np.int64).max:
+        classes, inverse = np.unique(order, axis=0, return_inverse=True)
+        return classes, inverse.ravel()
+    code = order[:, 0]
+    for k in range(1, d - 1):
+        code = code * d + order[:, k]
+    codes, inverse = np.unique(code, return_inverse=True)
+    first = np.empty(codes.size, dtype=np.intp)
+    first[inverse] = np.arange(n)
+    return order[first], inverse
+
+
+def _tight_maps(classes: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    """Linear maps from a state's sorted populations to its tight point.
+
+    A state ordered as ``classes[c]`` has the curve elbows
+    cumsum(gamma[classes[c]]) and the rises r = p[classes[c]], so its tight
+    point is linear in r: q[i] = sum_k maps[c, k, i] r[k].  One
+    ``batch_eval`` with unit rises (segment k rises by e_k) gives the
+    heights at the target elbows for every class.
+    """
+    m, d = classes.shape
+    X = np.repeat(np.cumsum(gamma[classes], axis=1), d, axis=0)
+    units = np.tile(np.triu(np.ones((d, d))), (m, 1))
+    T = np.broadcast_to(np.cumsum(gamma[t0]), (m * d, d))
+    heights = batch_eval(X, units, T).reshape(m, d, d)
+    maps = np.empty_like(heights)
+    maps[:, :, t0] = np.diff(heights, prepend=0.0, axis=2)
+    return maps
+
+
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
-    """Extreme point of every row's cone for one shared target ordering."""
+    """Extreme point of every row's cone for one shared target ordering.
+
+    With one shared (d,) Gibbs vector, each block applies the map of each
+    row's ordering (``_tight_maps``), built once per ordering present, to
+    the row's sorted populations; per-row gammas evaluate every row's own
+    curve.  The maps act on the sorted populations, so swapping the
+    populations of two levels of equal weight swaps the tight point exactly.
+    Blocks hold CHUNK // d rows, which keeps the temporaries of a block,
+    the maps' construction included, within about CHUNK * d^2 doubles.
+    """
     P = np.asarray(P, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
     t0 = target.zero_based()
+    rows = max(CHUNK // P.shape[1], 1)
     out = np.empty_like(P)
-    G_all = np.broadcast_to(np.asarray(gammas, dtype=float), P.shape)
-    for lo in range(0, P.shape[0], CHUNK):
-        Pb, Gb = P[lo:lo + CHUNK], G_all[lo:lo + CHUNK]
-        _, X, Y = batch_curves(Pb, Gb)
-        Yt = batch_eval(X, Y, np.cumsum(Gb[:, t0], axis=1))
-        block = np.empty_like(Pb)
-        block[:, t0] = np.diff(Yt, prepend=0.0, axis=1)
-        out[lo:lo + CHUNK] = np.clip(block, 0.0, None)
+    for lo in range(0, P.shape[0], rows):
+        Pb = P[lo:lo + rows]
+        if gammas.ndim == 1:
+            order = batch_order(Pb, gammas)
+            classes, inverse = _ordering_classes(order)
+            maps = np.take(_tight_maps(classes, gammas, t0), inverse, axis=0)
+            block = np.einsum("nki,nk->ni", maps, np.take_along_axis(Pb, order, axis=1))
+        else:
+            Gb = gammas[lo:lo + rows]
+            _, X, Y = batch_curves(Pb, Gb)
+            Yt = batch_eval(X, Y, np.cumsum(Gb[:, t0], axis=1))
+            block = np.empty_like(Pb)
+            block[:, t0] = np.diff(Yt, prepend=0.0, axis=1)
+        np.clip(block, 0.0, None, out=out[lo:lo + rows])
     return out
 
 
@@ -222,14 +288,19 @@ def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
                     tol: float = TAU_CMP) -> np.ndarray:
     """Dominance of a fixed origin's curve over each row of ``Q``.
 
-    By concavity it suffices to test at each row's own elbows; at x=0 the
-    origin reads the top of its jump.
+    By concavity it suffices to test at each row's own elbows, which depend
+    only on the row's ordering: the origin's curve is read once per ordering
+    present (at x=0, at the top of its jump).
     """
     c = curve(origin, ctx)
     gamma = ctx.checked_gamma()
     Q = np.asarray(Q, dtype=float)
     ok = np.empty(Q.shape[0], dtype=bool)
     for lo in range(0, Q.shape[0], CHUNK):
-        _, X, Y = batch_curves(Q[lo:lo + CHUNK], gamma)
-        ok[lo:lo + CHUNK] = np.all(c.evaluate_upper(X) >= Y - tol, axis=1)
+        Qb = Q[lo:lo + CHUNK]
+        order = batch_order(Qb, gamma)
+        classes, inverse = _ordering_classes(order)
+        heights = c.evaluate_upper(np.cumsum(gamma[classes], axis=1))
+        Y = np.cumsum(np.take_along_axis(Qb, order, axis=1), axis=1)
+        ok[lo:lo + CHUNK] = np.all(np.take(heights, inverse, axis=0) >= Y - tol, axis=1)
     return ok

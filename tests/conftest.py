@@ -88,3 +88,10 @@ state_strategy = st.builds(
     st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     st.sets(st.integers(0, 3), max_size=2),
     st.booleans())
+
+#: qutrit states, for contexts in which levels 2 and 3 may share a weight
+qutrit_strategy = st.builds(
+    face_or_tied,
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    st.sets(st.integers(0, 2), max_size=1),
+    st.booleans())

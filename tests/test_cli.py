@@ -1,10 +1,12 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from thermalent import cli
 from thermalent.cli import dispatch
 
 #: every manifest carries exactly these fields
@@ -128,6 +130,68 @@ class TestSizeCaps:
     def test_boundary_grid(self, capsys):
         code, _, err = run(capsys, "boundary", "--grid", "100000")
         assert code == 2 and "256" in err
+
+    @pytest.mark.parametrize("argv, limit", [
+        # a Python set of 1e9 floats
+        (("curve", "--state", "0.5,0.5,0,0", "--points", "1000000000"), "0..100000,"),
+        # np.linspace of 1e9 points, then 1e9 protocol runs
+        (("jc", "--initial", "11", "--betaE-range", "0.2:6:1000000000"), "1..1000,"),
+        # a list of 1e9 Gibbs contexts
+        (("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:2",
+          "--scan", "1000000000"), "2..100000,"),
+    ])
+    def test_sizes_named_in_the_error(self, capsys, argv, limit):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and limit in err
+
+
+class TestNegativeSizes:
+    """Sizes below their least value exit 2 instead of being read as another size."""
+
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--state", "0.5,0.5,0,0", "--points", "-5"),
+        ("volume", "--set", "E", "--samples", "100", "--threads", "0"),
+        ("volume", "--set", "E", "--samples", "100", "--threads", "-3"),
+    ])
+    def test_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+class TestParserReuse:
+    """One parser serves every dispatch of a process, with the output of a
+    freshly built one."""
+
+    SEQUENCE = (
+        ("classify", "--state", "0.4,0.25,0.33,0.02", "--beta", "1"),
+        ("cone", "--state", "0,0,0,1", "--beta", "1", "--format", "csv"),
+        ("classify", "--state", "1,0,0,0", "--warp", "9"),
+        ("classify", "--state", "1,0,0,0", "--beta", "1"),
+        ("curve", "--state", "0.7,0.2,0.1", "--energies", "0,1,2", "--beta", "0.5",
+         "--points", "5"),
+        ("curve", "--state", "0.5,0.5,0,0", "--points", "-5"),
+        ("volume", "--set", "TNE", "--samples", "2000", "--seed", "4", "--threads", "1"),
+        ("critical-temp", "--beta-s", "5"),
+        ("jc", "--initial", "11", "--betaE", "10", "--nmax", "4"),
+    )
+
+    def outputs(self, capsys, monkeypatch, fresh):
+        outs = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            code, out, err = run(capsys, *argv)
+            outs.append((code, re.sub(r'"wall_time_s": [^,}\n]+', "", out), err))
+        return outs
+
+    def test_same_bytes_as_fresh_parsers(self, capsys, monkeypatch):
+        reused = self.outputs(capsys, monkeypatch, fresh=False)
+        parser = cli._PARSER
+        assert self.outputs(capsys, monkeypatch, fresh=False) == reused
+        assert cli._PARSER is parser
+        fresh = self.outputs(capsys, monkeypatch, fresh=True)
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 2, 0, 0, 0]
+        assert fresh == reused
 
 
 class TestVolume:

@@ -111,6 +111,29 @@ class TestVolumes:
         with pytest.raises(ValueError):
             geo.volume_of("E", ctx2q(0.0), None, 0, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one(self, threads):
+        with pytest.raises(ValueError, match="at least 1"):
+            geo.volume_of("E", ctx2q(0.0), None, 10, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("set_id, beta, origin, hits", [
+        ("E", 0.0, None, 43985),
+        ("TNE", 0.0, None, 42751),
+        ("TNE", 1.0, None, 15791),
+        ("TNE", math.inf, None, 0),
+        ("ENT_CONE", 1.0, (0, 0, 0, 1), 43985),
+        ("ENT_CONE", 0.0, (0.1, 0.1, 0.2, 0.6), 2038),
+        ("ENT_CONE", 1.0, (0.1, 0.1, 0.2, 0.6), 12939),
+        ("ENT_CONE", math.inf, (0.1, 0.1, 0.2, 0.6), 22611),
+    ])
+    def test_pinned_hit_counts(self, set_id, beta, origin, hits):
+        # hit counts of the per-row curve construction; a flipped verdict
+        # changes them
+        n = 2 * geo.BLOCK
+        origin = core.PopVector(origin) if origin else None
+        est = geo.volume_of(set_id, ctx2q(beta), origin, n, seed=11)
+        assert est.fraction == hits / n
+
     def test_infinite_beta_tne_is_negligible(self):
         est = geo.volume_of("TNE", ctx2q(math.inf), None, 2_000, seed=2)
         assert est.fraction == 0.0

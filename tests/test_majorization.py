@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
-    random_states, ref_curve, ref_extreme_point, ref_margin, ref_order, state_strategy)
+    qutrit_strategy, random_states, ref_curve, ref_extreme_point, ref_margin, ref_order,
+    state_strategy)
 
 
 def ctx2q(beta):
@@ -230,6 +231,20 @@ class TestFutureCone:
         assert [o.perm for o, _ in cone.extremes][:3] == [(1, 2, 3, 4), (1, 2, 4, 3),
                                                          (1, 3, 4, 2)]
 
+    def test_listed_vertices_are_apart(self):
+        # near beta=0 the orderings (1,2,3,4), (2,1,3,4) and (2,3,1,4) reach
+        # points 3.3e-11 and 6.7e-11 apart, in a chain whose ends are
+        # 1.00000119e-10 apart: the middle one joins the first, and both ends
+        # are listed
+        p = np.array([0, 1e-10, 1e-10, 1e-10])
+        cone = mj.future_cone(core.PopVector(p / p.sum()), ctx2q(1e-10))
+        V = cone.points
+        gaps = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2) + np.eye(len(V))
+        assert (gaps > mj.TAU_CMP).all()
+        perms = [o.perm for o, _ in cone.extremes]
+        assert (1, 2, 3, 4) in perms and (2, 3, 1, 4) in perms
+        assert (2, 1, 3, 4) not in perms
+
     def test_labels_recorded(self):
         p = core.PopVector([0.4, 0.25, 0.33, 0.02])
         cone = mj.future_cone(p, ctx2q(0.5))
@@ -333,3 +348,58 @@ class TestAgainstReference:
             if abs(margin + mj.TAU_CMP) > 1e-12:
                 assert g == (margin >= -mj.TAU_CMP)
                 assert mj.thermo_majorizes(core.PopVector(origin), core.PopVector(q), ctx) == g
+
+
+class TestPerOrderingMaps:
+    """The per-ordering maps of a shared Gibbs vector against the per-row
+    reference, for every target ordering."""
+
+    @staticmethod
+    def assert_matches_reference(P, gamma):
+        d = P.shape[1]
+        for perm in itertools.permutations(range(1, d + 1)):
+            got = mj.batch_tight_points(P, gamma, core.BetaOrdering(perm))
+            for p, q in zip(P, got):
+                assert np.allclose(q, ref_extreme_point(p, gamma, perm), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, math.inf])
+    def test_every_ordering_in_one_batch(self, rng, beta):
+        ctx = ctx2q(beta)
+        P = random_states(rng, 300)
+        P[:50, 3] = 0.0  # face states, whose zero-weight levels rank last at beta=inf
+        P[50:100, 2] = P[50:100, 1]  # ties between the two levels of equal weight
+        P /= P.sum(axis=1, keepdims=True)
+        classes, inverse = mj._ordering_classes(core.batch_order(P, ctx.gamma))
+        assert np.array_equal(classes[inverse], core.batch_order(P, ctx.gamma))
+        # at beta=inf the ground level ranks after every populated excited one
+        assert len(classes) == (24 if math.isfinite(beta) else 8)
+        self.assert_matches_reference(P, ctx.gamma)
+
+    @given(st.lists(state_strategy, min_size=1, max_size=6), beta_strategy)
+    def test_mixed_batches(self, rows, beta):
+        # each row also appears with its levels reversed, so a batch holds
+        # several orderings, each more than once
+        P = np.array(rows + [r[::-1] for r in rows])
+        self.assert_matches_reference(P, ctx2q(beta).gamma)
+
+    @given(st.lists(qutrit_strategy, min_size=1, max_size=6), qutrit_strategy,
+           beta_strategy, st.sampled_from([(0, 1, 2), (0, 1, 1), (0, 0.5, 3)]))
+    def test_qutrit(self, rows, origin, beta, energies):
+        ctx = core.make_context(energies, beta)
+        P = np.array(rows + [r[::-1] for r in rows])
+        self.assert_matches_reference(P, ctx.gamma)
+        got = mj.batch_majorizes(core.PopVector(origin), P, ctx)
+        for q, g in zip(P, got):
+            margin = ref_margin(origin, q, ctx.gamma)
+            if abs(margin + mj.TAU_CMP) > 1e-12:
+                assert g == (margin >= -mj.TAU_CMP)
+
+    def test_many_levels(self, rng):
+        # 17 levels: the ordering code would overflow, so rows group as rows
+        gamma = core.make_context(np.arange(17) * 0.3, 0.5).gamma
+        P = random_states(rng, 4, d=17)
+        P = np.vstack([P, P[::-1]])
+        for perm in (range(1, 18), range(17, 0, -1)):
+            got = mj.batch_tight_points(P, gamma, core.BetaOrdering(perm))
+            for p, q in zip(P, got):
+                assert np.allclose(q, ref_extreme_point(p, gamma, list(perm)), rtol=0, atol=1e-12)
