@@ -209,6 +209,10 @@ def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     G = np.asarray(gammas, dtype=float)
     zero = G == 0
+    if not zero.any():
+        # the zero-weight key below would be all zeros: sort on the ratio alone
+        key = np.divide(P, G)
+        return np.lexsort((np.negative(key, out=key),), axis=-1)
     ratio = np.divide(P, G, out=np.where(P > 0, np.inf, -np.inf), where=~zero)
     return np.lexsort((np.where(zero, -P, 0.0), -ratio), axis=-1)
 

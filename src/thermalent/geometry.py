@@ -9,8 +9,10 @@ be partitioned across workers without changing the result.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from .majorization import batch_majorizes
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
+
+#: blocks per worker thread submitted ahead of the results read
+IN_FLIGHT = 2
 
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 
@@ -32,7 +37,8 @@ def _simplex_block(d: int, rows: int, seed: int, block: int) -> np.ndarray:
     """One block of uniform simplex points, from the Philox key (seed, block)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)])
     e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((rows, d))
-    return e / e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
@@ -109,18 +115,21 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     if ctx.dim != 4:
         raise ValueError("volume predicates are defined for 4-level systems")
 
-    blocks = [(b, lo, min(lo + BLOCK, n)) for b, lo in enumerate(range(0, n, BLOCK))]
-
-    def count(block_spec):
-        b, lo, hi = block_spec
-        Q = _simplex_block(4, hi - lo, seed, b)
+    def count(b):
+        Q = _simplex_block(4, min(BLOCK, n - b * BLOCK), seed, b)
         return int(membership_mask(set_id, Q, ctx, origin).sum())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(count, blocks))
-    else:
-        hits = sum(map(count, blocks))
+    # blocks are drawn lazily, so the set-up does not grow with n
+    blocks = range(-(-n // BLOCK))
+    if threads == 1:
+        return VolumeEstimate.from_counts(sum(map(count, blocks)), n, seed)
+    hits, todo = 0, iter(blocks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # at most IN_FLIGHT blocks per thread are submitted at a time
+        pending = deque(pool.submit(count, b) for b in islice(todo, IN_FLIGHT * threads))
+        while pending:
+            hits += pending.popleft().result()
+            pending.extend(pool.submit(count, b) for b in islice(todo, 1))
     return VolumeEstimate.from_counts(hits, n, seed)
 
 

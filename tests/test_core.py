@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thermalent import core
-from tests.conftest import random_states
+from tests.conftest import random_states, ref_order
 
 
 def probs_strategy(d=4):
@@ -137,6 +137,18 @@ class TestBetaOrdering:
         ctx = core.make_context((0, 1, 1, 2), 1.0)
         p = core.PopVector([0.4, 0.25, 0.25, 0.1])
         assert core.beta_order(p, ctx).perm[1:3] == (2, 3)
+
+    def test_per_row_gammas_with_and_without_zero_weights(self, rng):
+        P = random_states(rng, 60)
+        P[:10, 0] = 0.0
+        P[10:20, 3] = 0.0
+        P[20:30, 2] = P[20:30, 1]
+        P /= P.sum(axis=1, keepdims=True)
+        G = np.array([core.two_qubit_context(b).gamma
+                      for b in np.resize([0.0, 1.0, math.inf, 3.0], 60)])
+        order = core.batch_order(P, G)
+        for p, g, o in zip(P, G, order):
+            assert o.tolist() == ref_order(p, g)
 
     def test_dimension_mismatch(self):
         ctx = core.make_context((0, 1), 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ class TestVolumes:
     def test_thread_count_below_one(self, threads):
         with pytest.raises(ValueError, match="at least 1"):
             geo.volume_of("E", ctx2q(0.0), None, 10, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_setup_memory_does_not_grow_with_n(self, monkeypatch, threads):
+        # the first block raises, so only the set-up before it is measured;
+        # 10^10 samples are 152,588 blocks
+        def fail(*args):
+            raise RuntimeError("first block")
+
+        monkeypatch.setattr(geo, "_simplex_block", fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first block"):
+                geo.volume_of("E", ctx2q(0.0), None, 10**10, seed=0, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("set_id, beta, origin, hits", [
         ("E", 0.0, None, 43985),

@@ -372,7 +372,7 @@ class TestPerOrderingMaps:
         classes, inverse = mj._ordering_classes(core.batch_order(P, ctx.gamma))
         assert np.array_equal(classes[inverse], core.batch_order(P, ctx.gamma))
         # at beta=inf the ground level ranks after every populated excited one
-        assert len(classes) == (24 if math.isfinite(beta) else 8)
+        assert len(np.unique(inverse)) == (24 if math.isfinite(beta) else 8)
         self.assert_matches_reference(P, ctx.gamma)
 
     @given(st.lists(state_strategy, min_size=1, max_size=6), beta_strategy)
@@ -395,7 +395,7 @@ class TestPerOrderingMaps:
                 assert g == (margin >= -mj.TAU_CMP)
 
     def test_many_levels(self, rng):
-        # 17 levels: the ordering code would overflow, so rows group as rows
+        # 17 levels: far above the dense tables, so rows group as rows
         gamma = core.make_context(np.arange(17) * 0.3, 0.5).gamma
         P = random_states(rng, 4, d=17)
         P = np.vstack([P, P[::-1]])
@@ -403,3 +403,52 @@ class TestPerOrderingMaps:
             got = mj.batch_tight_points(P, gamma, core.BetaOrdering(perm))
             for p, q in zip(P, got):
                 assert np.allclose(q, ref_extreme_point(p, gamma, list(perm)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.8, math.inf])
+    def test_first_size_above_dense_limit(self, rng, beta):
+        d = mj.MAX_DENSE_DIM + 1
+        ctx = core.make_context((0, 1, 1, 2, 2, 2, 3), beta)
+        P = random_states(rng, 5, d=d)
+        P[0, [0, 4]] = 0.0  # a face state, and a tie of equal weights
+        P[1, 2] = P[1, 1]
+        P /= P.sum(axis=1, keepdims=True)
+        P = np.vstack([P, P[:, ::-1], P])
+        for perm in (range(1, d + 1), (2, 1, 3, 5, 4, 7, 6), range(d, 0, -1)):
+            got = mj.batch_tight_points(P, ctx.gamma, core.BetaOrdering(perm))
+            for p, q in zip(P, got):
+                assert np.allclose(q, ref_extreme_point(p, ctx.gamma, list(perm)),
+                                   rtol=0, atol=1e-12)
+        for origin in P[:3]:
+            got = mj.batch_majorizes(core.PopVector(origin), P, ctx)
+            for q, g in zip(P, got):
+                margin = ref_margin(origin, q, ctx.gamma)
+                if abs(margin + mj.TAU_CMP) > 1e-12:
+                    assert g == (margin >= -mj.TAU_CMP)
+
+
+class TestTableCache:
+    """The ordering tables cached per (gamma, target)."""
+
+    def test_follows_gamma_mutated_in_place(self, rng):
+        P = random_states(rng, 40)
+        gamma = np.array(ctx2q(0.5).gamma)
+        before = mj.batch_tight_points(P, gamma, core.PI_STAR)
+        gamma[:] = ctx2q(2.0).gamma
+        after = mj.batch_tight_points(P, gamma, core.PI_STAR)
+        for p, q in zip(P, after):
+            assert np.allclose(q, ref_extreme_point(p, gamma, core.PI_STAR.perm),
+                               rtol=0, atol=1e-12)
+        assert not np.allclose(before, after)
+
+    def test_cached_tables_are_read_only_and_bounded(self):
+        gamma = ctx2q(1.3).gamma
+        target = tuple(core.PI_STAR.zero_based().tolist())
+        mj.batch_tight_points(random_states(np.random.default_rng(1), 3), gamma, core.PI_STAR)
+        elbows, maps = mj._dense_tables(gamma.tobytes(), target)
+        assert maps.shape == (24, 4, 4) and elbows.shape == (24, 4)
+        for table in (elbows, maps):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        assert 0 < mj._dense_tables.cache_info().maxsize < math.inf
+        assert mj._dense_tables(gamma.tobytes(), target)[1] is maps
