@@ -18,20 +18,17 @@ the state only through its level ordering sigma (one of d!), and its heights
 are linear in the populations.  So the tight point of a target ordering is a
 linear map of p fixed by sigma, q = M_sigma p: the beta-permutations of de
 Oliveira Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109
-(2022).  Up to MAX_DENSE_DIM = 6 levels, which covers every spectrum the
-package defines, the maps of all d! orderings are built once per (Gibbs
-vector, target) with one ``batch_eval`` call on unit rises and kept
-read-only in a bounded cache, and each row finds its ordering's entry
-through a dense lookup of the ordering's radix code.  ``batch_tight_points``
-applies the maps; ``batch_majorizes`` reads the origin's curve at the cached
-elbows of all orderings.  Above six levels the tables are built, block by
-block, for the orderings present.  Per-row Gibbs vectors take each row's
-own curve.
+(2022).  Each block groups its rows by ordering, up to MAX_DENSE_DIM = 6
+levels (every spectrum the package defines) through a dense table indexed
+by the ordering's radix code, above by ``np.unique`` over the rows, and
+builds the maps of the orderings present with one ``batch_eval`` call on
+unit rises.  ``batch_tight_points`` applies the maps; ``batch_majorizes``
+reads the origin's curve once per ordering present.  Per-row Gibbs vectors
+take each row's own curve.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -45,12 +42,9 @@ TAU_CMP = 1e-10
 #: largest dimension for which all d! orderings are enumerated
 MAX_ENUM_DIM = 8
 
-#: largest dimension whose d! orderings get dense tables (d^(d-1) lookup
-#: entries); it covers every spectrum the package defines, up to 6 levels
+#: largest dimension whose orderings are found through a dense table of
+#: d^(d-1) entries; it covers every spectrum the package defines
 MAX_DENSE_DIM = 6
-
-#: (gamma, target) pairs whose ordering tables are kept
-TABLE_CACHE = 64
 
 #: rows per block in the batch calls, which bounds their temporaries
 CHUNK = 200_000
@@ -224,55 +218,39 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("nts,ns->nt", F, np.diff(Y, prepend=0.0, axis=1))
 
 
-def _radix_code(order: np.ndarray) -> np.ndarray:
-    """Radix-d code of each row's first d-1 entries, which fix the last."""
-    d = order.shape[1]
-    code = order[:, 0]
-    for k in range(1, d - 1):
-        code = code * d + order[:, k]
-    return code
-
-
-@functools.lru_cache(maxsize=MAX_DENSE_DIM)
-def _orderings(d: int):
-    """All d! orderings in lexicographic order, and the dense lookup from an
-    ordering's radix-d code (d^(d-1) entries) to its index; read-only."""
-    classes = np.array(list(itertools.permutations(range(d))))
-    lookup = np.zeros(d ** (d - 1), dtype=np.intp)
-    lookup[_radix_code(classes)] = np.arange(classes.shape[0])
-    classes.setflags(write=False)
-    lookup.setflags(write=False)
-    return classes, lookup
-
-
 def _ordering_classes(order: np.ndarray):
-    """A table of orderings and each row's index in it.
+    """The distinct orderings of a batch, in lexicographic order, and each
+    row's index among them.
 
-    Up to MAX_DENSE_DIM levels the table holds all d! orderings and a row's
-    index is read from the dense lookup of its radix-d code.  Above, the
-    table holds the batch's distinct orderings, found by ``np.unique`` over
-    the rows, which is slower.
+    Up to MAX_DENSE_DIM levels rows are grouped through a dense table indexed
+    by a radix-d code of their first d-1 entries, which fix the last (d^(d-1)
+    entries, one pass over the rows); above, by ``np.unique`` over the rows,
+    which sorts them.
     """
-    d = order.shape[1]
+    n, d = order.shape
     if d > MAX_DENSE_DIM:
         classes, inverse = np.unique(order, axis=0, return_inverse=True)
         return classes, inverse.ravel()
-    classes, lookup = _orderings(d)
-    return classes, lookup[_radix_code(order)]
+    code = order[:, 0]
+    for k in range(1, d - 1):
+        code = code * d + order[:, k]
+    row_of = np.full(d ** (d - 1), -1)
+    row_of[code] = np.arange(n)
+    present = row_of >= 0
+    return order[row_of[present]], (np.cumsum(present) - 1)[code]
 
 
-def _tight_maps(elbows: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.ndarray:
+def _tight_maps(classes: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.ndarray:
     """Linear maps from a state's sorted populations to its tight point.
 
-    A state of an ordering with curve elbows ``elbows[c]`` (the cumulative
-    Gibbs weights in that ordering) has the rises r = its sorted
-    populations, so its tight point is linear in r:
-    q[i] = sum_k maps[c, k, i] r[k].  One ``batch_eval`` with unit rises
-    (segment k rises by e_k) gives the heights at the target elbows for
-    every ordering.
+    A state ordered as ``classes[c]`` has the curve elbows
+    cumsum(gamma[classes[c]]) and the rises r = p[classes[c]], so its tight
+    point is linear in r: q[i] = sum_k maps[c, k, i] r[k].  One
+    ``batch_eval`` with unit rises (segment k rises by e_k) gives the
+    heights at the target elbows for every class.
     """
-    m, d = elbows.shape
-    X = np.repeat(elbows, d, axis=0)
+    m, d = classes.shape
+    X = np.repeat(np.cumsum(gamma[classes], axis=1), d, axis=0)
     units = np.tile(np.triu(np.ones((d, d))), (m, 1))
     T = np.broadcast_to(np.cumsum(gamma[t0]), (m * d, d))
     heights = batch_eval(X, units, T).reshape(m, d, d)
@@ -281,50 +259,16 @@ def _tight_maps(elbows: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.nda
     return maps
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE)
-def _dense_tables(gamma_bytes: bytes, target: tuple | None):
-    """Curve elbows of all d! orderings of one Gibbs vector and, for a
-    zero-based target ordering, their tight maps (None without a target);
-    read-only, as every caller shares them."""
-    gamma = np.frombuffer(gamma_bytes)
-    elbows = np.cumsum(gamma[_orderings(gamma.size)[0]], axis=1)
-    elbows.setflags(write=False)
-    if target is None:
-        return elbows, None
-    maps = _tight_maps(elbows, gamma, np.array(target))
-    maps.setflags(write=False)
-    return elbows, maps
-
-
-def _ordering_tables(order: np.ndarray, gamma: np.ndarray, t0: np.ndarray | None = None):
-    """Each row's index into per-ordering tables, and the tables: the curve
-    elbows of each ordering and, for a target ``t0``, its tight maps.
-
-    Up to MAX_DENSE_DIM levels the tables cover all d! orderings and come
-    from a cache keyed by the bytes of gamma and the target; above, they
-    are built for the orderings present.
-    """
-    classes, inverse = _ordering_classes(order)
-    if order.shape[1] <= MAX_DENSE_DIM:
-        target = None if t0 is None else tuple(t0.tolist())
-        return (inverse, *_dense_tables(gamma.tobytes(), target))
-    elbows = np.cumsum(gamma[classes], axis=1)
-    return inverse, elbows, None if t0 is None else _tight_maps(elbows, gamma, t0)
-
-
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
     """Extreme point of every row's cone for one shared target ordering.
 
     With one shared (d,) Gibbs vector, each block applies the map of each
-    row's ordering (``_tight_maps``) to the row's sorted populations.  Up to
-    MAX_DENSE_DIM levels the maps of all d! orderings come from a cache per
-    (gamma, target) and a row finds its map by a dense lookup of its
-    ordering's code; above, they are built for the orderings present.
-    Per-row gammas evaluate every row's own curve.  The maps act on the
-    sorted populations, so swapping the populations of two levels of equal
-    weight swaps the tight point exactly.  Blocks hold CHUNK // d rows,
-    which keeps the temporaries of a block, the maps' construction
-    included, within about CHUNK * d^2 doubles.
+    row's ordering (``_tight_maps``), built once per ordering present, to
+    the row's sorted populations; per-row gammas evaluate every row's own
+    curve.  The maps act on the sorted populations, so swapping the
+    populations of two levels of equal weight swaps the tight point exactly.
+    Blocks hold CHUNK // d rows, which keeps the temporaries of a block,
+    the maps' construction included, within about CHUNK * d^2 doubles.
     """
     P = np.asarray(P, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
@@ -335,9 +279,9 @@ def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) 
         Pb = P[lo:lo + rows]
         if gammas.ndim == 1:
             order = batch_order(Pb, gammas)
-            inverse, _, maps = _ordering_tables(order, gammas, t0)
-            block = np.einsum("nki,nk->ni", np.take(maps, inverse, axis=0),
-                              np.take_along_axis(Pb, order, axis=1))
+            classes, inverse = _ordering_classes(order)
+            maps = np.take(_tight_maps(classes, gammas, t0), inverse, axis=0)
+            block = np.einsum("nki,nk->ni", maps, np.take_along_axis(Pb, order, axis=1))
         else:
             Gb = gammas[lo:lo + rows]
             _, X, Y = batch_curves(Pb, Gb)
@@ -353,10 +297,10 @@ def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
     """Dominance of a fixed origin's curve over each row of ``Q``.
 
     By concavity it suffices to test at each row's own elbows, which depend
-    only on the row's ordering: the origin's curve is read once per block at
-    the elbows of the ordering tables (at x=0, at the top of its jump).  The
-    cumulative sums and the test run column by column, which adds in the
-    same order as ``np.cumsum``.
+    only on the row's ordering: the origin's curve is read once per ordering
+    present (at x=0, at the top of its jump).  The cumulative sums and the
+    test run column by column, which adds in the same order as
+    ``np.cumsum``.
     """
     c = curve(origin, ctx)
     gamma = ctx.checked_gamma()
@@ -365,8 +309,8 @@ def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
     for lo in range(0, Q.shape[0], CHUNK):
         Qb = Q[lo:lo + CHUNK]
         order = batch_order(Qb, gamma)
-        inverse, elbows, _ = _ordering_tables(order, gamma)
-        heights = c.evaluate_upper(elbows).T
+        classes, inverse = _ordering_classes(order)
+        heights = c.evaluate_upper(np.cumsum(gamma[classes], axis=1)).T
         sorted_q = np.take_along_axis(Qb, order, axis=1).T
         okb, y = ok[lo:lo + CHUNK], np.zeros(Qb.shape[0])
         for k in range(Q.shape[1]):
