@@ -8,6 +8,7 @@ physics convention for labelling energy levels; internal numpy work is
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -197,24 +198,98 @@ class BetaOrdering:
 PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 
+#: largest dimension whose orderings are read from a table of every pair
+#: code (2^(d(d-1)/2) entries: 64 at four levels, 32,768 at six); it covers
+#: every spectrum the package defines
+MAX_DENSE_DIM = 6
+
+
+@functools.cache
+def _pairs(d: int) -> tuple:
+    """The pairs of levels i < j of d levels, as index arrays (I, J), and
+    the bit of each pair in a pair code, as a column."""
+    I, J = np.triu_indices(d, 1)
+    bit = np.arange(I.size, dtype=np.uint16)[:, None]
+    for a in (I, J, bit):
+        a.setflags(write=False)
+    return I, J, bit
+
+
+def _pair_bits(P: np.ndarray, gammas) -> np.ndarray:
+    """For each pair of levels i < j, in the order of ``_pairs``, whether
+    level i goes before level j: a (d(d-1)/2, n) bool array.
+
+    Level i goes first when its population-to-Gibbs ratio is >= level j's,
+    so ties go to the lower index.  A zero Gibbs weight (infinite beta) has
+    no finite ratio: a populated zero-weight level has ratio +inf and an
+    unpopulated one -inf, and two zero-weight levels of equal ratio compare
+    by population, the larger first.
+    """
+    n, d = P.shape
+    G = np.asarray(gammas, dtype=float)
+    Gt = G.T if G.ndim == 2 else G[:, None]
+    I, J, _ = _pairs(d)
+    R = np.empty((d, n))
+    if Gt.all():
+        np.divide(P.T, Gt, out=R)
+        return R[I] >= R[J]
+    zero = Gt == 0
+    R[...] = np.where(P.T > 0, np.inf, -np.inf)
+    np.divide(P.T, Gt, out=R, where=~zero)
+    S = np.where(zero, P.T, 0.0)
+    return (R[I] > R[J]) | ((R[I] == R[J]) & (S[I] >= S[J]))
+
+
+def _orders_from_bits(bits: np.ndarray, d: int) -> np.ndarray:
+    """Orderings from pair bits: a level's rank is the number of levels that
+    go before it."""
+    n = bits.shape[1]
+    rank = np.zeros((d, n), dtype=np.intp)
+    I, J, _ = _pairs(d)
+    for i, j, first in zip(I, J, bits):
+        rank[j] += first
+        rank[i] += ~first
+    order = np.zeros((n, d), dtype=np.intp)
+    np.put_along_axis(order, rank.T, np.arange(d)[None, :], axis=1)
+    return order
+
+
+def ordering_codes(P: np.ndarray, gammas) -> np.ndarray:
+    """Pair code of every row, for up to MAX_DENSE_DIM levels (at most 15
+    pairs, so a code fits in 16 bits): bit k is row k of ``_pair_bits``."""
+    bit = _pairs(P.shape[1])[2]
+    return np.bitwise_or.reduce(np.left_shift(_pair_bits(P, gammas), bit), axis=0)
+
+
+@functools.cache
+def code_orders(d: int) -> np.ndarray:
+    """Ordering of every pair code of d <= MAX_DENSE_DIM levels, indexed by
+    the code.  Codes that no ordering produces hold no permutation and are
+    never read."""
+    bit = _pairs(d)[2]
+    codes = np.arange(2 ** len(bit))
+    table = _orders_from_bits((codes >> bit & 1).astype(bool), d)
+    table.setflags(write=False)
+    return table
+
+
 def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Zero-based level orderings, one row per state, by non-increasing
     population-to-Gibbs ratio.
 
     ``gammas`` is a matching (n, d) array or one shared (d,) Gibbs vector.
-    Ties break by ascending level index.  A zero Gibbs weight (infinite beta)
-    has no finite ratio: populated zero-weight levels rank first, among
-    themselves by descending population, and unpopulated ones rank last.
+    Each row is fixed by the d(d-1)/2 pairwise comparisons of ``_pair_bits``:
+    ties break by ascending level index; populated zero-weight levels
+    (infinite beta) rank first, among themselves by descending population,
+    and unpopulated ones rank last.  Up to MAX_DENSE_DIM levels the
+    comparisons are packed into a code that indexes ``code_orders``; above,
+    each level's rank is counted from them.
     """
     P = np.asarray(P, dtype=float)
-    G = np.asarray(gammas, dtype=float)
-    zero = G == 0
-    if not zero.any():
-        # the zero-weight key below would be all zeros: sort on the ratio alone
-        key = np.divide(P, G)
-        return np.lexsort((np.negative(key, out=key),), axis=-1)
-    ratio = np.divide(P, G, out=np.where(P > 0, np.inf, -np.inf), where=~zero)
-    return np.lexsort((np.where(zero, -P, 0.0), -ratio), axis=-1)
+    d = P.shape[1]
+    if d <= MAX_DENSE_DIM:
+        return np.take(code_orders(d), ordering_codes(P, gammas), axis=0)
+    return _orders_from_bits(_pair_bits(P, gammas), d)
 
 
 def beta_order(p: PopVector, ctx: GibbsContext) -> BetaOrdering:

@@ -25,7 +25,7 @@ from .core import (
     is_two_qubit_context,
     make_context,
 )
-from .majorization import batch_tight_points, extreme_point, future_cone
+from .majorization import extreme_point, future_cone, tight_point_tiles
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -119,8 +119,13 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Witness at the (2,1,3,4) extreme point for every row, at any beta."""
-    return witness_batch(batch_tight_points(P, gammas, PI_STAR))
+    """Witness at the (2,1,3,4) extreme point for every row, at any beta,
+    one tile of tight points at a time."""
+    P = np.asarray(P, dtype=float)
+    out = np.empty(P.shape[0])
+    for lo, q in tight_point_tiles(P, gammas, PI_STAR):
+        out[lo:lo + len(q)] = witness_batch(q)
+    return out
 
 
 def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
@@ -237,7 +242,11 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     extreme-point witness of ``p`` changes sign, by scan plus bisection."""
     if p.dim != 4:
         raise ValueError("requires a 4-level state")
+    if gap <= 0:
+        raise ValueError("gap must be positive")
     lo, hi = float(beta_range[0]), float(beta_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"scan range must be finite, got {lo:g}:{hi:g}")
     if not (hi > lo):
         raise ValueError("empty scan range")
     if not 2 <= n_scan <= MAX_SCAN:

@@ -144,10 +144,14 @@ class BoundaryCloud:
     outer_points: np.ndarray
 
 
-def simplex_facet_grid(resolution: int) -> np.ndarray:
-    """Regular barycentric grid over the four facets of the 3-simplex."""
+def _check_resolution(resolution: int) -> None:
     if not 1 <= resolution <= MAX_GRID:
         raise ValueError(f"grid resolution must lie in 1..{MAX_GRID}, got {resolution}")
+
+
+def simplex_facet_grid(resolution: int) -> np.ndarray:
+    """Regular barycentric grid over the four facets of the 3-simplex."""
+    _check_resolution(resolution)
     m = resolution
     pts = set()
     for zero in range(4):
@@ -176,6 +180,7 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
         raise ValueError("boundary construction is defined for 4-level systems")
     if iters < 1:
         raise ValueError("need at least one bisection step")
+    _check_resolution(grid)
     if ctx.beta_is_infinite:
         ground = np.zeros((1, 4))
         ground[0, 0] = 1.0

@@ -18,13 +18,17 @@ the state only through its level ordering sigma (one of d!), and its heights
 are linear in the populations.  So the tight point of a target ordering is a
 linear map of p fixed by sigma, q = M_sigma p: the beta-permutations of de
 Oliveira Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109
-(2022).  Each block groups its rows by ordering, up to MAX_DENSE_DIM = 6
-levels (every spectrum the package defines) through a dense table indexed
-by the ordering's radix code, above by ``np.unique`` over the rows, and
-builds the maps of the orderings present with one ``batch_eval`` call on
-unit rises.  ``batch_tight_points`` applies the maps; ``batch_majorizes``
-reads the origin's curve once per ordering present.  Per-row Gibbs vectors
-take each row's own curve.
+(2022).  The batch calls walk their rows in tiles of CHUNK rows, so no
+temporary grows with the batch.  A row's ordering is fixed by its d(d-1)/2
+pairwise ratio comparisons, packed into a pair code
+(``core.ordering_codes``); up to MAX_DENSE_DIM = 6 levels (every spectrum
+the package defines) the code indexes a table of the ordering of every code,
+above each tile groups its orderings with ``np.unique``.  The maps of the
+orderings seen are built once per call, with one ``batch_eval`` call on unit
+rises.  ``tight_point_tiles`` applies them tile by tile
+(``batch_tight_points`` gathers the tiles, ``entangle.fstar_batch`` takes
+the witness of each); ``batch_majorizes`` reads the origin's curve once per
+ordering seen.  Per-row Gibbs vectors take each row's own curve.
 """
 
 from __future__ import annotations
@@ -34,7 +38,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BetaOrdering, GibbsContext, PopVector, _readonly, batch_order
+from .core import (
+    MAX_DENSE_DIM,
+    BetaOrdering,
+    GibbsContext,
+    PopVector,
+    _readonly,
+    batch_order,
+    code_orders,
+    ordering_codes,
+)
 
 #: comparison tolerance for curve dominance and extreme-point dedup
 TAU_CMP = 1e-10
@@ -42,12 +55,11 @@ TAU_CMP = 1e-10
 #: largest dimension for which all d! orderings are enumerated
 MAX_ENUM_DIM = 8
 
-#: largest dimension whose orderings are found through a dense table of
-#: d^(d-1) entries; it covers every spectrum the package defines
-MAX_DENSE_DIM = 6
-
-#: rows per block in the batch calls, which bounds their temporaries
-CHUNK = 200_000
+#: rows per tile of the batch calls.  The largest temporary of a tile is its
+#: gathered maps, CHUNK x d x d doubles (512 KB at four levels), so the
+#: working set of a 65,536-row volume block stays resident between calls;
+#: 4,096 ran ``mc-finite`` faster than 8,192 in paired benchmark runs
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -190,13 +202,19 @@ def cone_contains(cone: ThermalCone, q: PopVector) -> bool:
 # weight means infinite beta.
 # ---------------------------------------------------------------------------
 
+def _take_rows(A: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``A[r, order[r]]`` for every row r; a 1-d ``A`` is shared by all rows."""
+    if A.ndim == 1:
+        return np.take(A, order)
+    return np.take(A, order + np.arange(0, A.size, A.shape[1])[:, None])
+
+
 def batch_curves(P: np.ndarray, gammas: np.ndarray):
     """Per-row ordering and cumulative-sum elbows for a batch of states."""
     P = np.asarray(P, dtype=float)
     order = batch_order(P, gammas)
-    G = np.broadcast_to(np.asarray(gammas, dtype=float), P.shape)
-    X = np.cumsum(np.take_along_axis(G, order, axis=1), axis=1)
-    Y = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1)
+    X = np.cumsum(_take_rows(np.asarray(gammas, dtype=float), order), axis=1)
+    Y = np.cumsum(_take_rows(P, order), axis=1)
     return order, X, Y
 
 
@@ -220,24 +238,43 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 def _ordering_classes(order: np.ndarray):
     """The distinct orderings of a batch, in lexicographic order, and each
-    row's index among them.
+    row's index among them."""
+    classes, inverse = np.unique(order, axis=0, return_inverse=True)
+    return classes, inverse.ravel()
 
-    Up to MAX_DENSE_DIM levels rows are grouped through a dense table indexed
-    by a radix-d code of their first d-1 entries, which fix the last (d^(d-1)
-    entries, one pass over the rows); above, by ``np.unique`` over the rows,
-    which sorts them.
+
+def _grouped_tiles(P: np.ndarray, gamma: np.ndarray, build):
+    """Walk the rows of P in tiles of CHUNK rows, grouped by level ordering.
+
+    Yields ``(lo, sorted_p, table, cls)`` per tile: the tile's populations
+    in each row's level ordering, ``build(orderings)`` stacked for the
+    orderings seen so far, and each row's index into it.  Up to
+    MAX_DENSE_DIM levels a row's pair code names its ordering, and ``build``
+    runs once per call, on the codes that no earlier tile had; above, each
+    tile groups its orderings with ``np.unique`` and builds its own table.
     """
-    n, d = order.shape
-    if d > MAX_DENSE_DIM:
-        classes, inverse = np.unique(order, axis=0, return_inverse=True)
-        return classes, inverse.ravel()
-    code = order[:, 0]
-    for k in range(1, d - 1):
-        code = code * d + order[:, k]
-    row_of = np.full(d ** (d - 1), -1)
-    row_of[code] = np.arange(n)
-    present = row_of >= 0
-    return order[row_of[present]], (np.cumsum(present) - 1)[code]
+    n, d = P.shape
+    dense = d <= MAX_DENSE_DIM
+    if dense:
+        orders = code_orders(d)
+        cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
+    for lo in range(0, n, CHUNK):
+        Pt = P[lo:lo + CHUNK]
+        if not dense:
+            order = batch_order(Pt, gamma)
+            classes, cls = _ordering_classes(order)
+            yield lo, _take_rows(Pt, order), build(classes), cls
+            continue
+        code = ordering_codes(Pt, gamma)
+        cls = cls_of[code]
+        if cls.min() < 0:
+            fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
+            new = build(orders[fresh])
+            # every row of the first tile is fresh, so its table is all new
+            table = new if lo == 0 else np.concatenate([table, new])
+            cls_of[fresh] = np.arange(len(table) - len(fresh), len(table))
+            cls = cls_of[code]
+        yield lo, _take_rows(Pt, np.take(orders, code, axis=0)), table, cls
 
 
 def _tight_maps(classes: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.ndarray:
@@ -252,43 +289,47 @@ def _tight_maps(classes: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.nd
     m, d = classes.shape
     X = np.repeat(np.cumsum(gamma[classes], axis=1), d, axis=0)
     units = np.tile(np.triu(np.ones((d, d))), (m, 1))
-    T = np.broadcast_to(np.cumsum(gamma[t0]), (m * d, d))
-    heights = batch_eval(X, units, T).reshape(m, d, d)
+    heights = batch_eval(X, units, np.cumsum(gamma[t0])[None, :]).reshape(m, d, d)
     maps = np.empty_like(heights)
     maps[:, :, t0] = np.diff(heights, prepend=0.0, axis=2)
     return maps
 
 
-def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
-    """Extreme point of every row's cone for one shared target ordering.
+def tight_point_tiles(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
+    """Extreme point of every row's cone for one shared target ordering,
+    one tile of at most CHUNK rows at a time: yields ``(lo, q)``.
 
-    With one shared (d,) Gibbs vector, each block applies the map of each
-    row's ordering (``_tight_maps``), built once per ordering present, to
-    the row's sorted populations; per-row gammas evaluate every row's own
-    curve.  The maps act on the sorted populations, so swapping the
-    populations of two levels of equal weight swaps the tight point exactly.
-    Blocks hold CHUNK // d rows, which keeps the temporaries of a block,
-    the maps' construction included, within about CHUNK * d^2 doubles.
+    With one shared (d,) Gibbs vector, each row's sorted populations go
+    through the map of its ordering (``_tight_maps``), built once per call
+    for each ordering seen; per-row gammas evaluate every row's own curve.
+    The maps act on the sorted populations, so swapping the populations of
+    two levels of equal weight swaps the tight point exactly.
     """
     P = np.asarray(P, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     t0 = target.zero_based()
-    rows = max(CHUNK // P.shape[1], 1)
+    if gammas.ndim == 1:
+        tiles = _grouped_tiles(P, gammas, lambda orders: _tight_maps(orders, gammas, t0))
+        for lo, sorted_p, maps, cls in tiles:
+            q = np.einsum("nki,nk->ni", np.take(maps, cls, axis=0), sorted_p)
+            yield lo, np.clip(q, 0.0, None, out=q)
+        return
+    for lo in range(0, P.shape[0], CHUNK):
+        Pt, Gt = P[lo:lo + CHUNK], gammas[lo:lo + CHUNK]
+        _, X, Y = batch_curves(Pt, Gt)
+        Yt = batch_eval(X, Y, np.cumsum(Gt[:, t0], axis=1))
+        q = np.empty_like(Pt)
+        q[:, t0] = np.diff(Yt, prepend=0.0, axis=1)
+        yield lo, np.clip(q, 0.0, None, out=q)
+
+
+def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
+    """Extreme point of every row's cone for one shared target ordering
+    (``tight_point_tiles`` gathered into one array)."""
+    P = np.asarray(P, dtype=float)
     out = np.empty_like(P)
-    for lo in range(0, P.shape[0], rows):
-        Pb = P[lo:lo + rows]
-        if gammas.ndim == 1:
-            order = batch_order(Pb, gammas)
-            classes, inverse = _ordering_classes(order)
-            maps = np.take(_tight_maps(classes, gammas, t0), inverse, axis=0)
-            block = np.einsum("nki,nk->ni", maps, np.take_along_axis(Pb, order, axis=1))
-        else:
-            Gb = gammas[lo:lo + rows]
-            _, X, Y = batch_curves(Pb, Gb)
-            Yt = batch_eval(X, Y, np.cumsum(Gb[:, t0], axis=1))
-            block = np.empty_like(Pb)
-            block[:, t0] = np.diff(Yt, prepend=0.0, axis=1)
-        np.clip(block, 0.0, None, out=out[lo:lo + rows])
+    for lo, q in tight_point_tiles(P, gammas, target):
+        out[lo:lo + len(q)] = q
     return out
 
 
@@ -297,23 +338,22 @@ def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
     """Dominance of a fixed origin's curve over each row of ``Q``.
 
     By concavity it suffices to test at each row's own elbows, which depend
-    only on the row's ordering: the origin's curve is read once per ordering
-    present (at x=0, at the top of its jump).  The cumulative sums and the
-    test run column by column, which adds in the same order as
-    ``np.cumsum``.
+    only on the row's ordering: the origin's curve is read once per call
+    for each ordering seen (at x=0, at the top of its jump).  Rows go in
+    tiles of CHUNK; the cumulative sums and the test run column by column,
+    which adds in the same order as ``np.cumsum``.
     """
     c = curve(origin, ctx)
     gamma = ctx.checked_gamma()
     Q = np.asarray(Q, dtype=float)
     ok = np.ones(Q.shape[0], dtype=bool)
-    for lo in range(0, Q.shape[0], CHUNK):
-        Qb = Q[lo:lo + CHUNK]
-        order = batch_order(Qb, gamma)
-        classes, inverse = _ordering_classes(order)
-        heights = c.evaluate_upper(np.cumsum(gamma[classes], axis=1)).T
-        sorted_q = np.take_along_axis(Qb, order, axis=1).T
-        okb, y = ok[lo:lo + CHUNK], np.zeros(Qb.shape[0])
+
+    def heights_of(orders):
+        return c.evaluate_upper(np.cumsum(gamma[orders], axis=1))
+
+    for lo, sorted_q, heights, cls in _grouped_tiles(Q, gamma, heights_of):
+        okb, y = ok[lo:lo + len(cls)], np.zeros(len(cls))
         for k in range(Q.shape[1]):
-            y += sorted_q[k]
-            okb &= heights[k][inverse] >= y - tol
+            y += sorted_q[:, k]
+            okb &= heights[:, k][cls] >= y - tol
     return ok

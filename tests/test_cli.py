@@ -131,6 +131,10 @@ class TestSizeCaps:
         code, _, err = run(capsys, "boundary", "--grid", "100000")
         assert code == 2 and "256" in err
 
+    def test_boundary_grid_at_infinite_beta(self, capsys):
+        code, _, err = run(capsys, "boundary", "--beta", "inf", "--grid", "100000")
+        assert code == 2 and "256" in err
+
     @pytest.mark.parametrize("argv, limit", [
         # a Python set of 1e9 floats
         (("curve", "--state", "0.5,0.5,0,0", "--points", "1000000000"), "0..100000,"),
@@ -143,6 +147,20 @@ class TestSizeCaps:
     def test_sizes_named_in_the_error(self, capsys, argv, limit):
         code, _, err = run(capsys, *argv)
         assert code == 2 and limit in err
+
+
+class TestCriticalTempInputs:
+    """Scan inputs that have no meaning exit 2 before the scan."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("extra, message", [
+        (("--range", "0:2", "--gap", "-1"), "gap must be positive"),
+        (("--range", "0:2", "--gap", "0"), "gap must be positive"),
+        (("--range", "0:inf"), "must be finite"),
+    ])
+    def test_rejected(self, capsys, extra, message):
+        code, out, err = run(capsys, "critical-temp", "--state", "0.12,0.38,0.12,0.38", *extra)
+        assert code == 2 and out == "" and message in err
 
 
 class TestNegativeSizes:

@@ -327,6 +327,21 @@ class TestCriticalTempsGeneral:
         with pytest.raises(ValueError):
             en.critical_temps_general(core.PopVector([0.25] * 4), 1.0, (2.0, 1.0), 50)
 
+    @pytest.mark.parametrize("gap", [-1.0, 0.0])
+    def test_gap_must_be_positive(self, gap):
+        # a negative gap inverts the spectrum; a zero gap makes every weight equal
+        with pytest.raises(ValueError, match="gap must be positive"):
+            en.critical_temps_general(core.PopVector([0.12, 0.38, 0.12, 0.38]), gap,
+                                      (0.0, 2.0), 400)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta_range", [(0.0, math.inf), (-math.inf, 2.0), (0.0, math.nan)])
+    def test_range_must_be_finite(self, beta_range):
+        # rejected before the scan, whose np.linspace warns on an infinite bound
+        with pytest.raises(ValueError, match="finite"):
+            en.critical_temps_general(core.PopVector([0.12, 0.38, 0.12, 0.38]), 1.0,
+                                      beta_range, 400)
+
 
 class TestQubitQutrit:
     def test_bell_like(self):

@@ -152,6 +152,27 @@ class TestVolumes:
         est = geo.volume_of(set_id, ctx2q(beta), origin, n, seed=11)
         assert est.fraction == hits / n
 
+    @pytest.mark.parametrize("set_id, beta, origin", [
+        ("TNE", 0.0, None),
+        ("TNE", 1.0, None),
+        ("TNE", math.inf, None),
+        ("ENT_CONE", 1.0, (0, 0, 0, 1)),
+        ("ENT_CONE", 0.0, (0.1, 0.1, 0.2, 0.6)),
+    ])
+    def test_kernel_memory_is_a_few_tiles(self, set_id, beta, origin):
+        origin = core.PopVector(origin) if origin else None
+        # a small call first, so that one-time allocations are not counted
+        geo.volume_of(set_id, ctx2q(beta), origin, 1000, seed=0)
+        tracemalloc.start()
+        try:
+            geo.volume_of(set_id, ctx2q(beta), origin, 3 * geo.BLOCK, seed=0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2 MB sample block, plus four times the largest temporary of a
+        # 4096-row tile: its gathered (4096, 4, 4) maps, 512 KB
+        assert peak <= 8 * 4 * geo.BLOCK + 4 * 8 * 4096 * 4 * 4
+
     def test_infinite_beta_tne_is_negligible(self):
         est = geo.volume_of("TNE", ctx2q(math.inf), None, 2_000, seed=2)
         assert est.fraction == 0.0
@@ -222,6 +243,13 @@ class TestBoundary:
     def test_validation(self):
         with pytest.raises(ValueError):
             geo.tne_boundary(ctx2q(0.5), grid=4, iters=0)
+
+    @pytest.mark.parametrize("beta", [0.5, math.inf])
+    @pytest.mark.parametrize("grid", [0, 100_000])
+    def test_grid_validated_at_every_beta(self, beta, grid):
+        # the zero-temperature cloud is one point, but the grid is still checked
+        with pytest.raises(ValueError, match="1..256"):
+            geo.tne_boundary(ctx2q(beta), grid=grid, iters=30)
 
 
 class TestNeBoundary:

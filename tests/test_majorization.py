@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -444,3 +445,69 @@ class TestPerOrderingMaps:
             assert np.allclose(q, ref_extreme_point(p, gamma, core.PI_STAR.perm),
                                rtol=0, atol=1e-12)
         assert not np.allclose(before, after)
+
+
+@st.composite
+def ordering_batches(draw):
+    """States of d levels in a spectrum with degenerate levels: face states,
+    tied populations, and one inverse temperature per row."""
+    d = draw(st.sampled_from([2, 3, 4, mj.MAX_DENSE_DIM, mj.MAX_DENSE_DIM + 1, 17]))
+    energies = sorted(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d).filter(lambda r: sum(r) > 0),
+                         min_size=1, max_size=10))
+    P = np.array(rows)
+    P /= P.sum(axis=1, keepdims=True)
+    betas = draw(st.lists(beta_strategy, min_size=len(rows), max_size=len(rows)))
+    return energies, P, betas
+
+
+class TestPairCodes:
+    """Orderings from packed pairwise comparisons, and the per-call classes
+    of the tiled kernel, against the per-row reference."""
+
+    @given(ordering_batches())
+    def test_orders_match_reference(self, batch):
+        energies, P, betas = batch
+        gamma = core.make_context(energies, betas[0]).gamma
+        for p, o in zip(P, core.batch_order(P, gamma)):
+            assert o.tolist() == ref_order(p, gamma)
+        G = np.array([core.make_context(energies, b).gamma for b in betas])
+        for p, g, o in zip(P, G, core.batch_order(P, G)):
+            assert o.tolist() == ref_order(p, g)
+
+    @given(ordering_batches(), st.integers(1, 4))
+    def test_classes_across_tiles(self, batch, chunk):
+        energies, P, betas = batch
+        gamma = core.make_context(energies, betas[0]).gamma
+        with mock.patch.object(mj, "CHUNK", chunk):
+            tiles = list(mj._grouped_tiles(P, gamma, lambda orders: orders))
+        assert [lo for lo, *_ in tiles] == list(range(0, len(P), chunk))
+        for lo, sorted_p, table, cls in tiles:
+            for p, s, o in zip(P[lo:lo + chunk], sorted_p, table[cls]):
+                assert o.tolist() == ref_order(p, gamma)
+                assert np.array_equal(s, p[o])
+        if P.shape[1] <= mj.MAX_DENSE_DIM:
+            # one class per ordering seen in the whole call
+            table = tiles[-1][2]
+            assert len(np.unique(table, axis=0)) == len(table)
+
+    @given(ordering_batches(), st.integers(1, 4))
+    def test_outputs_do_not_depend_on_tile_size(self, batch, chunk):
+        energies, P, betas = batch
+        ctx = core.make_context(energies, betas[0])
+        d = P.shape[1]
+        targets = [core.BetaOrdering(range(1, d + 1)), core.BetaOrdering(range(d, 0, -1))]
+
+        def outputs():
+            out = [mj.batch_tight_points(P, ctx.gamma, t) for t in targets]
+            out.append(mj.batch_majorizes(core.PopVector(P[0]), P, ctx))
+            if d == 4:
+                out.append(en.fstar_batch(P, ctx.gamma))
+            return out
+
+        whole = outputs()
+        with mock.patch.object(mj, "CHUNK", chunk):
+            tiled = outputs()
+        for a, b in zip(whole, tiled):
+            assert np.array_equal(a, b)
