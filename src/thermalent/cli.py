@@ -37,8 +37,8 @@ from .majorization import curve, future_cone
 
 SEED_ENV = "THERMALENT_SEED"
 
-#: most extra sample points of ``curve --points``: each is one curve
-#: evaluation in Python, about 0.8 s and 2 MB of output at the cap
+#: most extra sample points of ``curve --points``: about 2 MB of output at the
+#: cap; the curve is read at them CHUNK at a time
 MAX_POINTS = 100_000
 
 #: most points of a ``jc --betaE-range`` sweep: each runs the protocol once,
@@ -147,7 +147,7 @@ def _run_curve(args):
     xs = list(map(float, c.xs))
     if args.points > 0:
         xs = sorted(set(xs) | {i / args.points for i in range(args.points + 1)})
-    ys = [c.evaluate(x) for x in xs]
+    ys = c.evaluate(xs).tolist()
     return {"x": xs, "y": ys}, (["x", "y"], list(zip(xs, ys)))
 
 

@@ -64,10 +64,10 @@ class GibbsContext:
         """``gamma`` for the curve kernel, which reads a zero weight as beta = inf.
 
         Raises ValueError when a finite beta has weights that underflowed to
-        zero or to subnormals (whose ratios overflow), rather than silently
-        switching to zero-temperature semantics.
+        zero or to subnormals (whose ratios overflow), or that are NaN, rather
+        than silently switching to zero-temperature semantics.
         """
-        if not self.beta_is_infinite and self.gamma.min() < _SMALLEST_WEIGHT:
+        if not self.beta_is_infinite and not self.gamma.min() >= _SMALLEST_WEIGHT:
             raise ValueError(
                 f"Gibbs weights underflow at beta={self.beta:g} (smallest "
                 f"{self.gamma.min():.3g}); pass beta=inf for the zero-temperature limit")
@@ -81,15 +81,15 @@ class GibbsContext:
 def make_context(energies, beta) -> GibbsContext:
     """Build a Gibbs context from level energies and inverse temperature.
 
-    Populations are computed with the max-shift trick so that large
-    ``beta*E`` products do not overflow.  ``beta=math.inf`` selects the
-    zero-temperature limit: uniform weight on the minimal-energy levels.
+    Weights are exp(-beta*(E - E_min)), so none overflows, and one whose
+    exponent overflows is zero (``checked_gamma`` rejects it).  ``beta=inf``
+    selects the zero-temperature limit: uniform weight on the ground levels.
     """
     energies = tuple(float(e) for e in energies)
     if not energies:
         raise ValueError("energies must be non-empty")
-    if any(not math.isfinite(e) for e in energies):
-        raise ValueError("energies must be finite")
+    if not (all(map(math.isfinite, energies)) and math.isfinite(max(energies) - min(energies))):
+        raise ValueError("energies and their spread must be finite")
     beta = float(beta)
     if math.isnan(beta) or beta < 0:
         raise ValueError(f"beta must be >= 0 or inf, got {beta}")
@@ -100,8 +100,8 @@ def make_context(energies, beta) -> GibbsContext:
         ground = np.abs(e - e.min()) <= tol
         gamma = ground / ground.sum()
     else:
-        logw = -beta * e
-        w = np.exp(logw - logw.max())
+        with np.errstate(over="ignore"):
+            w = np.exp(-beta * (e - e.min()))
         gamma = w / w.sum()
     return GibbsContext(energies=energies, beta=beta, gamma=_readonly(gamma))
 

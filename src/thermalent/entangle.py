@@ -19,13 +19,12 @@ import numpy as np
 
 from .core import (
     PI_STAR,
-    BetaOrdering,
     GibbsContext,
     PopVector,
     is_two_qubit_context,
     make_context,
 )
-from .majorization import extreme_point, future_cone, tight_point_tiles
+from .majorization import all_extreme_points, tight_point_tiles
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -100,19 +99,20 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
     """Decide thermal entanglability of a two-qubit population vector.
 
     Exact decision: the state can be entangled by some thermal process iff
-    the witness is negative at the cone's (2,1,3,4) extreme point.
+    the witness is negative at the cone's (2,1,3,4) extreme point.  That
+    point and the negativity maximum come from one ``all_extreme_points``.
     """
     if not is_two_qubit_context(ctx):
         raise ValueError("context is not a two-qubit (0, E, E, 2E) spectrum")
-    p_star = extreme_point(p, ctx, PI_STAR)
+    targets, points = all_extreme_points(p, ctx)
+    p_star = PopVector(points[(targets == PI_STAR.zero_based()).all(axis=1)][0])
     f_star = witness_f(p_star)
-    neg, _ = max_negativity_over_cone(p, ctx)
     return WitnessReport(
         f_value=witness_f(p),
         f_star=f_star,
         in_E=is_subspace_entanglable(p),
         in_TE=f_star < -TAU_F,
-        max_negativity=neg,
+        max_negativity=_best_vertex(points)[0],
         optimal_theta=math.pi / 4.0,
         pi_star_point=p_star,
     )
@@ -134,20 +134,22 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
     if p.dim != 4 or ctx.dim != 4:
         raise ValueError("brute-force check requires d = 4")
     if ctx.beta == 0.0:
-        for perm in itertools.permutations(range(4)):
-            if witness_f(p.probs[list(perm)]) < -TAU_F:
-                return False
-        return True
-    for perm in itertools.permutations(range(1, 5)):
-        q = extreme_point(p, ctx, BetaOrdering(perm))
-        if witness_f(q) < -TAU_F:
-            return False
-    return True
+        points = [p.probs[list(perm)] for perm in itertools.permutations(range(4))]
+    else:
+        points = all_extreme_points(p, ctx)[1]
+    return all(witness_f(q) >= -TAU_F for q in points)
 
 
 # ---------------------------------------------------------------------------
 # Negativity maximization over the future thermal cone
 # ---------------------------------------------------------------------------
+
+def _best_vertex(points: np.ndarray):
+    """Largest ``max_negativity`` over the rows of ``points``, and its row."""
+    values = [max_negativity(q) for q in points]
+    best = int(np.argmax(values))
+    return values[best], PopVector(points[best])
+
 
 def max_negativity_over_cone(p: PopVector, ctx: GibbsContext):
     """Maximize reachable negativity over the future thermal cone of ``p``.
@@ -155,10 +157,7 @@ def max_negativity_over_cone(p: PopVector, ctx: GibbsContext):
     The negativity is convex (a norm less a linear term), so its maximum over
     the cone polytope sits at an extreme point.  Returns ``(value, state)``.
     """
-    extremes = [v for _, v in future_cone(p, ctx).extremes]
-    values = [max_negativity(v) for v in extremes]
-    best = int(np.argmax(values))
-    return values[best], extremes[best]
+    return _best_vertex(all_extreme_points(p, ctx)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +253,7 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     energies = (0.0, gap, gap, 2.0 * gap)
 
     def h(beta):
-        ctx = make_context(energies, beta)
-        return witness_f(extreme_point(p, ctx, PI_STAR))
+        return fstar_batch(p.probs[None, :], make_context(energies, beta).checked_gamma())[0]
 
     betas = np.linspace(lo, hi, n_scan)
     gammas = np.array([make_context(energies, b).checked_gamma() for b in betas])

@@ -7,28 +7,24 @@ A curve is the concave piecewise-linear function through the cumulative
 reachable set is a polytope whose extreme points are the tight-majorized
 states, one per level ordering.
 
-One batch kernel (``batch_curves``, ``batch_eval``) serves every beta.  Zero
-Gibbs weights (infinite beta) produce zero-width curve segments; the kernel
-evaluates each as a step at its left edge, so the vertical jump at x=0 stays
-exact and a target at x=0 reads the top of the jump.  The single-state
-functions are calls on a batch of one row.
+One batch kernel (``batch_curves``, ``batch_eval``) serves every beta, and
+``batch_eval`` is the only curve evaluator.  Zero Gibbs weights (infinite
+beta) produce zero-width curve segments; the kernel evaluates each as a step
+at its left edge, so the vertical jump at x=0 stays exact and a target at
+x=0 reads the top of the jump.
 
-With one Gibbs vector shared by a batch, a curve's elbow positions depend on
-the state only through its level ordering sigma (one of d!), and its heights
-are linear in the populations.  So the tight point of a target ordering is a
-linear map of p fixed by sigma, q = M_sigma p: the beta-permutations of de
-Oliveira Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109
-(2022).  The batch calls walk their rows in tiles of CHUNK rows, so no
-temporary grows with the batch.  A row's ordering is fixed by its d(d-1)/2
-pairwise ratio comparisons, packed into a pair code
-(``core.ordering_codes``); up to MAX_DENSE_DIM = 6 levels (every spectrum
-the package defines) the code indexes a table of the ordering of every code,
-above each tile groups its orderings with ``np.unique``.  The maps of the
-orderings seen are built once per call, with one ``batch_eval`` call on unit
-rises.  ``tight_point_tiles`` applies them tile by tile
-(``batch_tight_points`` gathers the tiles, ``entangle.fstar_batch`` takes
-the witness of each); ``batch_majorizes`` reads the origin's curve once per
-ordering seen.  Per-row Gibbs vectors take each row's own curve.
+For a Gibbs vector gamma, a curve's elbow positions depend on the state only
+through its level ordering sigma, and its heights are linear in the
+populations, so a tight point is a linear map of the sorted populations,
+q = M_sigma p (``_tight_maps``): the beta-permutations of de Oliveira
+Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109 (2022).
+Every tight point goes through these maps: ``tight_point_tiles`` builds
+them once per call for each ordering seen when the rows share gamma, and
+one per row when each row has its own (the critical-temperature scan), and
+``all_extreme_points`` builds those of all d! targets for one state.  The
+orderings come from packed pairwise comparisons (``core.ordering_codes``).
+The batch calls walk their rows in tiles of CHUNK rows, so no temporary
+grows with the batch.
 """
 
 from __future__ import annotations
@@ -79,18 +75,21 @@ class ThermoCurve:
         return float(self.ys[1]) if self.xs[1] == 0.0 else 0.0
 
     def evaluate_upper(self, x):
-        """Interpolate, resolving the x=0 jump to its upper value."""
-        start = 1 if self.xs[1] == 0.0 else 0
-        return np.interp(x, self.xs[start:], self.ys[start:])
+        """Curve value at ``x`` (a number or an array); at x=0 the top of the
+        jump.  CHUNK points at a time, so the temporary is CHUNK x levels."""
+        x = np.asarray(x, dtype=float)
+        X, Y, flat = self.xs[None, 1:], self.ys[None, 1:], x.reshape(1, -1)
+        return np.concatenate([batch_eval(X, Y, flat[:, lo:lo + CHUNK])
+                               for lo in range(0, max(x.size, 1), CHUNK)], axis=1).reshape(x.shape)
 
-    def evaluate(self, x: float) -> float:
-        """Curve value at ``x`` in [0, 1]; exactly 0 at x=0."""
-        if x < -1e-12 or x > 1 + 1e-12:
-            raise ValueError(f"x={x} outside [0, 1]")
-        x = min(max(x, 0.0), 1.0)
-        if x == 0.0:
-            return 0.0
-        return float(self.evaluate_upper(x))
+    def evaluate(self, x):
+        """Curve value at ``x`` in [0, 1], a number or an array; exactly 0 at x=0."""
+        x = np.asarray(x, dtype=float)
+        inside = (x >= -1e-12) & (x <= 1 + 1e-12)
+        if not inside.all():
+            raise ValueError(f"x={x[~inside].flat[0]} outside [0, 1]")
+        y = np.where(x <= 0.0, 0.0, self.evaluate_upper(np.clip(x, 0.0, 1.0)))
+        return float(y) if y.ndim == 0 else y
 
 
 def evaluate(curve: ThermoCurve, x: float) -> float:
@@ -114,11 +113,10 @@ def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
     return ThermoCurve(xs=_readonly(xs[keep]), ys=_readonly(ys[keep]))
 
 
-def thermo_majorizes(p: PopVector, q: PopVector, ctx: GibbsContext,
-                     tol: float = TAU_CMP) -> bool:
+def thermo_majorizes(p: PopVector, q: PopVector, ctx: GibbsContext) -> bool:
     """True iff p's curve dominates q's everywhere (``batch_majorizes`` on one row)."""
     _check_dims(ctx, p, q)
-    return bool(batch_majorizes(p, q.probs[None, :], ctx, tol)[0])
+    return bool(batch_majorizes(p, q.probs[None, :], ctx)[0])
 
 
 def extreme_point(p: PopVector, ctx: GibbsContext, target: BetaOrdering) -> PopVector:
@@ -149,13 +147,10 @@ class ThermalCone:
 
 
 def _dedup(points, tol):
-    """Indices of the distinct points, in increasing order.
-
-    Points are taken in index order, and each is kept unless a kept point
-    lies within ``tol`` of it (max norm).  Kept points are therefore more
-    than ``tol`` apart, and each is the first of the points it stands for.
-    The kept points near a point are sought among those whose first
-    coordinate is within ``tol`` of its own.
+    """Indices of the distinct points, in increasing order: in index order,
+    a point is kept unless a kept point lies within ``tol`` of it (max norm),
+    sought among those whose first coordinate is within ``tol``.  Each kept
+    point is the first of the points it stands for.
     """
     pts = np.asarray(points)
     by_first = np.argsort(pts[:, 0], kind="stable")
@@ -170,23 +165,32 @@ def _dedup(points, tol):
     return np.flatnonzero(kept).tolist()
 
 
-def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
-    """Evaluate all d! tight-majorized states in one call and keep the distinct ones.
-
-    Each row relabels the levels by its target ordering, which leaves the
-    curve unchanged and makes every row's target the identity.
-    """
+def all_extreme_points(p: PopVector, ctx: GibbsContext):
+    """``(targets, points)``: the d! zero-based target orderings in
+    lexicographic order and the tight-majorized state of each, equal to its
+    ``extreme_point``.  p is ordered once; the targets go in tiles of CHUNK."""
     d = p.dim
     _check_dims(ctx, p)
     if d > MAX_ENUM_DIM:
         raise ValueError(f"dimension {d} too large for {d}! enumeration")
+    gamma = ctx.checked_gamma()
+    order = batch_order(p.probs[None, :], gamma)
+    sorted_p = _take_rows(p.probs, order)
     targets = np.array(list(itertools.permutations(range(d))))
-    relabelled = batch_tight_points(p.probs[targets], ctx.checked_gamma()[targets],
-                                    BetaOrdering(range(1, d + 1)))
-    points = np.empty_like(relabelled)
-    np.put_along_axis(points, targets, relabelled, axis=1)
-    keep = _dedup(points, TAU_CMP)
-    extremes = tuple((BetaOrdering(targets[i] + 1), PopVector(points[i])) for i in keep)
+    points = np.empty(targets.shape)
+    for lo in range(0, len(targets), CHUNK):
+        t = targets[lo:lo + CHUNK]
+        q = _tight(_tight_maps(order, gamma, t), np.repeat(sorted_p, len(t), axis=0))
+        np.put_along_axis(points[lo:lo + CHUNK], t, q, axis=1)
+    return targets, points
+
+
+def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
+    """The distinct extreme points of ``all_extreme_points``, each named by
+    the first target ordering that reaches it."""
+    targets, points = all_extreme_points(p, ctx)
+    extremes = tuple((BetaOrdering(targets[i] + 1), PopVector(points[i]))
+                     for i in _dedup(points, TAU_CMP))
     return ThermalCone(origin=p, ctx=ctx, extremes=extremes)
 
 
@@ -218,29 +222,25 @@ def batch_curves(P: np.ndarray, gammas: np.ndarray):
     return order, X, Y
 
 
-def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Evaluate each row's piecewise-linear curve at that row's targets.
-
-    Computed as a sum over segments of each segment's rise times the covered
-    fraction of its width, which avoids a per-row searchsorted.  A zero-width
-    segment is a step at its left edge: a target at or right of that edge
-    gets its whole rise.
-    """
+def _covered(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Covered fraction F[n, t, s] of segment s of row n's curve, whose
+    elbows are X, at the row's target T[n, t]; rows of X and T broadcast.
+    A zero-width segment is a step at its left edge: a target at or right of
+    that edge covers all of it."""
     X0 = np.concatenate([np.zeros((X.shape[0], 1)), X[:, :-1]], axis=1)
     W = X - X0
     step = (W == 0)[:, None, :]
     F = T[:, :, None] - X0[:, None, :]
     F /= np.where(step, 1.0, W[:, None, :])
     np.copyto(F, F >= 0, where=step)
-    np.clip(F, 0.0, 1.0, out=F)
-    return np.einsum("nts,ns->nt", F, np.diff(Y, prepend=0.0, axis=1))
+    return np.clip(F, 0.0, 1.0, out=F)
 
 
-def _ordering_classes(order: np.ndarray):
-    """The distinct orderings of a batch, in lexicographic order, and each
-    row's index among them."""
-    classes, inverse = np.unique(order, axis=0, return_inverse=True)
-    return classes, inverse.ravel()
+def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Evaluate each row's piecewise-linear curve at that row's targets: the
+    sum over segments of each rise times its covered fraction, which avoids
+    a per-row searchsorted."""
+    return np.einsum("nts,ns->nt", _covered(X, T), np.diff(Y, prepend=0.0, axis=1))
 
 
 def _grouped_tiles(P: np.ndarray, gamma: np.ndarray, build):
@@ -262,8 +262,8 @@ def _grouped_tiles(P: np.ndarray, gamma: np.ndarray, build):
         Pt = P[lo:lo + CHUNK]
         if not dense:
             order = batch_order(Pt, gamma)
-            classes, cls = _ordering_classes(order)
-            yield lo, _take_rows(Pt, order), build(classes), cls
+            classes, cls = np.unique(order, axis=0, return_inverse=True)
+            yield lo, _take_rows(Pt, order), build(classes), cls.ravel()
             continue
         code = ordering_codes(Pt, gamma)
         cls = cls_of[code]
@@ -277,50 +277,51 @@ def _grouped_tiles(P: np.ndarray, gamma: np.ndarray, build):
         yield lo, _take_rows(Pt, np.take(orders, code, axis=0)), table, cls
 
 
-def _tight_maps(classes: np.ndarray, gamma: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """Linear maps from a state's sorted populations to its tight point.
-
-    A state ordered as ``classes[c]`` has the curve elbows
-    cumsum(gamma[classes[c]]) and the rises r = p[classes[c]], so its tight
-    point is linear in r: q[i] = sum_k maps[c, k, i] r[k].  One
-    ``batch_eval`` with unit rises (segment k rises by e_k) gives the
-    heights at the target elbows for every class.
+def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Linear maps from a state's sorted populations r = p[orders[c]] to its
+    tight point for the target ordering t: q[t[j]] = sum_k maps[c, k, j] r[k],
+    the covered fractions of ``batch_eval`` at the target elbows
+    cumsum(gamma[t]), differenced.  Rows of ``orders``, ``gammas`` (or one
+    shared (d,) vector) and ``targets`` broadcast.  The maps are C-ordered,
+    so every einsum over them adds in one order.
     """
-    m, d = classes.shape
-    X = np.repeat(np.cumsum(gamma[classes], axis=1), d, axis=0)
-    units = np.tile(np.triu(np.ones((d, d))), (m, 1))
-    heights = batch_eval(X, units, np.cumsum(gamma[t0])[None, :]).reshape(m, d, d)
-    maps = np.empty_like(heights)
-    maps[:, :, t0] = np.diff(heights, prepend=0.0, axis=2)
-    return maps
+    F = _covered(np.cumsum(_take_rows(gammas, orders), axis=1),
+                 np.cumsum(_take_rows(gammas, targets), axis=1))
+    return np.diff(F, prepend=0.0, axis=1).transpose(0, 2, 1).copy()
+
+
+def _tight(maps: np.ndarray, sorted_p: np.ndarray) -> np.ndarray:
+    """Apply each row's map to its sorted populations, clipped at 0."""
+    q = np.einsum("nki,nk->ni", maps, sorted_p)
+    return np.clip(q, 0.0, None, out=q)
 
 
 def tight_point_tiles(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
     """Extreme point of every row's cone for one shared target ordering,
-    one tile of at most CHUNK rows at a time: yields ``(lo, q)``.
+    one tile of CHUNK rows at a time: yields ``(lo, q)``.
 
-    With one shared (d,) Gibbs vector, each row's sorted populations go
-    through the map of its ordering (``_tight_maps``), built once per call
-    for each ordering seen; per-row gammas evaluate every row's own curve.
-    The maps act on the sorted populations, so swapping the populations of
-    two levels of equal weight swaps the tight point exactly.
+    Each row's sorted populations go through the map of its ordering
+    (``_tight_maps``): with one shared (d,) Gibbs vector, built once per
+    call for each ordering seen; with one Gibbs vector per row, one per row.
+    Swapping the populations of two levels of equal weight swaps the tight
+    point exactly.
     """
     P = np.asarray(P, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     t0 = target.zero_based()
+    level = np.argsort(t0)  # the column of each level in the target's order
+
+    def maps_of(orders, g=gammas):
+        return np.take(_tight_maps(orders, g, t0[None, :]), level, axis=2)
+
     if gammas.ndim == 1:
-        tiles = _grouped_tiles(P, gammas, lambda orders: _tight_maps(orders, gammas, t0))
-        for lo, sorted_p, maps, cls in tiles:
-            q = np.einsum("nki,nk->ni", np.take(maps, cls, axis=0), sorted_p)
-            yield lo, np.clip(q, 0.0, None, out=q)
+        for lo, sorted_p, maps, cls in _grouped_tiles(P, gammas, maps_of):
+            yield lo, _tight(np.take(maps, cls, axis=0), sorted_p)
         return
     for lo in range(0, P.shape[0], CHUNK):
         Pt, Gt = P[lo:lo + CHUNK], gammas[lo:lo + CHUNK]
-        _, X, Y = batch_curves(Pt, Gt)
-        Yt = batch_eval(X, Y, np.cumsum(Gt[:, t0], axis=1))
-        q = np.empty_like(Pt)
-        q[:, t0] = np.diff(Yt, prepend=0.0, axis=1)
-        yield lo, np.clip(q, 0.0, None, out=q)
+        order = batch_order(Pt, Gt)
+        yield lo, _tight(maps_of(order, Gt), _take_rows(Pt, order))
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
@@ -333,27 +334,27 @@ def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) 
     return out
 
 
-def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext,
-                    tol: float = TAU_CMP) -> np.ndarray:
-    """Dominance of a fixed origin's curve over each row of ``Q``.
+def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext) -> np.ndarray:
+    """Dominance of a fixed origin's curve over each row of ``Q``, within TAU_CMP.
 
     By concavity it suffices to test at each row's own elbows, which depend
     only on the row's ordering: the origin's curve is read once per call
-    for each ordering seen (at x=0, at the top of its jump).  Rows go in
-    tiles of CHUNK; the cumulative sums and the test run column by column,
-    which adds in the same order as ``np.cumsum``.
+    for each ordering seen, with ``batch_eval`` (at x=0, at the top of its
+    jump).  Rows go in tiles of CHUNK; the cumulative sums and the test run
+    column by column, which adds in the same order as ``np.cumsum``.
     """
-    c = curve(origin, ctx)
+    _check_dims(ctx, origin)
     gamma = ctx.checked_gamma()
+    _, X, Y = batch_curves(origin.probs[None, :], gamma)
     Q = np.asarray(Q, dtype=float)
     ok = np.ones(Q.shape[0], dtype=bool)
 
     def heights_of(orders):
-        return c.evaluate_upper(np.cumsum(gamma[orders], axis=1))
+        return batch_eval(X, Y, np.cumsum(gamma[orders], axis=1))
 
     for lo, sorted_q, heights, cls in _grouped_tiles(Q, gamma, heights_of):
         okb, y = ok[lo:lo + len(cls)], np.zeros(len(cls))
         for k in range(Q.shape[1]):
             y += sorted_q[:, k]
-            okb &= heights[:, k][cls] >= y - tol
+            okb &= heights[:, k][cls] >= y - TAU_CMP
     return ok

@@ -163,6 +163,23 @@ class TestCriticalTempInputs:
         assert code == 2 and out == "" and message in err
 
 
+class TestHugeBetaE:
+    """Products beta * E beyond the range of a double exit 2 without a numpy
+    warning (the suite turns RuntimeWarnings into errors)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("curve", "--state", "0.5,0.5", "--energies=-1e308,1e308", "--beta", "10"),
+         "spread must be finite"),
+        (("curve", "--state", "0.5,0.5", "--energies=-1e308,1e308", "--beta", "inf"),
+         "spread must be finite"),
+        (("classify", "--state", "0.4,0.25,0.33,0.02", "--beta", "1e308"), "underflow"),
+        (("cone", "--state", "0.5,0.5", "--energies=0,1e300", "--beta", "1e10"), "underflow"),
+    ])
+    def test_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+
+
 class TestNegativeSizes:
     """Sizes below their least value exit 2 instead of being read as another size."""
 
@@ -247,6 +264,11 @@ class TestVolume:
     def test_ent_cone_requires_state(self, capsys):
         code, _, err = run(capsys, "volume", "--set", "ENT_CONE", "--samples", "100")
         assert code == 2
+
+    def test_ent_cone_origin_dimension(self, capsys):
+        code, out, err = run(capsys, "volume", "--set", "ENT_CONE", "--state", "0.5,0.5",
+                             "--samples", "100")
+        assert code == 2 and out == "" and "dimension mismatch" in err
 
     def test_threads_do_not_change_result(self, capsys):
         base = ("volume", "--set", "E", "--samples", "150000", "--seed", "3")

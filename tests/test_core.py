@@ -58,6 +58,25 @@ class TestMakeContext:
         assert np.array_equal(core.make_context((0.0, 1.0), math.inf).checked_gamma(), [1, 0])
         assert core.make_context((0.0, 1.0), 300.0).checked_gamma()[1] > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_beta_times_energy(self):
+        # an exponent beyond the doubles is a zero weight, rejected at finite beta
+        ctx = core.make_context((0.0, 1e300), 1e10)
+        assert np.array_equal(ctx.gamma, [1, 0])
+        with pytest.raises(ValueError, match="underflow"):
+            ctx.checked_gamma()
+        # shifted to the ground level first, so a huge common offset cancels
+        ctx = core.make_context((-1e300, -1e300 + 1e285), 1e10)
+        assert ctx.gamma[0] == 1.0 and ctx.gamma[1] == 0.0
+        for beta in (0.0, 1.0, math.inf):
+            with pytest.raises(ValueError, match="spread"):
+                core.make_context((-1e308, 1e308), beta)
+
+    def test_nan_weights_rejected(self):
+        ctx = core.GibbsContext(energies=(0.0, 1.0), beta=1.0, gamma=np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="underflow"):
+            ctx.checked_gamma()
+
     def test_errors(self):
         with pytest.raises(ValueError):
             core.make_context((), 1.0)

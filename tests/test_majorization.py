@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
     qutrit_strategy, random_states, ref_curve, ref_extreme_point, ref_margin, ref_order,
-    state_strategy)
+    ref_upper, state_strategy)
 
 
 def ctx2q(beta):
@@ -370,8 +370,7 @@ class TestPerOrderingMaps:
         P[:50, 3] = 0.0  # face states, whose zero-weight levels rank last at beta=inf
         P[50:100, 2] = P[50:100, 1]  # ties between the two levels of equal weight
         P /= P.sum(axis=1, keepdims=True)
-        classes, inverse = mj._ordering_classes(core.batch_order(P, ctx.gamma))
-        assert np.array_equal(classes[inverse], core.batch_order(P, ctx.gamma))
+        classes = np.unique(core.batch_order(P, ctx.gamma), axis=0)
         # at beta=inf the ground level ranks after every populated excited one
         assert len(classes) == (24 if math.isfinite(beta) else 8)
         self.assert_matches_reference(P, ctx.gamma)
@@ -425,15 +424,6 @@ class TestPerOrderingMaps:
                 margin = ref_margin(origin, q, ctx.gamma)
                 if abs(margin + mj.TAU_CMP) > 1e-12:
                     assert g == (margin >= -mj.TAU_CMP)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, mj.MAX_DENSE_DIM])
-    @pytest.mark.parametrize("rows", [1, 3, 500])
-    def test_dense_grouping_matches_unique(self, rng, d, rows):
-        order = np.array([rng.permutation(d) for _ in range(rows)])
-        classes, inverse = mj._ordering_classes(order)
-        want, want_inverse = np.unique(order, axis=0, return_inverse=True)
-        assert np.array_equal(classes, want)
-        assert np.array_equal(inverse, want_inverse.ravel())
 
     def test_follows_gamma_mutated_in_place(self, rng):
         P = random_states(rng, 40)
@@ -511,3 +501,87 @@ class TestPairCodes:
             tiled = outputs()
         for a, b in zip(whole, tiled):
             assert np.array_equal(a, b)
+
+
+@st.composite
+def spectrum_states(draw):
+    """One state of d levels in a spectrum with degenerate levels: face
+    states and tied populations."""
+    d = draw(st.sampled_from([2, 3, 4, 6]))
+    energies = sorted(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
+    p = np.array(draw(st.lists(value, min_size=d, max_size=d).filter(lambda r: sum(r) > 0)))
+    return energies, p / p.sum()
+
+
+def every_nth(rows, at_most=48):
+    return rows[::max(1, len(rows) // at_most)]
+
+
+class TestOneTightPointArithmetic:
+    """The cone, classify, the per-row critical scan and the curve go through
+    the same per-ordering maps and the same evaluator, bit for bit."""
+
+    @given(spectrum_states(), beta_strategy)
+    def test_cone_vertices_are_extreme_points(self, state, beta):
+        energies, probs = state
+        ctx, p = core.make_context(energies, beta), core.PopVector(probs)
+        targets, points = mj.all_extreme_points(p, ctx)
+        assert targets.tolist() == [list(t) for t in itertools.permutations(range(p.dim))]
+        for t, q in every_nth(list(zip(targets, points))):
+            assert np.array_equal(q, mj.extreme_point(p, ctx, core.BetaOrdering(t + 1)).probs)
+        for order, v in every_nth(mj.future_cone(p, ctx).extremes):
+            assert np.array_equal(v.probs, mj.extreme_point(p, ctx, order).probs)
+
+    @given(state_strategy, beta_strategy)
+    def test_classify_reads_the_cone(self, probs, beta):
+        ctx, p = ctx2q(beta), core.PopVector(probs)
+        rep = en.is_thermally_entanglable(p, ctx)
+        targets, points = mj.all_extreme_points(p, ctx)
+        star = points[(targets == core.PI_STAR.zero_based()).all(axis=1)][0]
+        assert np.array_equal(rep.pi_star_point.probs, star)
+        assert np.array_equal(star, mj.extreme_point(p, ctx, core.PI_STAR).probs)
+        assert rep.f_star == en.witness_f(star)
+        assert rep.max_negativity == max(en.max_negativity(q) for q in points)
+        assert en.max_negativity_over_cone(p, ctx)[0] == rep.max_negativity
+        for order, v in mj.future_cone(p, ctx).extremes:
+            if order == core.PI_STAR:
+                assert np.array_equal(v.probs, star)
+
+    @given(ordering_batches(), st.integers(1, 4))
+    def test_per_row_gammas_match_shared(self, batch, chunk):
+        # the critical-temperature scan reads f* with one Gibbs vector per
+        # row, and its bisection with one shared vector per step
+        energies, P, betas = batch
+        G = np.array([core.make_context(energies, b).gamma for b in betas])
+        d = P.shape[1]
+        with mock.patch.object(mj, "CHUNK", chunk):
+            for t in (core.BetaOrdering(range(1, d + 1)), core.BetaOrdering(range(d, 0, -1))):
+                got = mj.batch_tight_points(P, G, t)
+                for p, g, q in zip(P, G, got):
+                    assert np.array_equal(q, mj.batch_tight_points(p[None, :], g, t)[0])
+            if d == 4:
+                for p, g, f in zip(P, G, en.fstar_batch(P, G)):
+                    assert f == en.fstar_batch(p[None, :], g)[0]
+
+    @given(spectrum_states(), beta_strategy, st.lists(st.floats(0.0, 1.0), max_size=12))
+    def test_curve_evaluates_arrays_like_numbers(self, state, beta, xs):
+        energies, probs = state
+        ctx = core.make_context(energies, beta)
+        c = mj.curve(core.PopVector(probs), ctx)
+        x = np.array(xs + [0.0, 1.0] + c.xs.tolist())
+        y = c.evaluate(x)
+        assert y.shape == x.shape and c.evaluate(x[:, None]).shape == (len(x), 1)
+        assert y.tolist() == [c.evaluate(float(v)) for v in x]
+        with mock.patch.object(mj, "CHUNK", 3):
+            assert np.array_equal(c.evaluate(x), y)
+        assert (y[x == 0.0] == 0.0).all()
+        upper = c.evaluate_upper(np.clip(x, 0.0, 1.0))
+        assert np.array_equal(upper[x > 0], y[x > 0])
+        assert np.allclose(upper, ref_upper(ref_curve(probs, ctx.gamma), x), rtol=0, atol=1e-12)
+
+    def test_evaluate_rejects_arrays_outside_the_unit_interval(self):
+        c = mj.curve(core.PopVector([0.5, 0.3, 0.1, 0.1]), ctx2q(1.0))
+        for bad in ([0.5, 1.2], [-0.2, 0.5], [0.5, math.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                c.evaluate(np.array(bad))
