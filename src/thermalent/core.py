@@ -148,11 +148,6 @@ class PopVector:
     def dim(self) -> int:
         return self.probs.size
 
-    def normalized(self) -> "PopVector":
-        """Rescale to unit sum (for opt-in renormalization of raw input)."""
-        p = np.clip(np.asarray(self.probs, dtype=float), 0.0, None)
-        return PopVector(p / p.sum())
-
     def __eq__(self, other):
         return isinstance(other, PopVector) and np.array_equal(self.probs, other.probs)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import GibbsContext, PopVector, two_qubit_context
-from .entangle import is_thermally_entanglable, max_negativity, witness_f
+from .entangle import is_thermally_entanglable, max_negativity, witness_batch, witness_f
 from .majorization import thermo_majorizes
 
 HERM_TOL = 1e-12
@@ -269,24 +269,31 @@ class ThermalizationSchedule:
         return len(self.steps)
 
 
-def _pair_ground_share(ctx: GibbsContext, i0: int, j0: int) -> float:
-    """Equilibrium share of level ``i0`` within the (i0, j0) pair."""
-    de = ctx.energies[j0] - ctx.energies[i0]
-    if ctx.beta_is_infinite:
-        return 0.5 if de == 0 else (1.0 if de > 0 else 0.0)
-    return 1.0 / (1.0 + math.exp(-ctx.beta * de))
+def _step_table(ctx: GibbsContext, steps) -> tuple:
+    """Zero-based level pairs, strengths and equilibrium shares of the pair's
+    first level for ``((i, j), lam)`` steps: arrays with one entry per step."""
+    rows = []
+    for (i, j), lam in steps:
+        if not (1 <= i <= ctx.dim and 1 <= j <= ctx.dim):
+            raise ValueError(f"pair {(i, j)} outside 1..{ctx.dim}")
+        de = ctx.energies[j - 1] - ctx.energies[i - 1]
+        if ctx.beta_is_infinite:
+            share = 0.5 if de == 0 else (1.0 if de > 0 else 0.0)
+        else:
+            share = 1.0 / (1.0 + math.exp(-ctx.beta * de))
+        rows.append((i - 1, j - 1, lam, share))
+    i0, j0, lam, share = np.array(rows, dtype=float).reshape(-1, 4).T
+    return i0.astype(int), j0.astype(int), lam, share
 
 
-def _apply_step(p: np.ndarray, ctx: GibbsContext, pair, lam: float) -> np.ndarray:
-    i, j = pair
-    if not (1 <= i <= ctx.dim and 1 <= j <= ctx.dim):
-        raise ValueError(f"pair {pair} outside 1..{ctx.dim}")
-    i0, j0 = i - 1, j - 1
-    share = _pair_ground_share(ctx, i0, j0)
+def _apply_step(p: np.ndarray, table: tuple) -> np.ndarray:
+    """``p`` after each step of a ``_step_table`` applied alone: one row per step."""
+    i0, j0, lam, share = table
     s = p[i0] + p[j0]
-    out = p.copy()
-    out[i0] = (1.0 - lam) * p[i0] + lam * share * s
-    out[j0] = (1.0 - lam) * p[j0] + lam * (1.0 - share) * s
+    out = np.tile(p, (lam.size, 1))
+    rows = np.arange(lam.size)
+    out[rows, i0] = (1.0 - lam) * p[i0] + lam * share * s
+    out[rows, j0] = (1.0 - lam) * p[j0] + lam * (1.0 - share) * s
     return out
 
 
@@ -296,10 +303,9 @@ def apply_schedule(p: PopVector, ctx: GibbsContext,
     (initial state included)."""
     if p.dim != ctx.dim:
         raise ValueError("dimension mismatch")
-    traj = [p]
-    cur = p.probs.copy()
-    for pair, lam in schedule.steps:
-        cur = _apply_step(cur, ctx, pair, lam)
+    traj, cur = [p], p.probs
+    for step in schedule.steps:
+        cur = _apply_step(cur, _step_table(ctx, [step]))[0]
         traj.append(PopVector(cur))
     return traj
 
@@ -326,35 +332,32 @@ def mtp_entangle_search(p: PopVector, ctx: GibbsContext, strategy: str = "greedy
         raise ValueError("budget must be positive")
     if strategy not in ("greedy", "beam"):
         raise ValueError("strategy must be 'greedy' or 'beam'")
-    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    lams = [k / 10.0 for k in range(1, 11)]
-    actions = [(pair, lam) for pair in pairs for lam in lams]
+    actions = [((i, j), k / 10.0) for i in range(1, 5) for j in range(i + 1, 5)
+               for k in range(1, 11)]
+    table, n = _step_table(ctx, actions), len(actions)
     width = 1 if strategy == "greedy" else 8
 
-    best_f = witness_f(p)
-    best_sched: tuple = ()
-    best_state = p.probs
-    beams = [(witness_f(p), p.probs, ())]
+    best_f, best_sched, best_state = witness_f(p), (), p.probs
+    beams = [(best_f, p.probs, ())]
     evals = 0
     while evals < budget:
-        candidates = []
+        scored = []
         for _, state, sched in beams:
-            for pair, lam in actions:
-                nxt = _apply_step(state, ctx, pair, lam)
-                fval = witness_f(nxt)
-                evals += 1
-                candidates.append((fval, nxt, sched + (((pair), lam),)))
-                if fval < best_f - 1e-15:
-                    best_f, best_state, best_sched = fval, nxt, sched + ((pair, lam),)
-                if evals >= budget:
-                    break
+            nxt = _apply_step(state, table)[:budget - evals]
+            f = witness_batch(nxt)
+            evals += f.size
+            # in candidate order, the best moves only on a strict improvement
+            for k in np.flatnonzero(f < best_f - 1e-15).tolist():
+                if f[k] < best_f - 1e-15:
+                    best_f, best_state, best_sched = float(f[k]), nxt[k], sched + (actions[k],)
+            scored.append((f, nxt))
             if evals >= budget:
                 break
-        candidates.sort(key=lambda c: c[0])
-        frontier = candidates[:width]
-        if not frontier or frontier[0][0] >= beams[0][0] - 1e-15:
+        f, nxt = (np.concatenate(a) for a in zip(*scored))
+        top = np.argsort(f, kind="stable")[:width]
+        if f[top[0]] >= beams[0][0] - 1e-15:
             break  # converged: no strict improvement available
-        beams = frontier
+        beams = [(f[c], nxt[c], beams[c // n][2] + (actions[c % n],)) for c in top]
     return MtpSearchResult(best_f=best_f,
                            schedule=ThermalizationSchedule(best_sched),
                            best_state=PopVector(best_state),

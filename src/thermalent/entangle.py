@@ -2,11 +2,12 @@
 
 The central quantity is the witness ``f(q) = 4 q1 q4 - (q2 - q3)^2`` on
 population vectors ordered as (|00>, |01>, |10>, |11>).  A negative value
-means some rotation inside the degenerate energy subspace produces a
-negative partial transpose, i.e. the populations can be entangled without
-touching the bath.  Thermal entanglability reduces to evaluating the witness
-at a single distinguished extreme point of the future thermal cone, the one
-with level ordering (2, 1, 3, 4).
+means a rotation inside the degenerate energy subspace entangles the state
+without touching the bath.  Thermal entanglability reduces to the witness at
+the (2, 1, 3, 4) extreme point of the future thermal cone.  ``witness_batch``
+and ``max_negativity`` on (n, 4) rows are the one witness and negativity
+arithmetic; a single state is a one-row call, so a verdict and a volume read
+the same bits for the same state.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _SMALLEST_WEIGHT,
     PI_STAR,
     GibbsContext,
     PopVector,
@@ -44,15 +46,15 @@ def _as_probs(q, d: int = 4) -> np.ndarray:
     return a
 
 
-def witness_f(q) -> float:
-    """Witness 4 q1 q4 - (q2 - q3)^2; negative iff subspace entanglable."""
-    a = _as_probs(q)
-    return float(4.0 * a[0] * a[3] - (a[1] - a[2]) ** 2)
-
-
 def witness_batch(Q: np.ndarray) -> np.ndarray:
+    """Witness 4 q1 q4 - (q2 - q3)^2 of each row; negative iff subspace entanglable."""
     Q = np.asarray(Q, dtype=float)
     return 4.0 * Q[:, 0] * Q[:, 3] - (Q[:, 1] - Q[:, 2]) ** 2
+
+
+def witness_f(q) -> float:
+    """Witness of one state: a one-row ``witness_batch``."""
+    return float(witness_batch(_as_probs(q)[None, :])[0])
 
 
 def min_ppt_eigenvalue(q, theta: float) -> float:
@@ -73,13 +75,16 @@ def is_subspace_entanglable(q) -> bool:
     return witness_f(q) < -TAU_F
 
 
-def max_negativity(q) -> float:
-    """Largest negativity reachable by a subspace rotation of ``q``; zero
-    whenever the witness is non-negative."""
-    a = _as_probs(q)
-    if witness_f(a) >= 0.0:
-        return 0.0
-    return 0.5 * (math.hypot(a[0] - a[3], a[1] - a[2]) - (a[0] + a[3]))
+def max_negativity(q):
+    """Largest negativity a subspace rotation reaches, zero where the witness
+    is non-negative: a number for one state, an array for (n, 4) rows."""
+    a = q.probs if isinstance(q, PopVector) else np.asarray(q, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != 4:
+        raise ValueError(f"expected length-4 population vectors, got shape {a.shape}")
+    Q = a.reshape(-1, 4)
+    neg = 0.5 * (np.hypot(Q[:, 0] - Q[:, 3], Q[:, 1] - Q[:, 2]) - (Q[:, 0] + Q[:, 3]))
+    neg[witness_batch(Q) >= 0.0] = 0.0
+    return float(neg[0]) if a.ndim == 1 else neg
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,11 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
     if not is_two_qubit_context(ctx):
         raise ValueError("context is not a two-qubit (0, E, E, 2E) spectrum")
     targets, points = all_extreme_points(p, ctx)
-    p_star = PopVector(points[(targets == PI_STAR.zero_based()).all(axis=1)][0])
-    f_star = witness_f(p_star)
-    return WitnessReport(
-        f_value=witness_f(p),
-        f_star=f_star,
-        in_E=is_subspace_entanglable(p),
-        in_TE=f_star < -TAU_F,
-        max_negativity=_best_vertex(points)[0],
-        optimal_theta=math.pi / 4.0,
-        pi_star_point=p_star,
-    )
+    star = int((targets == PI_STAR.zero_based()).all(axis=1).argmax())
+    f_value, f_star = witness_batch(np.stack([p.probs, points[star]])).tolist()
+    return WitnessReport(f_value=f_value, f_star=f_star, in_E=f_value < -TAU_F,
+                         in_TE=f_star < -TAU_F, max_negativity=_best_vertex(points)[0],
+                         optimal_theta=math.pi / 4.0, pi_star_point=PopVector(points[star]))
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -134,10 +133,10 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
     if p.dim != 4 or ctx.dim != 4:
         raise ValueError("brute-force check requires d = 4")
     if ctx.beta == 0.0:
-        points = [p.probs[list(perm)] for perm in itertools.permutations(range(4))]
+        points = p.probs[list(itertools.permutations(range(4)))]
     else:
         points = all_extreme_points(p, ctx)[1]
-    return all(witness_f(q) >= -TAU_F for q in points)
+    return bool((witness_batch(points) >= -TAU_F).all())
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +145,9 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
 
 def _best_vertex(points: np.ndarray):
     """Largest ``max_negativity`` over the rows of ``points``, and its row."""
-    values = [max_negativity(q) for q in points]
-    best = int(np.argmax(values))
-    return values[best], PopVector(points[best])
+    values = max_negativity(points)
+    best = int(values.argmax())
+    return float(values[best]), PopVector(points[best])
 
 
 def max_negativity_over_cone(p: PopVector, ctx: GibbsContext):
@@ -215,11 +214,14 @@ def critical_temps_thermal(beta_s: float, gap: float) -> CriticalTemps:
     absent when no root exists.  The large-``beta_s`` approximations
     ``beta_s -/+ log(3)/gap`` are always reported.
     """
-    if gap <= 0:
+    if not gap > 0:
         raise ValueError("gap must be positive")
-    if beta_s < 0:
+    if not beta_s >= 0:
         raise ValueError("beta_s must be non-negative")
     delta_s = math.exp(-beta_s * gap)
+    if not delta_s >= _SMALLEST_WEIGHT:  # the rule of GibbsContext.checked_gamma
+        raise ValueError(f"exp(-beta_s * gap) = {delta_s:.3g} is not a normal double: "
+                         f"beta_s * gap must be at most {-math.log(_SMALLEST_WEIGHT):.6g}")
 
     delta_c1 = delta_s * (1.0 + 2.0 * math.sqrt(1.0 + delta_s**2) - 2.0 * delta_s)
     beta_c1 = -math.log(delta_c1) / gap if delta_c1 < 1.0 else None

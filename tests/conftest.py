@@ -1,3 +1,5 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
@@ -95,3 +97,56 @@ qutrit_strategy = st.builds(
     st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
     st.sets(st.integers(0, 2), max_size=1),
     st.booleans())
+
+
+# ---------------------------------------------------------------------------
+# Reference: the schedule search one candidate at a time, with the step of
+# one partial thermalization written out per level pair.  The package scores
+# each beam state's candidates with one witness call.
+# ---------------------------------------------------------------------------
+
+def ref_step(p, energies, beta, pair, lam):
+    i0, j0 = pair[0] - 1, pair[1] - 1
+    de = energies[j0] - energies[i0]
+    if math.isinf(beta):
+        share = 0.5 if de == 0 else (1.0 if de > 0 else 0.0)
+    else:
+        share = 1.0 / (1.0 + math.exp(-beta * de))
+    s = p[i0] + p[j0]
+    out = p.copy()
+    out[i0] = (1.0 - lam) * p[i0] + lam * share * s
+    out[j0] = (1.0 - lam) * p[j0] + lam * (1.0 - share) * s
+    return out
+
+
+def ref_mtp_search(probs, energies, beta, witness, strategy, budget):
+    """(best_f, schedule steps, best state, evaluations) of the search: every
+    candidate in action order, the best moving only on a strict improvement
+    by 1e-15, the budget cutting inside a beam, the next beam the ``width``
+    best candidates of a stable sort."""
+    actions = [((i, j), k / 10.0) for i in range(1, 5) for j in range(i + 1, 5)
+               for k in range(1, 11)]
+    width = 1 if strategy == "greedy" else 8
+    best_f, best_sched, best_state = witness(probs), (), probs
+    beams = [(best_f, probs, ())]
+    evals = 0
+    while evals < budget:
+        candidates = []
+        for _, state, sched in beams:
+            for pair, lam in actions:
+                nxt = ref_step(state, energies, beta, pair, lam)
+                fval = witness(nxt)
+                evals += 1
+                candidates.append((fval, nxt, sched + ((pair, lam),)))
+                if fval < best_f - 1e-15:
+                    best_f, best_state, best_sched = fval, nxt, sched + ((pair, lam),)
+                if evals >= budget:
+                    break
+            if evals >= budget:
+                break
+        candidates.sort(key=lambda c: c[0])
+        frontier = candidates[:width]
+        if not frontier or frontier[0][0] >= beams[0][0] - 1e-15:
+            break
+        beams = frontier
+    return best_f, best_sched, best_state, evals

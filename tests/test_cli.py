@@ -1,13 +1,17 @@
 import json
 import math
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermalent import cli
 from thermalent.cli import dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: every manifest carries exactly these fields
 MANIFEST_KEYS = {"subcommand", "params", "seed", "version", "wall_time_s"}
@@ -160,6 +164,16 @@ class TestCriticalTempInputs:
     ])
     def test_rejected(self, capsys, extra, message):
         code, out, err = run(capsys, "critical-temp", "--state", "0.12,0.38,0.12,0.38", *extra)
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--beta-s", "nan"), "beta_s must be non-negative"),
+        (("--beta-s", "5", "--gap", "nan"), "gap must be positive"),
+        # exp(-800) underflows to 0, below the smallest normal double
+        (("--beta-s", "800"), "at most 708.396"),
+    ])
+    def test_thermal_rejected(self, capsys, extra, message):
+        code, out, err = run(capsys, "critical-temp", *extra)
         assert code == 2 and out == "" and message in err
 
 
@@ -457,3 +471,29 @@ class TestManifest:
         assert manifest["params"] == params
         assert manifest["seed"] == (3 if argv[0] == "volume" else None)
         assert manifest["wall_time_s"] >= 0
+
+
+def readme_cli_lines():
+    """The ``thermalent ...`` lines of the README's CLI block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("thermalent ")]
+
+
+class TestReadmeExamples:
+    """Every line of the README's CLI block runs and exits 0, with the files
+    it writes sent to a temporary directory."""
+
+    def test_block_is_read(self):
+        assert len(readme_cli_lines()) >= 10
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_example_exits_0(self, tmp_path, line):
+        argv = shlex.split(line)[1:]
+        for i, arg in enumerate(argv[:-1]):
+            if arg in ("--out", "--mesh-out"):
+                argv[i + 1] = str(tmp_path / argv[i + 1])
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 0
+        assert all(f.stat().st_size > 0 for f in tmp_path.iterdir())

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thermalent import core, dynamics as dy, entangle as en, majorization as mj
-from tests.conftest import random_states
+from tests.conftest import random_states, ref_mtp_search, state_strategy
 
 
 def ctx2q(beta):
@@ -240,6 +241,25 @@ class TestMtpSearch:
         traj = dy.apply_schedule(p, ctx, res.schedule)
         assert dy.trajectory_in_cone(p, ctx, traj)
         assert en.witness_f(traj[-1]) == pytest.approx(res.best_f, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("budget", [1, 59, 60, 61, 500, 4000])
+    @settings(max_examples=30)
+    @given(state_strategy, st.sampled_from([0.0, 1.0, 2.0, math.inf]))
+    # the first candidate to improve on the start is within 1e-15 of a later,
+    # lower one, so it stays the best: not the least witness of the beam
+    @example(np.array([0.1, 0.05, 0.4, 0.45]), 0.0)
+    def test_matches_the_per_candidate_reference(self, strategy, budget, probs, beta):
+        # budgets that end inside the first beam state's 60 candidates, at
+        # their end, just past them, and inside or after later beams
+        ctx, p = ctx2q(beta), core.PopVector(probs)
+        res = dy.mtp_entangle_search(p, ctx, strategy, budget)
+        best_f, sched, state, evals = ref_mtp_search(
+            p.probs, ctx.energies, beta, en.witness_f, strategy, budget)
+        assert res.best_f == best_f
+        assert res.schedule.steps == sched
+        assert res.best_state.probs.tobytes() == core.PopVector(state).probs.tobytes()
+        assert res.evaluations == evals
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,13 @@ class TestNegativity:
             n = en.max_negativity(row)
             assert 0.0 <= n <= 0.5 + 1e-12
 
+    def test_rows_and_wrong_shapes(self, rng):
+        rows = random_states(rng, 200)
+        assert np.array_equal(en.max_negativity(rows), [en.max_negativity(r) for r in rows])
+        for bad in ([0.5, 0.5], np.zeros((3, 5)), np.zeros((2, 2, 4)), 0.5):
+            with pytest.raises(ValueError, match="length-4"):
+                en.max_negativity(bad)
+
 
 class TestNegativityOverCone:
     def test_top_vertex_reaches_bell(self):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
@@ -534,6 +534,10 @@ class TestOneTightPointArithmetic:
             assert np.array_equal(v.probs, mj.extreme_point(p, ctx, order).probs)
 
     @given(state_strategy, beta_strategy)
+    # the scalar witness of an earlier release gave -0.3125369981503078 here,
+    # an ulp off the volume's f*
+    @example(np.array([0.14082215705568876, 0.696365687904367,
+                       0.11253619842700521, 0.05027595661293893]), 0.0)
     def test_classify_reads_the_cone(self, probs, beta):
         ctx, p = ctx2q(beta), core.PopVector(probs)
         rep = en.is_thermally_entanglable(p, ctx)
@@ -542,6 +546,8 @@ class TestOneTightPointArithmetic:
         assert np.array_equal(rep.pi_star_point.probs, star)
         assert np.array_equal(star, mj.extreme_point(p, ctx, core.PI_STAR).probs)
         assert rep.f_star == en.witness_f(star)
+        assert rep.f_star == en.fstar_batch(p.probs[None, :], ctx.gamma)[0]
+        assert rep.f_value == en.witness_batch(p.probs[None, :])[0]
         assert rep.max_negativity == max(en.max_negativity(q) for q in points)
         assert en.max_negativity_over_cone(p, ctx)[0] == rep.max_negativity
         for order, v in mj.future_cone(p, ctx).extremes:
