@@ -8,25 +8,19 @@ and measure the relevant convex sets, and simulate the dynamical protocols
 __version__ = "0.1.0"
 
 from .core import (
-    INF_BETA,
     PI_STAR,
     BetaOrdering,
     GibbsContext,
     PopVector,
-    SubspaceDecomposition,
     beta_order,
-    decompose_subspaces,
     make_context,
     pop_vector,
-    state_from_json,
     two_qubit_context,
 )
 from .majorization import (
     ThermalCone,
     ThermoCurve,
-    cone_contains,
     curve,
-    evaluate,
     extreme_point,
     future_cone,
     thermo_majorizes,
@@ -51,7 +45,6 @@ from .geometry import (
     VolumeEstimate,
     convex_hull_export,
     ne_boundary_p3,
-    sample_simplex,
     sample_simplex_array,
     tne_boundary,
     volume_of,

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .core import PopVector, make_context, pop_vector, two_qubit_context
 from .dynamics import (
+    MIN_BETA_E,
     JCConfig,
     jc_protocol,
     mtp_entangle_search,
@@ -201,8 +202,8 @@ def _run_jc(args):
         grid = np.array([args.betaE])
     else:
         raise ValueError("give --betaE or --betaE-range a:b:n")
-    if grid.min() < 0.2 and not args.allow_low_betae:
-        raise ValueError("beta*E below 0.2 needs a very deep Fock truncation; "
+    if grid.min() < MIN_BETA_E and not args.allow_low_betae:
+        raise ValueError(f"beta*E below {MIN_BETA_E:g} needs a very deep Fock truncation; "
                          "pass --allow-low-betae to override")
     rows = []
     for be in grid:

@@ -9,8 +9,6 @@ physics convention for labelling energy levels; internal numpy work is
 from __future__ import annotations
 
 import functools
-import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,9 +16,6 @@ import numpy as np
 
 #: normalization tolerance for probability vectors
 TAU_NORM = 1e-10
-
-#: inverse-temperature value representing the zero-temperature limit
-INF_BETA = math.inf
 
 #: smallest Gibbs weight usable at finite beta: the smallest normal double,
 #: so that population-to-weight ratios cannot overflow
@@ -72,10 +67,6 @@ class GibbsContext:
                 f"Gibbs weights underflow at beta={self.beta:g} (smallest "
                 f"{self.gamma.min():.3g}); pass beta=inf for the zero-temperature limit")
         return self.gamma
-
-    def to_json(self) -> str:
-        beta = "inf" if self.beta_is_infinite else self.beta
-        return json.dumps({"energies": list(self.energies), "beta": beta})
 
 
 def make_context(energies, beta) -> GibbsContext:
@@ -153,9 +144,6 @@ class PopVector:
 
     def __hash__(self):
         return hash(self.probs.tobytes())
-
-    def to_json(self) -> str:
-        return json.dumps({"probs": self.probs.tolist()})
 
 
 def pop_vector(probs, renorm: bool = False) -> PopVector:
@@ -295,74 +283,3 @@ def beta_order(p: PopVector, ctx: GibbsContext) -> BetaOrdering:
     order = batch_order(p.probs[None, :], ctx.checked_gamma())[0]
     return BetaOrdering(tuple(int(i) + 1 for i in order))
 
-
-@dataclass(frozen=True)
-class SubspaceDecomposition:
-    """Partition of basis levels into groups of (near-)equal total energy."""
-
-    groups: dict
-
-    def sizes(self) -> tuple:
-        return tuple(len(v) for _, v in sorted(self.groups.items()))
-
-    def group_at(self, energy: float, tol: float = 1e-9) -> tuple:
-        for e, idx in self.groups.items():
-            if abs(e - energy) <= tol:
-                return idx
-        raise KeyError(f"no subspace at energy {energy}")
-
-
-def decompose_subspaces(local_gaps) -> SubspaceDecomposition:
-    """Group tensor-product basis levels of non-interacting subsystems by total energy.
-
-    Each subsystem is given by its excited-level gaps above its ground state;
-    a bare number is shorthand for a single-gap qubit.  Basis levels are
-    indexed 1-based in row-major (first subsystem most significant) order.
-    """
-    ladders = []
-    for gaps in local_gaps:
-        if isinstance(gaps, (int, float)):
-            gaps = (gaps,)
-        ladders.append((0.0,) + tuple(float(g) for g in gaps))
-    if not ladders:
-        raise ValueError("need at least one subsystem")
-
-    totals = [sum(combo) for combo in itertools.product(*ladders)]
-    tol = deg_tolerance(totals)
-
-    order = sorted(range(len(totals)), key=lambda i: (totals[i], i))
-    groups: dict = {}
-    current: list = []
-    anchor = None
-    for i in order:
-        if anchor is None or abs(totals[i] - anchor) > tol:
-            if current:
-                groups[anchor] = tuple(sorted(j + 1 for j in current))
-            current = [i]
-            anchor = totals[i]
-        else:
-            current.append(i)
-    if current:
-        groups[anchor] = tuple(sorted(j + 1 for j in current))
-    return SubspaceDecomposition(groups=groups)
-
-
-def state_from_json(text):
-    """Parse ``{"probs": [...], "energies": [...], "beta": number | "inf"}``.
-
-    Returns ``(PopVector | None, GibbsContext | None)`` depending on which
-    keys are present.
-    """
-    obj = json.loads(text) if isinstance(text, str) else dict(text)
-    pop = PopVector(obj["probs"]) if "probs" in obj else None
-    ctx = None
-    if "energies" in obj:
-        if "beta" not in obj:
-            raise ValueError("energies given without beta")
-        beta = obj["beta"]
-        if isinstance(beta, str):
-            if beta.lower() not in ("inf", "infinity"):
-                raise ValueError(f"unrecognized beta value {beta!r}")
-            beta = math.inf
-        ctx = make_context(obj["energies"], beta)
-    return pop, ctx

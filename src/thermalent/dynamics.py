@@ -279,8 +279,12 @@ def _step_table(ctx: GibbsContext, steps) -> tuple:
         de = ctx.energies[j - 1] - ctx.energies[i - 1]
         if ctx.beta_is_infinite:
             share = 0.5 if de == 0 else (1.0 if de > 0 else 0.0)
-        else:
+        elif de >= 0:
             share = 1.0 / (1.0 + math.exp(-ctx.beta * de))
+        else:
+            # the same logistic with an exponent <= 0, so it cannot overflow
+            e = math.exp(ctx.beta * de)
+            share = e / (1.0 + e)
         rows.append((i - 1, j - 1, lam, share))
     i0, j0, lam, share = np.array(rows, dtype=float).reshape(-1, 4).T
     return i0.astype(int), j0.astype(int), lam, share

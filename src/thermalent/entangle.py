@@ -24,7 +24,7 @@ from .core import (
     GibbsContext,
     PopVector,
     is_two_qubit_context,
-    make_context,
+    two_qubit_context,
 )
 from .majorization import all_extreme_points, tight_point_tiles
 
@@ -252,13 +252,12 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
         raise ValueError("empty scan range")
     if not 2 <= n_scan <= MAX_SCAN:
         raise ValueError(f"scan size must lie in 2..{MAX_SCAN}, got {n_scan}")
-    energies = (0.0, gap, gap, 2.0 * gap)
 
     def h(beta):
-        return fstar_batch(p.probs[None, :], make_context(energies, beta).checked_gamma())[0]
+        return fstar_batch(p.probs[None, :], two_qubit_context(beta, gap).checked_gamma())[0]
 
     betas = np.linspace(lo, hi, n_scan)
-    gammas = np.array([make_context(energies, b).checked_gamma() for b in betas])
+    gammas = np.array([two_qubit_context(b, gap).checked_gamma() for b in betas])
     vals = fstar_batch(np.tile(p.probs, (n_scan, 1)), gammas)
 
     roots = []

@@ -58,12 +58,6 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def sample_simplex(d: int, n: int, seed: int):
-    """Stream of uniform simplex points (PopVector views of the array API)."""
-    for row in sample_simplex_array(d, n, seed):
-        yield PopVector(row)
-
-
 @dataclass(frozen=True)
 class VolumeEstimate:
     """Monte Carlo volume fraction with its binomial standard error."""
@@ -139,7 +133,6 @@ class BoundaryCloud:
 
     points: np.ndarray
     grid_resolution: int
-    iterations: int
     inner_points: np.ndarray
     outer_points: np.ndarray
 
@@ -184,7 +177,7 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
     if ctx.beta_is_infinite:
         ground = np.zeros((1, 4))
         ground[0, 0] = 1.0
-        return BoundaryCloud(points=ground, grid_resolution=grid, iterations=iters,
+        return BoundaryCloud(points=ground, grid_resolution=grid,
                              inner_points=ground.copy(), outer_points=ground.copy())
 
     gamma = ctx.checked_gamma()
@@ -200,7 +193,7 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
         outer[~in_tne] = mid[~in_tne]
 
     cloud = 0.5 * (inner + outer)
-    return BoundaryCloud(points=cloud, grid_resolution=grid, iterations=iters,
+    return BoundaryCloud(points=cloud, grid_resolution=grid,
                          inner_points=inner, outer_points=outer)
 
 

@@ -69,11 +69,6 @@ class ThermoCurve:
     xs: np.ndarray = field(compare=False)
     ys: np.ndarray = field(compare=False)
 
-    @property
-    def jump_top(self) -> float:
-        """Curve value immediately to the right of x=0 (0 unless a jump exists)."""
-        return float(self.ys[1]) if self.xs[1] == 0.0 else 0.0
-
     def evaluate_upper(self, x):
         """Curve value at ``x`` (a number or an array); at x=0 the top of the
         jump.  CHUNK points at a time, so the temporary is CHUNK x levels."""
@@ -90,10 +85,6 @@ class ThermoCurve:
             raise ValueError(f"x={x[~inside].flat[0]} outside [0, 1]")
         y = np.where(x <= 0.0, 0.0, self.evaluate_upper(np.clip(x, 0.0, 1.0)))
         return float(y) if y.ndim == 0 else y
-
-
-def evaluate(curve: ThermoCurve, x: float) -> float:
-    return curve.evaluate(x)
 
 
 def _check_dims(ctx: GibbsContext, *objs) -> None:
@@ -132,7 +123,8 @@ def extreme_point(p: PopVector, ctx: GibbsContext, target: BetaOrdering) -> PopV
 
 @dataclass(frozen=True)
 class ThermalCone:
-    """Future thermal cone: the states reachable from ``origin``."""
+    """Future thermal cone: the states reachable from ``origin``.  A state q
+    lies in it iff ``thermo_majorizes(origin, q, ctx)``."""
 
     origin: PopVector
     ctx: GibbsContext
@@ -141,9 +133,6 @@ class ThermalCone:
     @property
     def points(self) -> np.ndarray:
         return np.array([v.probs for _, v in self.extremes])
-
-    def contains(self, q: PopVector) -> bool:
-        return cone_contains(self, q)
 
 
 def _dedup(points, tol):
@@ -192,12 +181,6 @@ def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
     extremes = tuple((BetaOrdering(targets[i] + 1), PopVector(points[i]))
                      for i in _dedup(points, TAU_CMP))
     return ThermalCone(origin=p, ctx=ctx, extremes=extremes)
-
-
-def cone_contains(cone: ThermalCone, q: PopVector) -> bool:
-    """Membership via dominance of the origin's curve (transitivity makes
-    this equivalent to checking every extreme point)."""
-    return thermo_majorizes(cone.origin, q, cone.ctx)
 
 
 # ---------------------------------------------------------------------------

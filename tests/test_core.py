@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -182,55 +181,3 @@ class TestBetaOrdering:
         assert core.beta_order(p, ctx).perm == (3, 2, 1, 4)
         q = core.PopVector([1.0, 0.0, 0.0, 0.0])
         assert core.beta_order(q, ctx).perm == (1, 2, 3, 4)
-
-
-class TestSubspaces:
-    def test_three_equal_qubits_binomial(self):
-        dec = core.decompose_subspaces((1.0, 1.0, 1.0))
-        assert dec.sizes() == (1, 3, 3, 1)
-
-    def test_sum_gap_structure(self):
-        # third gap equal to the sum of the first two creates the pair
-        # {|110>, |001>} at that total energy
-        dec = core.decompose_subspaces((1.0, 2.0, 3.0))
-        assert dec.group_at(3.0) == (2, 7)
-
-    def test_two_qubits(self):
-        dec = core.decompose_subspaces((1.0, 1.0))
-        assert dec.groups == {0.0: (1,), 1.0: (2, 3), 2.0: (4,)}
-
-    def test_qubit_qutrit_layout(self):
-        dec = core.decompose_subspaces((1.0, (1.0, 2.0)))
-        assert dec.sizes() == (1, 2, 2, 1)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            core.decompose_subspaces(())
-
-
-class TestJson:
-    def test_roundtrip(self):
-        pop, ctx = core.state_from_json(
-            '{"probs": [0.4, 0.25, 0.33, 0.02], "energies": [0, 1, 1, 2], "beta": 1.0}')
-        assert np.allclose(pop.probs, [0.4, 0.25, 0.33, 0.02])
-        assert ctx.beta == 1.0
-        again, _ = core.state_from_json(pop.to_json())
-        assert again == pop
-
-    def test_infinite_beta_token(self):
-        _, ctx = core.state_from_json({"energies": [0, 1], "beta": "inf"})
-        assert ctx.beta_is_infinite
-        parsed = json.loads(ctx.to_json())
-        assert parsed["beta"] == "inf"
-
-    def test_state_only(self):
-        pop, ctx = core.state_from_json('{"probs": [1, 0]}')
-        assert ctx is None and pop.dim == 2
-
-    def test_missing_beta_errors(self):
-        with pytest.raises(ValueError):
-            core.state_from_json('{"energies": [0, 1]}')
-
-    def test_bad_beta_token(self):
-        with pytest.raises(ValueError):
-            core.state_from_json({"energies": [0, 1], "beta": "warm"})

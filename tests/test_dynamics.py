@@ -162,11 +162,15 @@ class TestJointEvolution:
 class TestSchedules:
     def test_full_thermalization_of_a_pair(self):
         ctx = ctx2q(1.0)
-        p = core.PopVector([0.6, 0.4, 0.0, 0.0])
-        traj = dy.apply_schedule(p, ctx, dy.ThermalizationSchedule((((1, 2), 1.0),)))
-        s = 1.0
-        share = ctx.gamma[0] / (ctx.gamma[0] + ctx.gamma[1])
-        assert np.allclose(traj[-1].probs[:2], [share * s, (1 - share) * s], atol=1e-12)
+        p = core.PopVector([0.6, 0.3, 0.0, 0.1])
+        g = ctx.gamma
+        # the pair's first level lies lower, then higher
+        for i, j in ((1, 2), (2, 1), (4, 1)):
+            traj = dy.apply_schedule(p, ctx, dy.ThermalizationSchedule((((i, j), 1.0),)))
+            s = p.probs[i - 1] + p.probs[j - 1]
+            share = g[i - 1] / (g[i - 1] + g[j - 1])
+            assert np.allclose(traj[-1].probs[[i - 1, j - 1]], [share * s, (1 - share) * s],
+                               atol=1e-12)
 
     def test_zero_strength_is_identity(self, rng):
         ctx = ctx2q(0.7)
@@ -202,6 +206,15 @@ class TestSchedules:
         # degenerate excited pair splits evenly
         t2 = dy.apply_schedule(p, ctx, dy.ThermalizationSchedule((((2, 3), 1.0),)))
         assert np.allclose(t2[-1].probs, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
+
+    def test_large_beta_upward_pair_does_not_overflow(self):
+        # the pair's first level lies higher and beta * gap is past exp's range
+        ctx = ctx2q(800)
+        sched = dy.ThermalizationSchedule((((2, 1), 0.5),))
+        assert dy._step_table(ctx, sched.steps)[3].tolist() == [0.0]
+        traj = dy.apply_schedule(core.PopVector([0.25] * 4), ctx, sched)
+        assert np.isfinite(traj[-1].probs).all()
+        assert traj[-1].probs.tolist() == [0.375, 0.125, 0.25, 0.25]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -26,11 +26,6 @@ class TestSampling:
         short = geo.sample_simplex_array(4, 1_000, 5)
         assert np.array_equal(long[:1_000], short)
 
-    def test_stream_matches_array(self):
-        arr = geo.sample_simplex_array(3, 50, 7)
-        stream = list(geo.sample_simplex(3, 50, 7))
-        assert all(np.array_equal(s.probs, row) for s, row in zip(stream, arr))
-
     def test_d2_mean_first_coordinate(self):
         n = 200_000
         s = geo.sample_simplex_array(2, n, 11)
