@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Build the bisection cloud on the thermally non-entanglable boundary,
+"""Build the cloud on the thermally non-entanglable boundary (one
+closed-form root per ray from a facet grid point to the Gibbs state),
 export its convex hull as an OBJ mesh, and compare the hull volume with an
 independent Monte Carlo estimate.
 """

@@ -33,7 +33,7 @@ from .entangle import (
     critical_temps_thermal,
     is_thermally_entanglable,
 )
-from .geometry import convex_hull_export, tne_boundary, volume_of
+from .geometry import MAX_ITERS, convex_hull_export, tne_boundary, volume_of
 from .majorization import curve, future_cone
 
 SEED_ENV = "THERMALENT_SEED"
@@ -301,10 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=None,
                     help="worker threads, at least 1 (default: all cores; result unchanged)")
 
-    sp = _add_subcommand(sub, "boundary", _run_boundary, "bisection cloud on the TNE boundary",
+    sp = _add_subcommand(sub, "boundary", _run_boundary,
+                         "TNE boundary cloud, one closed-form root per ray",
                          formats=("csv", "json"))
     sp.add_argument("--grid", type=int, default=24, help="facet grid resolution")
-    sp.add_argument("--iters", type=int, default=30, help="bisection steps")
+    sp.add_argument("--iters", type=int, default=30,
+                    help=f"bracket width 2^-iters along each ray, at most {MAX_ITERS}")
     sp.add_argument("--mesh-out", default=None, help="write an OBJ mesh of the hull")
 
     sp = _add_subcommand(sub, "critical-temp", _run_critical_temp,

@@ -16,9 +16,9 @@ from itertools import islice
 
 import numpy as np
 
-from .core import GibbsContext, PopVector
+from .core import CHUNK, PI_STAR, GibbsContext, PopVector, batch_order
 from .entangle import TAU_F, fstar_batch, witness_batch
-from .majorization import batch_majorizes
+from .majorization import _level_maps, _take_rows, batch_majorizes
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
@@ -31,6 +31,11 @@ SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 #: largest facet grid resolution: the grid holds 2 m^2 + 2 points, built in
 #: a Python set, about 130k at the cap
 MAX_GRID = 256
+
+#: most bracket halvings of ``tne_boundary``: a bracket 2^-iters wide along
+#: a ray of [0, 1] is the spacing of doubles near 1 at 52, and narrower ones
+#: cannot be resolved
+MAX_ITERS = 52
 
 
 def _simplex_block(d: int, rows: int, seed: int, block: int) -> np.ndarray:
@@ -129,7 +134,10 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
 
 @dataclass(frozen=True)
 class BoundaryCloud:
-    """Bisection approximation of the thermally non-entanglable boundary."""
+    """Points on the thermally non-entanglable boundary, one per ray from a
+    facet grid point to the Gibbs state, each between a confirmed
+    non-entanglable ``inner_points`` row and an entanglable ``outer_points``
+    row."""
 
     points: np.ndarray
     grid_resolution: int
@@ -160,9 +168,69 @@ def simplex_facet_grid(resolution: int) -> np.ndarray:
     return np.array(sorted(pts))
 
 
+def _ray_points(O: np.ndarray, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(1 - t) gamma + t o for each row o: exactly gamma at t = 0 and o at t = 1."""
+    return (1.0 - t)[:, None] * gamma + t[:, None] * O
+
+
+def _ray_roots(O: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The root t* in (0, 1] of f* = -TAU_F along each ray from gamma (t = 0)
+    to a row o of O (t = 1), where f* < -TAU_F.
+
+    Along the ray every ratio p_i/gamma_i - 1 is t (o_i/gamma_i - 1), so o's
+    level ordering holds for all t > 0 and the (2,1,3,4) tight point is
+    q0 + t dq, through the map of that ordering.  f* is then the quadratic
+    a t^2 + b t + f*(gamma), solved in the stable form of the formula.
+    Raises RuntimeError unless each ray has exactly one root in (0, 1].
+    """
+    order = batch_order(O, gamma)
+    t = np.empty(len(O))
+    for lo in range(0, len(O), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        maps = _level_maps(order[rows], gamma, PI_STAR)
+        q0 = np.einsum("nki,nk->ni", maps, np.take(gamma, order[rows]))
+        dq = np.einsum("nki,nk->ni", maps, _take_rows(O[rows], order[rows])) - q0
+        a, c = witness_batch(dq), witness_batch(q0) + TAU_F
+        b = (4.0 * (q0[:, 0] * dq[:, 3] + q0[:, 3] * dq[:, 0])
+             - 2.0 * (q0[:, 1] - q0[:, 2]) * (dq[:, 1] - dq[:, 2]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            r1, r2 = h / a, c / h
+        in1, in2 = (r1 > 0) & (r1 <= 1), (r2 > 0) & (r2 <= 1)
+        if not (in1 != in2).all():
+            raise RuntimeError(f"{int((in1 == in2).sum())} boundary rays have no "
+                               f"single root of f* = -{TAU_F:g} in (0, 1]")
+        t[rows] = np.where(in1, r1, r2)
+    return t
+
+
+def _confirmed_ends(O: np.ndarray, gamma: np.ndarray, t: np.ndarray, step: float,
+                    in_tne: bool) -> np.ndarray:
+    """Ray points at t + step, clamped to [0, 1], whose ``fstar_batch``
+    verdict is non-entanglable (``in_tne``) or entanglable.  A row whose
+    verdict differs doubles its step until it agrees; at a step of 1 the
+    points are gamma and o themselves."""
+    steps = np.full(len(t), step)
+    todo = np.arange(len(t))
+    ends = np.empty_like(O)
+    for _ in range(MAX_ITERS + 2):
+        ends[todo] = _ray_points(O[todo], gamma, np.clip(t[todo] + steps[todo], 0.0, 1.0))
+        todo = todo[(fstar_batch(ends[todo], gamma) >= -TAU_F) != in_tne]
+        if not todo.size:
+            return ends
+        steps[todo] *= 2.0
+    raise RuntimeError(f"{todo.size} boundary ends disagree with their verdict at gamma or o")
+
+
 def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
-    """Bisect from boundary grid points toward the Gibbs state to locate the
-    thermally non-entanglable surface.
+    """Locate the thermally non-entanglable surface along the rays from the
+    entanglable facet grid points o toward the Gibbs state gamma.
+
+    On each ray f* is a quadratic in t (``_ray_roots``); its root t* gives
+    the cloud point, and the bracket ends sit at t* -/+ 2^-(iters + 1),
+    clamped to [0, 1] and confirmed by ``fstar_batch``, so the bracket is
+    2^-iters wide along the ray (1 <= iters <= MAX_ITERS) unless a verdict
+    widened it.
 
     Grid points that are not thermally entanglable (the lone exceptional
     boundary state, and its permutation images at beta = 0) are skipped.
@@ -171,8 +239,8 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
     """
     if ctx.dim != 4:
         raise ValueError("boundary construction is defined for 4-level systems")
-    if iters < 1:
-        raise ValueError("need at least one bisection step")
+    if not 1 <= iters <= MAX_ITERS:
+        raise ValueError(f"iters must lie in 1..{MAX_ITERS}, got {iters}")
     _check_resolution(grid)
     if ctx.beta_is_infinite:
         ground = np.zeros((1, 4))
@@ -182,19 +250,12 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
 
     gamma = ctx.checked_gamma()
     grid_pts = simplex_facet_grid(grid)
-    entanglable = fstar_batch(grid_pts, gamma) < -TAU_F
-    outer = grid_pts[entanglable]
-    inner = np.tile(gamma, (outer.shape[0], 1))
-
-    for _ in range(iters):
-        mid = 0.5 * (inner + outer)
-        in_tne = fstar_batch(mid, gamma) >= -TAU_F
-        inner[in_tne] = mid[in_tne]
-        outer[~in_tne] = mid[~in_tne]
-
-    cloud = 0.5 * (inner + outer)
-    return BoundaryCloud(points=cloud, grid_resolution=grid,
-                         inner_points=inner, outer_points=outer)
+    O = grid_pts[fstar_batch(grid_pts, gamma) < -TAU_F]
+    t = _ray_roots(O, gamma)
+    half = 2.0 ** -(iters + 1)
+    return BoundaryCloud(points=_ray_points(O, gamma, t), grid_resolution=grid,
+                         inner_points=_confirmed_ends(O, gamma, t, -half, True),
+                         outer_points=_confirmed_ends(O, gamma, t, half, False))
 
 
 def ne_boundary_p3(p1: float, p2: float) -> tuple:
@@ -264,8 +325,9 @@ def convex_hull_export(cloud) -> HullMesh:
     except QhullError as exc:
         raise ValueError(f"degenerate cloud: {exc}") from exc
 
-    remap = {old: new for new, old in enumerate(hull.vertices)}
-    faces = np.array([[remap[i] for i in simplex] for simplex in hull.simplices])
+    remap = np.empty(len(pts), dtype=int)  # each hull vertex's row in ``vertices``
+    remap[hull.vertices] = np.arange(len(hull.vertices))
+    faces = remap[hull.simplices]
     return HullMesh(
         vertices=pts[hull.vertices],
         points3d=coords[hull.vertices],

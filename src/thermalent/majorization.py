@@ -20,8 +20,9 @@ q = M_sigma p (``_tight_maps``): the beta-permutations of de Oliveira
 Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109 (2022).
 Every tight point goes through these maps: ``tight_point_tiles`` builds
 them once per call for each ordering seen when the rows share gamma, and
-one per row when each row has its own (the critical-temperature scan), and
-``all_extreme_points`` builds those of all d! targets for one state.  The
+one per row when each row has its own (the critical-temperature scan),
+``all_extreme_points`` builds those of all d! targets for one state, and
+``geometry.tne_boundary`` reads f* along each ray from one map.  The
 orderings come from packed pairwise comparisons (``core.ordering_codes``).
 The batch calls walk their rows in tiles of CHUNK rows, so no temporary
 grows with the batch.
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    CHUNK,
     MAX_DENSE_DIM,
     BetaOrdering,
     GibbsContext,
@@ -50,12 +52,6 @@ TAU_CMP = 1e-10
 
 #: largest dimension for which all d! orderings are enumerated
 MAX_ENUM_DIM = 8
-
-#: rows per tile of the batch calls.  The largest temporary of a tile is its
-#: gathered maps, CHUNK x d x d doubles (512 KB at four levels), so the
-#: working set of a 65,536-row volume block stays resident between calls;
-#: 4,096 ran ``mc-finite`` faster than 8,192 in paired benchmark runs
-CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -273,6 +269,13 @@ def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> 
     return np.diff(F, prepend=0.0, axis=1).transpose(0, 2, 1).copy()
 
 
+def _level_maps(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
+    """``_tight_maps`` for one shared target ordering, with the tight point
+    in level order: q[i] = sum_k maps[c, k, i] r[k]."""
+    t0 = target.zero_based()
+    return np.take(_tight_maps(orders, gammas, t0[None, :]), np.argsort(t0), axis=2)
+
+
 def _tight(maps: np.ndarray, sorted_p: np.ndarray) -> np.ndarray:
     """Apply each row's map to its sorted populations, clipped at 0."""
     q = np.einsum("nki,nk->ni", maps, sorted_p)
@@ -291,20 +294,17 @@ def tight_point_tiles(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
     """
     P = np.asarray(P, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    t0 = target.zero_based()
-    level = np.argsort(t0)  # the column of each level in the target's order
-
-    def maps_of(orders, g=gammas):
-        return np.take(_tight_maps(orders, g, t0[None, :]), level, axis=2)
-
     if gammas.ndim == 1:
+        def maps_of(orders):
+            return _level_maps(orders, gammas, target)
+
         for lo, sorted_p, maps, cls in _grouped_tiles(P, gammas, maps_of):
             yield lo, _tight(np.take(maps, cls, axis=0), sorted_p)
         return
     for lo in range(0, P.shape[0], CHUNK):
         Pt, Gt = P[lo:lo + CHUNK], gammas[lo:lo + CHUNK]
         order = batch_order(Pt, Gt)
-        yield lo, _tight(maps_of(order, Gt), _take_rows(Pt, order))
+        yield lo, _tight(_level_maps(order, Gt, target), _take_rows(Pt, order))
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:

@@ -150,3 +150,24 @@ def ref_mtp_search(probs, energies, beta, witness, strategy, budget):
             break
         beams = frontier
     return best_f, best_sched, best_state, evals
+
+
+# ---------------------------------------------------------------------------
+# Reference: the TNE boundary by bisection, ``iters`` halvings of the bracket
+# from each entanglable facet grid point o (outer) toward the Gibbs state
+# (inner).  The package solves one quadratic per ray instead.
+# ---------------------------------------------------------------------------
+
+def ref_tne_boundary(grid_pts, gamma, iters):
+    """(o, inner, outer) per ray: the entanglable grid points and the
+    bisection bracket ends; each end keeps ``fstar_batch``'s verdict."""
+    from thermalent.entangle import TAU_F, fstar_batch
+
+    outer = grid_pts[fstar_batch(grid_pts, gamma) < -TAU_F]
+    o, inner = outer.copy(), np.tile(gamma, (outer.shape[0], 1))
+    for _ in range(iters):
+        mid = 0.5 * (inner + outer)
+        in_tne = fstar_batch(mid, gamma) >= -TAU_F
+        inner[in_tne] = mid[in_tne]
+        outer[~in_tne] = mid[~in_tne]
+    return o, inner, outer

@@ -139,6 +139,12 @@ class TestSizeCaps:
         code, _, err = run(capsys, "boundary", "--beta", "inf", "--grid", "100000")
         assert code == 2 and "256" in err
 
+    @pytest.mark.parametrize("iters", ["0", "53", "1000000000"])
+    def test_boundary_iters(self, capsys, iters):
+        # a bracket narrower than 2^-52 along a ray cannot be resolved
+        code, _, err = run(capsys, "boundary", "--grid", "4", "--iters", iters)
+        assert code == 2 and "1..52" in err
+
     @pytest.mark.parametrize("argv, limit", [
         # a Python set of 1e9 floats
         (("curve", "--state", "0.5,0.5,0,0", "--points", "1000000000"), "0..100000,"),

@@ -168,6 +168,41 @@ class TestBetaOrdering:
         for p, g, o in zip(P, G, order):
             assert o.tolist() == ref_order(p, g)
 
+    @pytest.fixture
+    def compared_rows(self, monkeypatch):
+        """The row count of every ``_pair_bits`` call."""
+        rows = []
+        pair_bits = core._pair_bits
+
+        def counting(P, gammas):
+            rows.append(P.shape[0])
+            return pair_bits(P, gammas)
+
+        monkeypatch.setattr(core, "_pair_bits", counting)
+        return rows
+
+    def test_batch_order_in_tiles(self, rng, compared_rows):
+        # the (d(d-1)/2, rows) comparisons never span more than one tile
+        n = 3 * core.CHUNK + 1
+        P = random_states(rng, n)
+        P[::7, 2] = P[::7, 1]
+        P /= P.sum(axis=1, keepdims=True)
+        G = np.array([core.two_qubit_context(b).gamma for b in np.resize([0.0, 1.0, 3.0], n)])
+        for gammas in (G[1], G):
+            compared_rows.clear()
+            order = core.batch_order(P, gammas)
+            assert compared_rows == [core.CHUNK] * 3 + [1]
+            tiles = [core.batch_order(P[lo:lo + core.CHUNK],
+                                      gammas if gammas.ndim == 1 else gammas[lo:lo + core.CHUNK])
+                     for lo in range(0, n, core.CHUNK)]
+            assert np.array_equal(order, np.concatenate(tiles))
+            G_rows = np.broadcast_to(gammas, P.shape)
+            assert all(order[r].tolist() == ref_order(P[r], G_rows[r]) for r in range(0, n, 97))
+
+    def test_one_row_is_one_tile(self, compared_rows):
+        core.beta_order(core.PopVector([0.1, 0.2, 0.3, 0.4]), core.two_qubit_context(1.0))
+        assert compared_rows == [1]
+
     def test_dimension_mismatch(self):
         ctx = core.make_context((0, 1), 1.0)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermalent import core, entangle as en, geometry as geo, majorization as mj
-from tests.conftest import random_states
+from tests.conftest import random_states, ref_tne_boundary
 
 
 def ctx2q(beta):
@@ -247,6 +247,75 @@ class TestBoundary:
             geo.tne_boundary(ctx2q(beta), grid=grid, iters=30)
 
 
+class TestBoundaryClosedForm:
+    """The closed-form cloud against the bisection it replaced."""
+
+    BETAS = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_cloud_matches_reference_bisection(self, beta):
+        ctx = ctx2q(beta)
+        o, inner, outer = ref_tne_boundary(geo.simplex_facet_grid(24), ctx.gamma, 30)
+        cloud = geo.tne_boundary(ctx, grid=24, iters=30)
+        reach = np.linalg.norm(o - ctx.gamma, axis=1)
+        assert np.all(np.linalg.norm(cloud.points - 0.5 * (inner + outer), axis=1)
+                      <= 2.0**-30 * reach)
+        assert np.all(en.fstar_batch(cloud.inner_points, ctx.gamma) >= -en.TAU_F)
+        assert np.all(en.fstar_batch(cloud.outer_points, ctx.gamma) < -en.TAU_F)
+        # high beta puts the root near t = 0, where the inner end is clamped
+        for ends in (cloud.points, cloud.inner_points, cloud.outer_points):
+            assert ends.min() >= 0.0
+        assert np.all(np.linalg.norm(cloud.outer_points - cloud.inner_points, axis=1)
+                      <= 2.0**-30 * reach * (1 + 1e-5))
+
+    def test_cloud_sits_on_the_band_edge(self):
+        ctx = ctx2q(1.0)
+        cloud = geo.tne_boundary(ctx, grid=24, iters=30)
+        assert np.abs(en.fstar_batch(cloud.points, ctx.gamma) + en.TAU_F).max() <= 1e-15
+
+    def test_one_root_per_ray_at_grid_96(self):
+        for beta in self.BETAS:
+            gamma = ctx2q(beta).gamma
+            pts = geo.simplex_facet_grid(96)
+            t = geo._ray_roots(pts[en.fstar_batch(pts, gamma) < -en.TAU_F], gamma)
+            assert t.size > 18_000 and np.all((t > 0) & (t <= 1))
+
+    def test_ray_without_a_root_is_an_error(self):
+        # a non-entanglable o: f* stays above -TAU_F along the whole ray
+        with pytest.raises(RuntimeError, match="single root"):
+            geo._ray_roots(np.array([[0.5, 0.2, 0.2, 0.1]]), ctx2q(0.5).gamma)
+
+    @pytest.fixture
+    def witness_rows(self, monkeypatch):
+        """The row count of every ``fstar_batch`` call that ``geometry`` makes."""
+        rows = []
+
+        def counting(P, gammas):
+            rows.append(len(P))
+            return en.fstar_batch(P, gammas)
+
+        monkeypatch.setattr(geo, "fstar_batch", counting)
+        return rows
+
+    def test_three_witness_calls_when_no_end_widens(self, witness_rows):
+        cloud = geo.tne_boundary(ctx2q(1.0), grid=24, iters=30)
+        assert witness_rows == [geo.simplex_facet_grid(24).shape[0]] + [len(cloud.points)] * 2
+
+    def test_rounding_widens_an_end_until_its_verdict_holds(self, witness_rows):
+        # at 2^-52 rounding decides some verdicts; those ends step further out
+        ctx = ctx2q(1.0)
+        cloud = geo.tne_boundary(ctx, grid=24, iters=geo.MAX_ITERS)
+        assert len(witness_rows) > 3
+        assert np.all(en.fstar_batch(cloud.inner_points, ctx.gamma) >= -en.TAU_F)
+        assert np.all(en.fstar_batch(cloud.outer_points, ctx.gamma) < -en.TAU_F)
+
+    @pytest.mark.parametrize("iters", [0, geo.MAX_ITERS + 1, 10**9])
+    @pytest.mark.parametrize("beta", [0.5, math.inf])
+    def test_iters_capped_at_the_mantissa(self, iters, beta):
+        with pytest.raises(ValueError, match="1..52"):
+            geo.tne_boundary(ctx2q(beta), grid=4, iters=iters)
+
+
 class TestNeBoundary:
     def test_degenerate_line(self):
         lo, hi = geo.ne_boundary_p3(0.0, 0.3)
@@ -288,6 +357,17 @@ class TestHull:
         mesh = geo.convex_hull_export(cloud)
         mc = geo.volume_of("TNE", ctx, None, 400_000, seed=31)
         assert abs(mesh.volume_fraction - mc.fraction) <= 0.01
+
+    def test_faces_index_the_vertex_list(self, rng):
+        from scipy.spatial import ConvexHull
+
+        pts = random_states(rng, 200)
+        hull = ConvexHull(geo.embed_simplex(pts))
+        remap = {old: new for new, old in enumerate(hull.vertices)}
+        want = np.array([[remap[i] for i in simplex] for simplex in hull.simplices])
+        mesh = geo.convex_hull_export(pts)
+        assert mesh.faces.dtype == want.dtype and np.array_equal(mesh.faces, want)
+        assert np.array_equal(mesh.vertices, pts[hull.vertices])
 
     def test_embedding_is_isometric(self, rng):
         pts = random_states(rng, 20)
