@@ -131,10 +131,10 @@ def _run_cone(args):
     p = _parse_state(args.state, args.renorm)
     ctx = _context(args, p.dim)
     cone = future_cone(p, ctx)
-    extremes = [{"order": list(o.perm), "probs": v.probs} for o, v in cone.extremes]
+    orders, points = cone.orders.tolist(), cone.points.tolist()
     result = {"origin": p.probs, "beta": ("inf" if ctx.beta_is_infinite else ctx.beta),
-              "extremes": extremes}
-    rows = [tuple(o.perm) + tuple(v.probs) for o, v in cone.extremes]
+              "extremes": [{"order": o, "probs": v} for o, v in zip(orders, points)]}
+    rows = [o + v for o, v in zip(orders, points)]
     header = [f"order{i}" for i in range(1, p.dim + 1)] + [f"p{i}" for i in range(1, p.dim + 1)]
     return result, (header, rows)
 
@@ -171,9 +171,8 @@ def _run_boundary(args):
         mesh = convex_hull_export(cloud)
         with open(args.mesh_out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_obj())
-    result = {"n_points": int(cloud.points.shape[0]),
-              "points": cloud.points}
-    return result, (["p1", "p2", "p3", "p4"], [tuple(row) for row in cloud.points])
+    result = {"n_points": len(cloud.points), "points": cloud.points}
+    return result, (["p1", "p2", "p3", "p4"], cloud.points)
 
 
 def _run_critical_temp(args):
@@ -194,10 +193,12 @@ def _run_critical_temp(args):
 def _run_jc(args):
     if args.betaE_range:
         a, b, n = _parse_range(args.betaE_range, 3)
-        n = int(n)
+        a, b, n = float(a), float(b), int(n)
         if not 1 <= n <= MAX_SWEEP:
             raise ValueError(f"sweep size n must lie in 1..{MAX_SWEEP}, got {n}")
-        grid = np.linspace(float(a), float(b), n)
+        if not np.isfinite(b - a):
+            raise ValueError(f"sweep ends and their spread must be finite, got {a:g}:{b:g}")
+        grid = np.linspace(a, b, n)
     elif args.betaE is not None:
         grid = np.array([args.betaE])
     else:

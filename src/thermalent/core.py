@@ -23,7 +23,6 @@ _SMALLEST_WEIGHT = np.finfo(float).tiny
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -131,8 +130,10 @@ class PopVector:
         if p.min() < -TAU_NORM:
             raise ValueError(f"negative probability {p.min()}")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > TAU_NORM:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        with np.errstate(over="ignore"):  # a sum that overflows is inf, and rejected
+            total = p.sum()
+        if abs(total - 1.0) > TAU_NORM:
+            raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probs", _readonly(p))
 
     @property
@@ -147,9 +148,17 @@ class PopVector:
 
 
 def pop_vector(probs, renorm: bool = False) -> PopVector:
-    """Validate (optionally renormalize) raw numbers into a ``PopVector``."""
+    """Validate (optionally renormalize) raw numbers into a ``PopVector``.
+    Renormalizing clips negative entries to 0 and divides by the sum, after
+    scaling by the largest entry only if the sum overflows."""
     if renorm:
-        p = np.clip(np.array(probs, dtype=float), 0.0, None)
+        p = np.array(probs, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
+        p = np.clip(p, 0.0, None)
+        with np.errstate(over="ignore"):
+            if p.sum() == np.inf:
+                p /= p.max()
         s = p.sum()
         if s <= 0:
             raise ValueError("cannot renormalize an all-zero vector")

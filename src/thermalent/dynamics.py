@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import GibbsContext, PopVector, two_qubit_context
-from .entangle import is_thermally_entanglable, max_negativity, witness_batch, witness_f
+from .entangle import _as_probs, is_thermally_entanglable, max_negativity, witness_batch, witness_f
 from .majorization import thermo_majorizes
 
 HERM_TOL = 1e-12
@@ -55,17 +55,11 @@ class DensityMatrix:
         return self.entries.diagonal().real.copy()
 
 
-def partial_transpose(entries: np.ndarray, dims: tuple, subsystem: int = 0) -> np.ndarray:
-    """Partial transpose of a bipartite matrix over one factor."""
+def partial_transpose(entries: np.ndarray, dims: tuple) -> np.ndarray:
+    """Partial transpose of a bipartite matrix over its first factor."""
     da, db = dims
     m = np.asarray(entries, dtype=complex).reshape(da, db, da, db)
-    if subsystem == 0:
-        m = m.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        m = m.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("subsystem must be 0 or 1")
-    return m.reshape(da * db, da * db)
+    return m.transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 
 def negativity(entries: np.ndarray, dims: tuple = (2, 2)) -> float:
@@ -80,9 +74,7 @@ def apply_subspace_rotation(q, theta: float, phi: float = 0.0) -> DensityMatrix:
     Produces the explicit 4x4 matrix with coherence only between |01> and
     |10>; the phase ``phi`` never affects spectra.
     """
-    a = q.probs if isinstance(q, PopVector) else np.asarray(q, dtype=float)
-    if a.shape != (4,):
-        raise ValueError("expected a length-4 population vector")
+    a = _as_probs(q)
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     coh = 0.5 * (a[2] - a[1]) * math.sin(2.0 * theta) * np.exp(1j * phi)
     m = np.zeros((4, 4), dtype=complex)
@@ -124,17 +116,23 @@ class JCConfig:
     def __post_init__(self):
         if self.initial not in ("00", "11"):
             raise ValueError("initial must be '00' or '11'")
-        if self.beta_E <= 0:
-            raise ValueError("beta_E must be positive")
+        if not self.beta_E > 0:
+            raise ValueError(f"beta_E must be positive, got {self.beta_E}")
         if not 1 <= self.n_max <= MAX_N_MAX:
             raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {self.n_max}; the "
                              f"default truncation passes the cap for beta_E below about "
                              f"{-math.log(TAIL_TOL) / MAX_N_MAX:.2g}")
 
 
-def suggest_n_max(beta_E: float, tail: float = TAIL_TOL) -> int:
-    """Smallest truncation whose thermal tail mass stays below ``tail``."""
-    return max(1, math.ceil(math.log(tail) / -beta_E) + 1)
+def suggest_n_max(beta_E: float) -> int:
+    """Smallest truncation whose thermal tail mass stays below TAIL_TOL."""
+    if not beta_E > 0:
+        raise ValueError(f"beta_E must be positive, got {beta_E}")
+    n = math.log(TAIL_TOL) / -beta_E
+    if math.isinf(n):
+        raise ValueError(f"beta_E = {beta_E:g} needs an unbounded Fock truncation; "
+                         f"n_max is capped at {MAX_N_MAX}")
+    return math.ceil(n) + 1
 
 
 def thermal_mode_weights(beta_E: float, n_max: int) -> np.ndarray:

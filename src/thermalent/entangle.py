@@ -113,7 +113,8 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
     star = int((targets == PI_STAR.zero_based()).all(axis=1).argmax())
     f_value, f_star = witness_batch(np.stack([p.probs, points[star]])).tolist()
     return WitnessReport(f_value=f_value, f_star=f_star, in_E=f_value < -TAU_F,
-                         in_TE=f_star < -TAU_F, max_negativity=_best_vertex(points)[0],
+                         in_TE=f_star < -TAU_F,
+                         max_negativity=float(max_negativity(points).max()),
                          optimal_theta=math.pi / 4.0, pi_star_point=PopVector(points[star]))
 
 
@@ -143,20 +144,16 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
 # Negativity maximization over the future thermal cone
 # ---------------------------------------------------------------------------
 
-def _best_vertex(points: np.ndarray):
-    """Largest ``max_negativity`` over the rows of ``points``, and its row."""
-    values = max_negativity(points)
-    best = int(values.argmax())
-    return float(values[best]), PopVector(points[best])
-
-
 def max_negativity_over_cone(p: PopVector, ctx: GibbsContext):
     """Maximize reachable negativity over the future thermal cone of ``p``.
 
     The negativity is convex (a norm less a linear term), so its maximum over
     the cone polytope sits at an extreme point.  Returns ``(value, state)``.
     """
-    return _best_vertex(all_extreme_points(p, ctx)[1])
+    points = all_extreme_points(p, ctx)[1]
+    values = max_negativity(points)
+    best = int(values.argmax())
+    return float(values[best]), PopVector(points[best])
 
 
 # ---------------------------------------------------------------------------

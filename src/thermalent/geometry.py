@@ -28,8 +28,8 @@ IN_FLIGHT = 2
 
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 
-#: largest facet grid resolution: the grid holds 2 m^2 + 2 points, built in
-#: a Python set, about 130k at the cap
+#: largest facet grid resolution: the grid holds 2 m^2 + 2 points, about
+#: 130k at the cap
 MAX_GRID = 256
 
 #: most bracket halvings of ``tne_boundary``: a bracket 2^-iters wide along
@@ -140,7 +140,6 @@ class BoundaryCloud:
     row."""
 
     points: np.ndarray
-    grid_resolution: int
     inner_points: np.ndarray
     outer_points: np.ndarray
 
@@ -151,21 +150,18 @@ def _check_resolution(resolution: int) -> None:
 
 
 def simplex_facet_grid(resolution: int) -> np.ndarray:
-    """Regular barycentric grid over the four facets of the 3-simplex."""
+    """Regular barycentric grid over the four facets of the 3-simplex: the
+    points k / m for every k of four non-negative integers summing to m with
+    at least one zero, in lexicographic order."""
     _check_resolution(resolution)
     m = resolution
-    pts = set()
-    for zero in range(4):
-        slots = [i for i in range(4) if i != zero]
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
-                c = m - a - b
-                q = [0.0, 0.0, 0.0, 0.0]
-                q[slots[0]] = a / m
-                q[slots[1]] = b / m
-                q[slots[2]] = c / m
-                pts.add(tuple(q))
-    return np.array(sorted(pts))
+    a, ab = np.triu_indices(m + 1)  # every a + b <= m, as a and a + b
+    facet = np.stack([a, ab - a, m - ab], axis=1)
+    # each point is listed once, under its first zero coordinate
+    K = np.concatenate([np.insert(facet, z, 0, axis=1)[(facet[:, :z] > 0).all(axis=1)]
+                        for z in range(4)])
+    key = K @ (m + 1) ** np.arange(3, -1, -1)
+    return K[np.argsort(key)] / m
 
 
 def _ray_points(O: np.ndarray, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -243,17 +239,15 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
         raise ValueError(f"iters must lie in 1..{MAX_ITERS}, got {iters}")
     _check_resolution(grid)
     if ctx.beta_is_infinite:
-        ground = np.zeros((1, 4))
-        ground[0, 0] = 1.0
-        return BoundaryCloud(points=ground, grid_resolution=grid,
-                             inner_points=ground.copy(), outer_points=ground.copy())
+        ground = np.eye(1, 4)
+        return BoundaryCloud(points=ground, inner_points=ground.copy(), outer_points=ground.copy())
 
     gamma = ctx.checked_gamma()
     grid_pts = simplex_facet_grid(grid)
     O = grid_pts[fstar_batch(grid_pts, gamma) < -TAU_F]
     t = _ray_roots(O, gamma)
     half = 2.0 ** -(iters + 1)
-    return BoundaryCloud(points=_ray_points(O, gamma, t), grid_resolution=grid,
+    return BoundaryCloud(points=_ray_points(O, gamma, t),
                          inner_points=_confirmed_ends(O, gamma, t, -half, True),
                          outer_points=_confirmed_ends(O, gamma, t, half, False))
 

@@ -120,15 +120,14 @@ def extreme_point(p: PopVector, ctx: GibbsContext, target: BetaOrdering) -> PopV
 @dataclass(frozen=True)
 class ThermalCone:
     """Future thermal cone: the states reachable from ``origin``.  A state q
-    lies in it iff ``thermo_majorizes(origin, q, ctx)``."""
+    lies in it iff ``thermo_majorizes(origin, q, ctx)``.  Row k of the
+    read-only (k, d) arrays holds a distinct extreme point (``points``) and
+    the 1-based target ordering that first reaches it (``orders``)."""
 
     origin: PopVector
     ctx: GibbsContext
-    extremes: tuple  # ((BetaOrdering, PopVector), ...) deduplicated
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.array([v.probs for _, v in self.extremes])
+    orders: np.ndarray = field(compare=False)
+    points: np.ndarray = field(compare=False)
 
 
 def _dedup(points, tol):
@@ -171,12 +170,12 @@ def all_extreme_points(p: PopVector, ctx: GibbsContext):
 
 
 def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
-    """The distinct extreme points of ``all_extreme_points``, each named by
-    the first target ordering that reaches it."""
+    """The rows of ``all_extreme_points`` that ``_dedup`` keeps: the distinct
+    extreme points, each named by the first target ordering that reaches it."""
     targets, points = all_extreme_points(p, ctx)
-    extremes = tuple((BetaOrdering(targets[i] + 1), PopVector(points[i]))
-                     for i in _dedup(points, TAU_CMP))
-    return ThermalCone(origin=p, ctx=ctx, extremes=extremes)
+    kept = _dedup(points, TAU_CMP)
+    return ThermalCone(origin=p, ctx=ctx, orders=_readonly(targets[kept] + 1),
+                       points=_readonly(points[kept]))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,25 @@ def ref_mtp_search(probs, energies, beta, witness, strategy, budget):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the facet grid as a set of float tuples, one facet at a time.
+# The package builds it from integer index arrays.
+# ---------------------------------------------------------------------------
+
+def ref_facet_grid(m):
+    """The points a/m on each facet of the 3-simplex, duplicates dropped by a
+    set, sorted as tuples."""
+    pts = set()
+    for zero in range(4):
+        slots = [i for i in range(4) if i != zero]
+        for a in range(m + 1):
+            for b in range(m + 1 - a):
+                q = [0.0, 0.0, 0.0, 0.0]
+                q[slots[0]], q[slots[1]], q[slots[2]] = a / m, b / m, (m - a - b) / m
+                pts.add(tuple(q))
+    return np.array(sorted(pts))
+
+
+# ---------------------------------------------------------------------------
 # Reference: the TNE boundary by bisection, ``iters`` halvings of the bracket
 # from each entanglable facet grid point o (outer) toward the Gibbs state
 # (inner).  The package solves one quadratic per ray instead.

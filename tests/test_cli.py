@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import time
 import warnings
 from pathlib import Path
 
@@ -200,6 +201,83 @@ class TestHugeBetaE:
         assert code == 2 and out == "" and message in err
 
 
+class TestRenorm:
+    @pytest.mark.parametrize("sub", ["classify", "cone"])
+    def test_overflowing_sum(self, capsys, sub):
+        code, out, err = run(capsys, sub, "--state", "1e308,1e308,0,0", "--renorm",
+                             "--format", "json")
+        assert code == 0 and err == ""
+        manifest_state = json.loads(out)["manifest"]["params"]["state"]
+        assert manifest_state == "1e308,1e308,0,0"
+        if sub == "cone":
+            assert result_of(out)["origin"] == [0.5, 0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("state", ["inf,0,0,0", "-inf,1,1,0", "nan,1,1,0"])
+    def test_non_finite_entry(self, capsys, state):
+        code, out, err = run(capsys, "classify", f"--state={state}", "--renorm")
+        assert code == 2 and out == "" and "finite" in err
+
+
+#: the extreme values of a double, fed to every float-valued input
+SWEEP_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0.0")
+SWEEP_STATE = "0.4,0.25,0.33,0.02"
+
+#: each subcommand with a float option, and the arguments that make it run;
+#: values go in as --option=value, so that argparse reads "-inf" as a value
+SWEEP_BASES = [
+    ("classify", "--state", SWEEP_STATE),
+    ("cone", "--state", SWEEP_STATE),
+    ("curve", "--state", SWEEP_STATE),
+    ("volume", "--set", "TNE", "--samples", "1000", "--threads", "1"),
+    ("volume", "--set", "ENT_CONE", "--state", SWEEP_STATE, "--samples", "1000",
+     "--threads", "1"),
+    ("boundary",),
+    ("critical-temp", "--state", SWEEP_STATE),
+    ("mtp", "--state", SWEEP_STATE),
+]
+
+
+def sweep_argvs():
+    for v in SWEEP_VALUES:
+        for base in SWEEP_BASES:
+            for opt in ("--beta", "--gap"):
+                if not (base[0] == "critical-temp" and opt == "--beta"):
+                    yield (*base, f"{opt}={v}")
+            if "--state" in base:
+                i = base.index("--state")
+                for state in (f"{v},0.25,0.33,0.02", f"{v},{v},0,0"):
+                    for renorm in ((), ("--renorm",)):
+                        yield (*base[:i], f"--state={state}", *base[i + 2:], *renorm)
+        yield ("critical-temp", f"--beta-s={v}")
+        yield ("critical-temp", "--beta-s", "1", f"--gap={v}")
+        yield ("critical-temp", "--state", SWEEP_STATE, f"--range={v}:1")
+        yield ("critical-temp", "--state", SWEEP_STATE, f"--range=0:{v}")
+        yield ("cone", "--state", SWEEP_STATE, f"--energies=0,1,1,{v}")
+        yield ("curve", "--state", SWEEP_STATE, f"--energies={v},1,1,2")
+        for allow in ((), ("--allow-low-betae",)):
+            yield ("jc", "--initial", "00", f"--betaE={v}", *allow)
+            yield ("jc", "--initial", "11", f"--betaE={v}", "--nmax", "20", *allow)
+            yield ("jc", "--initial", "00", f"--betaE-range={v}:1:2", *allow)
+            yield ("jc", "--initial", "00", f"--betaE-range=1:{v}:2", *allow)
+
+
+class TestInputSweep:
+    """Every float input of every subcommand takes each extreme double and
+    gets a result or a validation error: exit 0 or 2, never 1, and no numpy
+    RuntimeWarning (which ``dispatch`` would report as an internal error)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exits_0_or_2(self, capsys):
+        t0 = time.perf_counter()
+        failed = []
+        for argv in sweep_argvs():
+            code, _, err = run(capsys, *argv)
+            if code not in (0, 2):
+                failed.append((shlex.join(argv), err.strip()))
+        assert failed == []
+        assert time.perf_counter() - t0 < 10.0
+
+
 class TestNegativeSizes:
     """Sizes below their least value exit 2 instead of being read as another size."""
 
@@ -357,6 +435,32 @@ class TestJc:
     def test_low_betae_guard(self, capsys):
         code, _, err = run(capsys, "jc", "--initial", "00", "--betaE", "0.05")
         assert code == 2 and "allow-low-betae" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--betaE", "1e-320"),
+        ("--betaE-range", "1e-320:1:2"),
+        ("--betaE", "1e-320", "--nmax", "20"),
+    ])
+    def test_unbounded_truncation_names_the_cap(self, capsys, argv):
+        code, out, err = run(capsys, "jc", "--initial", "00", *argv, "--allow-low-betae")
+        assert code == 2 and out == "" and "8191" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--betaE", "nan"),
+        ("--betaE", "nan", "--allow-low-betae"),
+        ("--betaE", "nan", "--nmax", "20"),
+        ("--betaE", "-0.0", "--allow-low-betae"),
+        ("--betaE", "-0.0", "--nmax", "20", "--allow-low-betae"),
+    ])
+    def test_beta_e_must_be_positive(self, capsys, argv):
+        code, out, err = run(capsys, "jc", "--initial", "00", *argv)
+        assert code == 2 and out == "" and "must be positive" in err
+
+    @pytest.mark.parametrize("sweep", ["inf:1:2", "1:-inf:2", "nan:1:2", "1e308:-1e308:3"])
+    def test_sweep_ends_must_be_finite(self, capsys, sweep):
+        code, out, err = run(capsys, "jc", "--initial", "00", "--betaE-range", sweep,
+                             "--allow-low-betae")
+        assert code == 2 and out == "" and "finite" in err
 
     def test_low_betae_override(self, capsys):
         code, out, _ = run(capsys, "jc", "--initial", "00", "--betaE", "0.15",

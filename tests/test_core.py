@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from thermalent import core
 from tests.conftest import random_states, ref_order
@@ -108,6 +108,30 @@ class TestPopVector:
         assert np.allclose(p.probs, [0.5, 0.25, 0.25])
         with pytest.raises(ValueError):
             core.pop_vector([0.5, 0.4], renorm=False)
+
+    def test_renorm_of_an_overflowing_sum(self):
+        # the sum is inf; the entries are scaled by their maximum first
+        p = core.pop_vector([1e308, 1e308, 0, 0], renorm=True)
+        assert p.probs.tolist() == [0.5, 0.5, 0.0, 0.0]
+        p = core.pop_vector([1.7e308, 1.7e308, 1.7e308, 0], renorm=True)
+        assert np.allclose(p.probs, [1 / 3, 1 / 3, 1 / 3, 0], rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_renorm_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            core.pop_vector([bad, 0.0, 0.0, 0.0], renorm=True)
+        with pytest.raises(ValueError, match="finite"):
+            core.pop_vector([bad, 1.0, 1.0, 0.0], renorm=True)
+
+    def test_overflowing_sum_rejected_without_renorm(self):
+        with pytest.raises(ValueError, match="sum to inf"):
+            core.PopVector([1e308, 1e308, 0, 0])
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
+    def test_renorm_keeps_the_bits_of_a_finite_sum(self, values):
+        p = np.clip(np.array(values), 0.0, None)
+        assume(0 < p.sum() < math.inf)
+        assert core.pop_vector(values, renorm=True).probs.tobytes() == (p / p.sum()).tobytes()
 
 
 class TestBetaOrdering:

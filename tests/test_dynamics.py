@@ -125,6 +125,19 @@ class TestJcProtocol:
         with pytest.raises(ValueError):
             dy.JCConfig("00", -1.0)
 
+    @pytest.mark.parametrize("beta_E", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    def test_beta_e_must_be_positive(self, beta_E):
+        with pytest.raises(ValueError, match="positive"):
+            dy.JCConfig("00", beta_E)
+        with pytest.raises(ValueError, match="positive"):
+            dy.suggest_n_max(beta_E)
+
+    def test_unbounded_truncation_names_the_cap(self):
+        # log(TAIL_TOL) / 1e-320 overflows to inf
+        with pytest.raises(ValueError, match="8191"):
+            dy.suggest_n_max(1e-320)
+        assert dy.suggest_n_max(1e-300) > dy.MAX_N_MAX
+
     def test_fock_truncation_capped(self):
         # the transfer scan holds time_grid x (n_max + 1) doubles; 8191 keeps
         # that at 2**24.  suggest_n_max(1e-6) alone is 18,420,682

@@ -245,7 +245,7 @@ class TestNegativityOverCone:
             ctx = ctx2q(float(rng.uniform(0, 3)))
             p = core.PopVector(random_states(rng, 1)[0])
             cone = mj.future_cone(p, ctx)
-            vertex_best = max(en.max_negativity(v.probs) for _, v in cone.extremes)
+            vertex_best = max(en.max_negativity(v) for v in cone.points)
             val, _ = en.max_negativity_over_cone(p, ctx)
             assert val >= vertex_best - 1e-10
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermalent import core, entangle as en, geometry as geo, majorization as mj
-from tests.conftest import random_states, ref_tne_boundary
+from tests.conftest import random_states, ref_facet_grid, ref_tne_boundary
 
 
 def ctx2q(beta):
@@ -218,7 +218,7 @@ class TestBoundary:
         assert abs(t_cloud - flips[0]) <= 1e-3
 
     def test_grid_resolution_capped(self):
-        # the facet grid is built in an O(grid^2) Python set
+        # the facet grid holds 2 grid^2 + 2 points
         for grid in (0, 257, 10**6):
             with pytest.raises(ValueError, match="256"):
                 geo.simplex_facet_grid(grid)
@@ -229,6 +229,12 @@ class TestBoundary:
         # 4 facets of C(8,2)=28 points; edge points shared by 2 facets,
         # vertices by 3: 4*28 - 6*(6-1) - 2*4 = 74 distinct points
         assert pts.shape == (74, 4)
+
+    @pytest.mark.parametrize("m", list(range(1, 41)) + [256])
+    def test_grid_matches_set_reference(self, m):
+        got, want = geo.simplex_facet_grid(m), ref_facet_grid(m)
+        assert got.shape == want.shape == (2 * m**2 + 2, 4)
+        assert got.tobytes() == want.tobytes()
 
     def test_infinite_beta_single_point(self):
         cloud = geo.tne_boundary(ctx2q(math.inf), grid=10, iters=5)

@@ -200,12 +200,12 @@ class TestFutureCone:
     def test_gibbs_cone_is_a_point(self):
         ctx = ctx2q(1.1)
         cone = mj.future_cone(core.PopVector(ctx.gamma), ctx)
-        assert len(cone.extremes) == 1
+        assert len(cone.points) == 1
         assert np.allclose(cone.points[0], ctx.gamma, atol=1e-12)
 
     def test_pure_state_beta_zero(self):
         cone = mj.future_cone(core.PopVector([0, 0, 0, 1]), ctx2q(0.0))
-        assert len(cone.extremes) == 4
+        assert len(cone.points) == 4
         eye = np.eye(4)
         for row in cone.points:
             assert min(np.abs(row - e).max() for e in eye) < 1e-12
@@ -213,7 +213,7 @@ class TestFutureCone:
     def test_beta_zero_reduces_to_permutations(self):
         p = core.PopVector([0.4, 0.25, 0.33, 0.02])
         cone = mj.future_cone(p, ctx2q(0.0))
-        assert len(cone.extremes) == 24
+        assert len(cone.points) == 24
         got = {tuple(np.round(row, 12)) for row in cone.points}
         expected = {tuple(np.round(np.array(perm), 12))
                     for perm in itertools.permutations([0.4, 0.25, 0.33, 0.02])}
@@ -223,9 +223,8 @@ class TestFutureCone:
         # levels 2 and 3 share a Gibbs weight; several orderings reach the
         # same vertices up to rounding, and each vertex is listed once
         cone = mj.future_cone(core.PopVector([0.4, 0.25, 0.33, 0.02]), ctx2q(1.0))
-        assert len(cone.extremes) == 21
-        assert [o.perm for o, _ in cone.extremes][:3] == [(1, 2, 3, 4), (1, 2, 4, 3),
-                                                         (1, 3, 4, 2)]
+        assert len(cone.points) == 21
+        assert cone.orders[:3].tolist() == [[1, 2, 3, 4], [1, 2, 4, 3], [1, 3, 4, 2]]
 
     def test_listed_vertices_are_apart(self):
         # near beta=0 the orderings (1,2,3,4), (2,1,3,4) and (2,3,1,4) reach
@@ -237,16 +236,23 @@ class TestFutureCone:
         V = cone.points
         gaps = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2) + np.eye(len(V))
         assert (gaps > mj.TAU_CMP).all()
-        perms = [o.perm for o, _ in cone.extremes]
+        perms = [tuple(o) for o in cone.orders.tolist()]
         assert (1, 2, 3, 4) in perms and (2, 3, 1, 4) in perms
         assert (2, 1, 3, 4) not in perms
 
     def test_labels_recorded(self):
+        # one read-only 1-based ordering row per read-only vertex row, and
+        # each vertex is the extreme point of its ordering
         p = core.PopVector([0.4, 0.25, 0.33, 0.02])
-        cone = mj.future_cone(p, ctx2q(0.5))
-        order, point = cone.extremes[0]
-        assert isinstance(order, core.BetaOrdering)
-        assert isinstance(point, core.PopVector)
+        ctx = ctx2q(0.5)
+        cone = mj.future_cone(p, ctx)
+        assert cone.orders.dtype.kind == "i" and cone.orders.shape == cone.points.shape
+        for a in (cone.orders, cone.points):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+        for order, v in zip(cone.orders, cone.points):
+            assert np.array_equal(v, mj.extreme_point(p, ctx, core.BetaOrdering(order)).probs)
 
     def test_origin_majorizes_convex_combinations(self, rng):
         ctx = ctx2q(0.8)
@@ -328,8 +334,8 @@ class TestAgainstReference:
         assert dist.min(axis=0).max() <= 2 * mj.TAU_CMP
         # duplicates are named by the first ordering that reaches them
         perms = list(itertools.permutations(range(1, 5)))
-        for (order, _), row in zip(mj.future_cone(core.PopVector(probs), ctx).extremes, dist):
-            assert order.perm == perms[int(np.flatnonzero(row <= 1e-12)[0])]
+        for order, row in zip(mj.future_cone(core.PopVector(probs), ctx).orders.tolist(), dist):
+            assert tuple(order) == perms[int(np.flatnonzero(row <= 1e-12)[0])]
         gaps = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2)
         assert (gaps + np.eye(len(V)) > mj.TAU_CMP).all()
 
@@ -524,8 +530,9 @@ class TestOneTightPointArithmetic:
         assert targets.tolist() == [list(t) for t in itertools.permutations(range(p.dim))]
         for t, q in every_nth(list(zip(targets, points))):
             assert np.array_equal(q, mj.extreme_point(p, ctx, core.BetaOrdering(t + 1)).probs)
-        for order, v in every_nth(mj.future_cone(p, ctx).extremes):
-            assert np.array_equal(v.probs, mj.extreme_point(p, ctx, order).probs)
+        cone = mj.future_cone(p, ctx)
+        for order, v in every_nth(list(zip(cone.orders, cone.points))):
+            assert np.array_equal(v, mj.extreme_point(p, ctx, core.BetaOrdering(order)).probs)
 
     @given(state_strategy, beta_strategy)
     # the scalar witness of an earlier release gave -0.3125369981503078 here,
@@ -544,9 +551,10 @@ class TestOneTightPointArithmetic:
         assert rep.f_value == en.witness_batch(p.probs[None, :])[0]
         assert rep.max_negativity == max(en.max_negativity(q) for q in points)
         assert en.max_negativity_over_cone(p, ctx)[0] == rep.max_negativity
-        for order, v in mj.future_cone(p, ctx).extremes:
-            if order == core.PI_STAR:
-                assert np.array_equal(v.probs, star)
+        cone = mj.future_cone(p, ctx)
+        for order, v in zip(cone.orders, cone.points):
+            if tuple(order) == core.PI_STAR.perm:
+                assert np.array_equal(v, star)
 
     @given(ordering_batches(), st.integers(1, 4))
     def test_per_row_gammas_match_shared(self, batch, chunk):
