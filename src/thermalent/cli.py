@@ -10,10 +10,12 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,9 +49,22 @@ MAX_POINTS = 100_000
 MAX_SWEEP = 1000
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _round12(obj):
+    """JSON form of a result: floats at 12 significant digits, a ``PopVector``
+    as its populations, a ``Fraction`` as its str, a dataclass as its fields."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
+    if isinstance(obj, PopVector):
+        return _round12(obj.probs)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return _round12(_fields(obj))
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,24 +122,15 @@ def _emit(args, manifest: dict, result, table) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (result, table), where table is
+# subcommand runners: each returns (result, table), where result is what
+# ``_round12`` encodes, library result objects included, and table is
 # (header, rows) for the subcommands that can write CSV and None otherwise
 # ---------------------------------------------------------------------------
 
 def _run_classify(args):
     p = _parse_state(args.state, args.renorm)
     ctx = two_qubit_context(args.beta, args.gap)
-    rep = is_thermally_entanglable(p, ctx)
-    result = {
-        "f_value": rep.f_value,
-        "f_star": rep.f_star,
-        "in_E": rep.in_E,
-        "in_TE": rep.in_TE,
-        "max_negativity": rep.max_negativity,
-        "optimal_theta": rep.optimal_theta,
-        "pi_star_point": rep.pi_star_point.probs,
-    }
-    return result, None
+    return is_thermally_entanglable(p, ctx), None
 
 
 def _run_cone(args):
@@ -159,9 +165,7 @@ def _run_volume(args):
     origin = _parse_state(args.state, args.renorm) if args.state else None
     threads = args.threads if args.threads is not None else os.cpu_count() or 1
     est = volume_of(args.set, ctx, origin, args.samples, args.seed, threads=threads)
-    result = {"set": args.set, "fraction": est.fraction, "std_error": est.std_error,
-              "n_samples": est.n_samples, "seed": est.seed}
-    return result, None
+    return {"set": args.set, **_fields(est)}, None
 
 
 def _run_boundary(args):
@@ -179,15 +183,10 @@ def _run_critical_temp(args):
     if (args.beta_s is None) == (args.state is None):
         raise ValueError("give exactly one of --beta-s or --state")
     if args.beta_s is not None:
-        ct = critical_temps_thermal(args.beta_s, args.gap)
-        result = {"beta_c1": ct.beta_c1, "beta_c2": ct.beta_c2,
-                  "approx_c1": ct.approx_c1, "approx_c2": ct.approx_c2}
-    else:
-        lo, hi = (float(x) for x in _parse_range(args.range, 2))
-        p = _parse_state(args.state, args.renorm)
-        roots = critical_temps_general(p, args.gap, (lo, hi), args.scan)
-        result = {"crossings": roots}
-    return result, None
+        return critical_temps_thermal(args.beta_s, args.gap), None
+    lo, hi = (float(x) for x in _parse_range(args.range, 2))
+    p = _parse_state(args.state, args.renorm)
+    return {"crossings": critical_temps_general(p, args.gap, (lo, hi), args.scan)}, None
 
 
 def _run_jc(args):
@@ -223,25 +222,15 @@ def _run_mtp(args):
         "best_f": res.best_f,
         "entangling": bool(res.best_f < 0),
         "schedule": [{"pair": list(pair), "lam": lam} for pair, lam in res.schedule.steps],
-        "best_state": res.best_state.probs,
+        "best_state": res.best_state,
         "evaluations": res.evaluations,
     }
     return result, None
 
 
 def _run_catalysis_demo(args):
-    rep = verify_catalysis(strict=False)
-    result = {
-        "status": "PASS" if rep.passed else "FAIL",
-        "unitary_commutes": rep.unitary_commutes,
-        "catalyst_restored": rep.catalyst_restored,
-        "system_matches": rep.system_matches,
-        "initial_in_tne": rep.initial_in_tne,
-        "final_in_te": rep.final_in_te,
-        "system_final": [str(x) for x in rep.system_final],
-        "catalyst_final": [str(x) for x in rep.catalyst_final],
-    }
-    return result, None
+    checks = _fields(verify_catalysis(strict=False))
+    return {"status": "PASS" if checks.pop("passed") else "FAIL", **checks}, None
 
 
 # ---------------------------------------------------------------------------

@@ -47,24 +47,19 @@ class DensityMatrix:
         object.__setattr__(self, "dim", m.shape[0])
         object.__setattr__(self, "entries", m)
 
-    @classmethod
-    def from_populations(cls, probs) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(probs, dtype=complex)))
-
     def populations(self) -> np.ndarray:
         return self.entries.diagonal().real.copy()
 
 
-def partial_transpose(entries: np.ndarray, dims: tuple) -> np.ndarray:
-    """Partial transpose of a bipartite matrix over its first factor."""
-    da, db = dims
-    m = np.asarray(entries, dtype=complex).reshape(da, db, da, db)
-    return m.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+def partial_transpose(entries: np.ndarray) -> np.ndarray:
+    """Partial transpose of a two-qubit matrix over its first qubit."""
+    m = np.asarray(entries, dtype=complex).reshape(2, 2, 2, 2)
+    return m.transpose(2, 1, 0, 3).reshape(4, 4)
 
 
-def negativity(entries: np.ndarray, dims: tuple = (2, 2)) -> float:
+def negativity(entries: np.ndarray) -> float:
     """Sum of the absolute values of negative partial-transpose eigenvalues."""
-    eig = np.linalg.eigvalsh(partial_transpose(entries, dims))
+    eig = np.linalg.eigvalsh(partial_transpose(entries))
     return float(-eig[eig < 0].sum())
 
 
@@ -118,6 +113,8 @@ class JCConfig:
             raise ValueError("initial must be '00' or '11'")
         if not self.beta_E > 0:
             raise ValueError(f"beta_E must be positive, got {self.beta_E}")
+        if self.beta_E == math.inf:
+            raise ValueError("beta_E must be finite, got inf")
         if not 1 <= self.n_max <= MAX_N_MAX:
             raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {self.n_max}; the "
                              f"default truncation passes the cap for beta_E below about "
@@ -184,7 +181,6 @@ class JCResult:
     optimal_time: float
     ground_pop: float      # residual population of the initial product state
     negativity: float
-    final_pops: PopVector  # two-qubit populations before the entangling rotation
 
 
 def jc_protocol(cfg: JCConfig) -> JCResult:
@@ -209,7 +205,7 @@ def jc_protocol(cfg: JCConfig) -> JCResult:
     else:
         pops = PopVector([0.0, 0.0, transfer, residual])
     return JCResult(optimal_time=float(t_opt), ground_pop=float(residual),
-                    negativity=max_negativity(pops), final_pops=pops)
+                    negativity=max_negativity(pops))
 
 
 def jc_joint_evolution(initial_qubit: int, beta_E: float, n_max: int,
@@ -384,21 +380,9 @@ CATALYSIS_CATALYST = (Fraction(73, 100), Fraction(27, 100))
 CATALYSIS_EXPECTED = (Fraction(949, 2000), Fraction(613, 5000),
                       Fraction(771, 2500), Fraction(189, 2000))
 
-
-def _catalysis_unitary() -> list:
-    """Permutation unitary on |abc>: swaps |001> <-> |010| and cycles
-    |011> -> |101> -> |110> -> |011>, acting only inside degenerate
-    total-energy subspaces."""
-    target = {1: 2, 2: 1, 3: 5, 5: 6, 6: 3}
-    u = [[0] * 8 for _ in range(8)]
-    for src in range(8):
-        u[target.get(src, src)][src] = 1
-    return u
-
-
-def _matmul_exact(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+#: the catalytic unitary as the target of each basis state |abc> (system ab,
+#: catalyst c, index 4a + 2b + c): |001> <-> |010>, |011> -> |101> -> |110> -> |011>
+CATALYSIS_TARGET = (0, 2, 1, 5, 4, 6, 3, 7)
 
 
 @dataclass(frozen=True)
@@ -416,32 +400,21 @@ class CatalysisReport:
 def verify_catalysis(strict: bool = True) -> CatalysisReport:
     """Replay the catalytic activation in exact rational arithmetic.
 
-    Builds system x catalyst, applies the block-permutation unitary, traces
-    out the catalyst, and checks: the catalyst returns exactly, the system
-    lands exactly on the published populations, the unitary commutes with
-    the joint Hamiltonian, and the infinite-temperature verdict flips from
-    non-entanglable to entanglable.
+    Relabels the populations of system x catalyst by the unitary, traces out
+    the catalyst, and checks: the catalyst returns exactly, the system lands
+    exactly on the published populations, the unitary commutes with the
+    joint Hamiltonian (it keeps each state's excitation number a + b + c), and
+    the infinite-temperature verdict flips from non-entanglable to entanglable.
     """
-    rho = CATALYSIS_SYSTEM
-    omega = CATALYSIS_CATALYST
-    joint = [[Fraction(0)] * 8 for _ in range(8)]
-    for ab in range(4):
-        for c in range(2):
-            joint[2 * ab + c][2 * ab + c] = rho[ab] * omega[c]
-
-    u = _catalysis_unitary()
-    u_t = [list(row) for row in zip(*u)]
-    h = [[Fraction(0)] * 8 for _ in range(8)]
-    for idx in range(8):
-        a, b, c = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        h[idx][idx] = Fraction(a + b + c)
-    commutes = _matmul_exact(u, h) == _matmul_exact(h, u)
-
-    sigma = _matmul_exact(_matmul_exact(u, joint), u_t)
-    sys_final = tuple(sigma[2 * ab][2 * ab] + sigma[2 * ab + 1][2 * ab + 1]
-                      for ab in range(4))
-    cat_final = tuple(sum(sigma[2 * ab + c][2 * ab + c] for ab in range(4))
-                      for c in range(2))
+    rho, omega = CATALYSIS_SYSTEM, CATALYSIS_CATALYST
+    sigma = [Fraction(0)] * 8
+    for s, t in enumerate(CATALYSIS_TARGET):
+        sigma[t] += rho[s >> 1] * omega[s & 1]
+    commutes = (sorted(CATALYSIS_TARGET) == list(range(8))
+                and all(bin(s).count("1") == bin(t).count("1")
+                        for s, t in enumerate(CATALYSIS_TARGET)))
+    sys_final = tuple(sigma[2 * ab] + sigma[2 * ab + 1] for ab in range(4))
+    cat_final = tuple(sum(sigma[c::2]) for c in range(2))
 
     catalyst_restored = cat_final == omega
     system_matches = sys_final == CATALYSIS_EXPECTED

@@ -209,7 +209,8 @@ def critical_temps_thermal(beta_s: float, gap: float) -> CriticalTemps:
     ``beta_c1`` (hot bath side) comes from the closed form; ``beta_c2``
     (cold bath side) from bracketed bisection of the hot-system branch,
     absent when no root exists.  The large-``beta_s`` approximations
-    ``beta_s -/+ log(3)/gap`` are always reported.
+    ``beta_s -/+ log(3)/gap`` are always reported.  Raises ValueError when
+    a temperature it would report is not finite.
     """
     if not gap > 0:
         raise ValueError("gap must be positive")
@@ -231,8 +232,11 @@ def critical_temps_thermal(beta_s: float, gap: float) -> CriticalTemps:
         beta_c2 = -math.log(root) / gap
 
     log3 = math.log(3.0) / gap
-    return CriticalTemps(beta_c1=beta_c1, beta_c2=beta_c2,
-                         approx_c1=beta_s - log3, approx_c2=beta_s + log3)
+    temps = (beta_c1, beta_c2, beta_s - log3, beta_s + log3)
+    if not all(math.isfinite(t) for t in temps if t is not None):
+        raise ValueError(f"beta_s (--beta-s) = {beta_s:g} and gap (--gap) = {gap:g} give a "
+                         f"critical temperature that is not a finite double")
+    return CriticalTemps(*temps)
 
 
 def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) -> list:

@@ -278,16 +278,13 @@ _EMBED = np.array([
     [0.0, 0.0, -3 / math.sqrt(12)],
 ])
 
+#: volume of the embedded simplex, a regular tetrahedron of edge sqrt(2)
+SIMPLEX_VOLUME = 1.0 / 3.0
+
 
 def embed_simplex(points: np.ndarray) -> np.ndarray:
     """Isometric coordinates of simplex points in the 3-plane sum(p) = 1."""
     return (np.asarray(points) - 0.25) @ _EMBED
-
-
-def simplex_embedded_volume() -> float:
-    from scipy.spatial import ConvexHull  # lazy: scipy.spatial dominates import time
-
-    return float(ConvexHull(embed_simplex(np.eye(4))).volume)
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,7 @@ class HullMesh:
 
 def convex_hull_export(cloud) -> HullMesh:
     """3-D convex hull of a boundary cloud, as vertex and face lists."""
-    from scipy.spatial import ConvexHull, QhullError  # lazy, as above
+    from scipy.spatial import ConvexHull, QhullError  # lazy: scipy.spatial dominates import time
 
     pts = cloud.points if isinstance(cloud, BoundaryCloud) else np.asarray(cloud, dtype=float)
     if pts.shape[0] < 4:
@@ -327,5 +324,5 @@ def convex_hull_export(cloud) -> HullMesh:
         points3d=coords[hull.vertices],
         faces=faces,
         volume=float(hull.volume),
-        volume_fraction=float(hull.volume) / simplex_embedded_volume(),
+        volume_fraction=float(hull.volume) / SIMPLEX_VOLUME,
     )

@@ -178,6 +178,9 @@ class TestCriticalTempInputs:
         (("--beta-s", "5", "--gap", "nan"), "gap must be positive"),
         # exp(-800) underflows to 0, below the smallest normal double
         (("--beta-s", "800"), "at most 708.396"),
+        # log(3)/gap overflows; so does beta_s + log(3)/gap at a normal gap
+        (("--beta-s", "1", "--gap", "1e-320"), "(--beta-s) = 1 and gap (--gap)"),
+        (("--beta-s", "1.7e308", "--gap", "2.3e-308"), "(--beta-s) = 1.7e+308 and gap (--gap)"),
     ])
     def test_thermal_rejected(self, capsys, extra, message):
         code, out, err = run(capsys, "critical-temp", *extra)
@@ -259,22 +262,43 @@ def sweep_argvs():
             yield ("jc", "--initial", "11", f"--betaE={v}", "--nmax", "20", *allow)
             yield ("jc", "--initial", "00", f"--betaE-range={v}:1:2", *allow)
             yield ("jc", "--initial", "00", f"--betaE-range=1:{v}:2", *allow)
+    # a normal gap whose beta_s + log(3)/gap overflows
+    yield ("critical-temp", "--beta-s", "1.7e308", "--gap", "2.3e-308")
+
+
+def result_numbers(out: str) -> list:
+    """Every number of a run's ``result``, or of its CSV rows; the manifest,
+    which echoes the inputs, is left out."""
+    if out.startswith("# manifest: "):
+        return [float(v) for line in out.splitlines()[2:] for v in line.split(",")]
+
+    def walk(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            return [x for v in obj for x in walk(v)]
+        return [obj] if isinstance(obj, float) else []
+    return walk(result_of(out))
 
 
 class TestInputSweep:
     """Every float input of every subcommand takes each extreme double and
     gets a result or a validation error: exit 0 or 2, never 1, and no numpy
-    RuntimeWarning (which ``dispatch`` would report as an internal error)."""
+    RuntimeWarning (which ``dispatch`` would report as an internal error).
+    A result holds only finite numbers: JSON has no inf or NaN."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_0_or_2(self, capsys):
         t0 = time.perf_counter()
-        failed = []
+        failed, non_finite = [], []
         for argv in sweep_argvs():
-            code, _, err = run(capsys, *argv)
+            code, out, err = run(capsys, *argv)
             if code not in (0, 2):
                 failed.append((shlex.join(argv), err.strip()))
+            elif code == 0 and not all(map(math.isfinite, result_numbers(out))):
+                non_finite.append(shlex.join(argv))
         assert failed == []
+        assert non_finite == []
         assert time.perf_counter() - t0 < 10.0
 
 
@@ -456,6 +480,16 @@ class TestJc:
         code, out, err = run(capsys, "jc", "--initial", "00", *argv)
         assert code == 2 and out == "" and "must be positive" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--initial", "00", "--betaE", "inf"),
+        ("--initial", "00", "--betaE", "inf", "--allow-low-betae"),
+        ("--initial", "11", "--betaE", "inf", "--nmax", "20"),
+        ("--initial", "11", "--betaE", "inf", "--nmax", "20", "--allow-low-betae"),
+    ])
+    def test_beta_e_must_be_finite(self, capsys, argv):
+        code, out, err = run(capsys, "jc", *argv)
+        assert code == 2 and out == "" and "must be finite" in err
+
     @pytest.mark.parametrize("sweep", ["inf:1:2", "1:-inf:2", "nan:1:2", "1e308:-1e308:3"])
     def test_sweep_ends_must_be_finite(self, capsys, sweep):
         code, out, err = run(capsys, "jc", "--initial", "00", "--betaE-range", sweep,
@@ -534,6 +568,17 @@ class TestFormatting:
         _, out, _ = run(capsys, "classify", "--state", "1,0,0,0", "--beta", "1")
         res = result_of(out)
         assert res["f_star"] == float(f"{-math.exp(-2):.12g}")
+
+    def test_library_objects_encoded(self):
+        from fractions import Fraction
+
+        from thermalent import core, geometry
+
+        est = geometry.VolumeEstimate(0.1234567890123456, 0.5, 10, 3)
+        assert list(cli._round12(est)) == ["fraction", "std_error", "n_samples", "seed"]
+        assert cli._round12([est, core.PopVector([0.5, 0.5]), Fraction(3, 4)]) == [
+            {"fraction": 0.123456789012, "std_error": 0.5, "n_samples": 10, "seed": 3},
+            [0.5, 0.5], "3/4"]
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -15,7 +15,7 @@ def ctx2q(beta):
 
 class TestDensityMatrix:
     def test_valid_diagonal(self):
-        dm = dy.DensityMatrix.from_populations([0.5, 0.25, 0.125, 0.125])
+        dm = dy.DensityMatrix(np.diag([0.5, 0.25, 0.125, 0.125]))
         assert dm.dim == 4
         assert np.allclose(dm.populations(), [0.5, 0.25, 0.125, 0.125])
 
@@ -53,7 +53,7 @@ class TestSubspaceRotation:
             theta = float(rng.uniform(0, 2 * math.pi))
             phi = float(rng.uniform(0, 2 * math.pi))
             dm = dy.apply_subspace_rotation(row, theta, phi)
-            eigs = np.linalg.eigvalsh(dy.partial_transpose(dm.entries, (2, 2)))
+            eigs = np.linalg.eigvalsh(dy.partial_transpose(dm.entries))
             block_min = en.min_ppt_eigenvalue(row, theta)
             m22, m33 = dm.entries[1, 1].real, dm.entries[2, 2].real
             assert eigs.min() == pytest.approx(min(block_min, m22, m33), abs=1e-12)
@@ -116,7 +116,8 @@ class TestJcProtocol:
 
     def test_rotated_final_state_consistency(self):
         res = dy.jc_protocol(dy.JCConfig("00", 1.0, n_max=30))
-        dm = dy.apply_subspace_rotation(res.final_pops, math.pi / 4)
+        pops = [res.ground_pop, 1.0 - res.ground_pop, 0.0, 0.0]
+        dm = dy.apply_subspace_rotation(pops, math.pi / 4)
         assert dy.negativity(dm.entries) == pytest.approx(res.negativity, abs=1e-12)
 
     def test_config_validation(self):
@@ -131,6 +132,13 @@ class TestJcProtocol:
             dy.JCConfig("00", beta_E)
         with pytest.raises(ValueError, match="positive"):
             dy.suggest_n_max(beta_E)
+
+    def test_beta_e_must_be_finite(self):
+        # an infinitely cold mode moves nothing, so no interaction time is optimal
+        with pytest.raises(ValueError, match="finite"):
+            dy.JCConfig("00", math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            dy.JCConfig("11", math.inf, n_max=20)
 
     def test_unbounded_truncation_names_the_cap(self):
         # log(TAIL_TOL) / 1e-320 overflows to inf
@@ -311,10 +319,32 @@ class TestCatalysis:
         assert rep.catalyst_final == (Fraction(73, 100), Fraction(27, 100))
 
     def test_unitary_is_a_block_permutation(self):
-        u = np.array(dy._catalysis_unitary(), dtype=float)
+        u = np.zeros((8, 8))
+        u[list(dy.CATALYSIS_TARGET), range(8)] = 1.0
         assert np.array_equal(u @ u.T, np.eye(8))
         h = np.diag([bin(i).count("1") for i in range(8)]).astype(float)
         assert np.array_equal(u @ h, h @ u)
+
+    def test_relabeling_equals_the_matrix_replay(self):
+        # U (rho x omega) U^T with an 8x8 permutation matrix, in Fractions
+        joint = np.diag([r * w for r in dy.CATALYSIS_SYSTEM for w in dy.CATALYSIS_CATALYST])
+        u = np.zeros((8, 8), dtype=int)
+        u[list(dy.CATALYSIS_TARGET), range(8)] = 1
+        sigma = (u @ joint @ u.T).diagonal()
+        rep = dy.verify_catalysis()
+        assert rep.system_final == tuple(sigma[0::2] + sigma[1::2])
+        assert rep.catalyst_final == (sum(sigma[0::2]), sum(sigma[1::2]))
+
+    @pytest.mark.parametrize("target", [
+        (1, 0, 2, 5, 4, 6, 3, 7),  # |000> <-> |001> changes the excitation number
+        (0, 2, 2, 5, 4, 6, 3, 7),  # not a bijection
+    ])
+    def test_commutes_only_for_excitation_keeping_bijections(self, monkeypatch, target):
+        monkeypatch.setattr(dy, "CATALYSIS_TARGET", target)
+        rep = dy.verify_catalysis(strict=False)
+        assert not rep.unitary_commutes and not rep.passed
+        with pytest.raises(dy.CatalysisError):
+            dy.verify_catalysis()
 
     def test_trace_preserved_exactly(self):
         rep = dy.verify_catalysis()

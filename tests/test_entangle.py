@@ -298,6 +298,12 @@ class TestCriticalTemps:
         with pytest.raises(ValueError):
             en.critical_temps_thermal(-1.0, 1.0)
 
+    @pytest.mark.parametrize("beta_s, gap", [(1.0, 1e-320), (1.7e308, 2.3e-308)])
+    def test_non_finite_temperatures_rejected(self, beta_s, gap):
+        # -log(root)/gap overflows, and so does log(3)/gap or beta_s + log(3)/gap
+        with pytest.raises(ValueError, match="not a finite double"):
+            en.critical_temps_thermal(beta_s, gap)
+
     def test_branch_functions_match_machinery(self):
         # cooler branch at (beta_s, beta) = (2, 1); hotter branch at (0.3, 1)
         for beta_s, beta, fn in ((2.0, 1.0, en.fstar_thermal_cooler),

@@ -351,6 +351,11 @@ class TestHull:
         assert mesh.faces.shape == (4, 3)
         assert mesh.volume_fraction == pytest.approx(1.0, rel=1e-12)
 
+    def test_simplex_volume_is_exact(self):
+        from scipy.spatial import ConvexHull
+
+        assert ConvexHull(geo.embed_simplex(np.eye(4))).volume == geo.SIMPLEX_VOLUME == 1 / 3
+
     def test_vertices_subset_of_inputs(self, rng):
         pts = random_states(rng, 60)
         mesh = geo.convex_hull_export(pts)
