@@ -70,7 +70,8 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
+        flat = [float(f"{v:.12g}") if isinstance(v, float) else v for v in obj.ravel().tolist()]
+        return np.array(flat).reshape(obj.shape).tolist()
     if isinstance(obj, (np.floating,)):
         return _round12(float(obj))
     if isinstance(obj, (np.integer,)):
@@ -176,7 +177,7 @@ def _run_boundary(args):
         with open(args.mesh_out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_obj())
     result = {"n_points": len(cloud.points), "points": cloud.points}
-    return result, (["p1", "p2", "p3", "p4"], cloud.points)
+    return result, (["p1", "p2", "p3", "p4"], cloud.points.tolist())
 
 
 def _run_critical_temp(args):

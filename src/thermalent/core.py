@@ -190,11 +190,11 @@ class BetaOrdering:
 PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 
-#: rows per tile of the batch calls.  The largest temporary of a tile is its
-#: gathered maps in ``majorization``, CHUNK x d x d doubles (512 KB at four
-#: levels), so the working set of a 65,536-row volume block stays resident
-#: between calls; 4,096 ran ``mc-finite`` faster than 8,192 in paired
-#: benchmark runs
+#: rows per tile of the batch calls and of a volume's sample stream.  The
+#: largest temporary of a tile is its gathered maps in ``majorization``,
+#: CHUNK x d x d doubles (512 KB at four levels), so a tile stays resident
+#: from its draw to its hit count; 4,096 ran ``mc-finite`` faster than 8,192
+#: in paired benchmark runs
 CHUNK = 4096
 
 

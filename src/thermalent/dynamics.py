@@ -125,6 +125,8 @@ def suggest_n_max(beta_E: float) -> int:
     """Smallest truncation whose thermal tail mass stays below TAIL_TOL."""
     if not beta_E > 0:
         raise ValueError(f"beta_E must be positive, got {beta_E}")
+    if beta_E == math.inf:
+        raise ValueError("beta_E must be finite, got inf")
     n = math.log(TAIL_TOL) / -beta_E
     if math.isinf(n):
         raise ValueError(f"beta_E = {beta_E:g} needs an unbounded Fock truncation; "

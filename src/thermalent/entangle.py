@@ -26,7 +26,7 @@ from .core import (
     is_two_qubit_context,
     two_qubit_context,
 )
-from .majorization import all_extreme_points, tight_point_tiles
+from .majorization import _row_tiles, all_extreme_points, tight_point_tiles
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -123,7 +123,7 @@ def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     one tile of tight points at a time."""
     P = np.asarray(P, dtype=float)
     out = np.empty(P.shape[0])
-    for lo, q in tight_point_tiles(P, gammas, PI_STAR):
+    for lo, q in tight_point_tiles(_row_tiles(P), gammas, PI_STAR):
         out[lo:lo + len(q)] = witness_batch(q)
     return out
 

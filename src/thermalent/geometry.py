@@ -3,7 +3,8 @@
 Volumes are Monte Carlo fractions of uniform simplex samples passing a
 membership predicate.  Sampling uses the counter-based Philox generator,
 keyed per fixed-size block, so streams are reproducible bit-for-bit and can
-be partitioned across workers without changing the result.
+be partitioned across workers without changing the result; each block is
+drawn, normalized and classified as one stream of tiles of CHUNK rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import CHUNK, PI_STAR, GibbsContext, PopVector, batch_order
 from .entangle import TAU_F, fstar_batch, witness_batch
-from .majorization import _level_maps, _take_rows, batch_majorizes
+from .majorization import _level_maps, _majorizes_stream, _take_rows, tight_point_tiles
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
@@ -38,12 +39,19 @@ MAX_GRID = 256
 MAX_ITERS = 52
 
 
-def _simplex_block(d: int, rows: int, seed: int, block: int) -> np.ndarray:
-    """One block of uniform simplex points, from the Philox key (seed, block)."""
+def _simplex_tiles(d: int, rows: int, seed: int, block: int):
+    """The first ``rows`` uniform simplex points of the Philox key (seed,
+    block), in tiles of CHUNK rows: views of one buffer, refilled per tile."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)])
-    e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((rows, d))
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    gen, buf = np.random.Generator(np.random.Philox(key=key)), np.empty((CHUNK, d))
+    for lo in range(0, rows, CHUNK):
+        e = gen.standard_exponential(out=buf[:rows - lo])
+        # numpy sums a row of fewer than 8 entries left to right, as the column
+        # adds of sum(e.T) do, and pairwise from 8 on
+        s = sum(e.T) if d < 8 else e.sum(axis=1)
+        for k in range(d):
+            e[:, k] /= s
+        yield e
 
 
 def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
@@ -57,9 +65,10 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     out = np.empty((n, d))
-    for block, lo in enumerate(range(0, n, BLOCK)):
-        hi = min(lo + BLOCK, n)
-        out[lo:hi] = _simplex_block(d, hi - lo, seed, block)
+    for block, start in enumerate(range(0, n, BLOCK)):
+        tiles = _simplex_tiles(d, min(BLOCK, n - start), seed, block)
+        for lo, tile in zip(range(start, n, CHUNK), tiles):
+            out[lo:lo + len(tile)] = tile
     return out
 
 
@@ -77,23 +86,6 @@ class VolumeEstimate:
         frac = hits / n
         return cls(fraction=frac, std_error=math.sqrt(frac * (1.0 - frac) / n),
                    n_samples=n, seed=seed)
-
-
-def membership_mask(set_id: str, Q: np.ndarray, ctx: GibbsContext,
-                    origin: PopVector | None = None) -> np.ndarray:
-    """Vectorized membership predicate for one batch of simplex samples."""
-    if set_id == "E":
-        return witness_batch(Q) < -TAU_F
-    if set_id == "NE":
-        return witness_batch(Q) >= -TAU_F
-    if set_id == "TNE":
-        return fstar_batch(Q, ctx.checked_gamma()) >= -TAU_F
-    if set_id == "ENT_CONE":
-        # dominance costs far more than the witness: read it only where needed
-        hits = witness_batch(Q) < -TAU_F
-        hits[hits] = batch_majorizes(origin, Q[hits], ctx)
-        return hits
-    raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")
 
 
 def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
@@ -115,8 +107,16 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
         raise ValueError("volume predicates are defined for 4-level systems")
 
     def count(b):
-        Q = _simplex_block(4, min(BLOCK, n - b * BLOCK), seed, b)
-        return int(membership_mask(set_id, Q, ctx, origin).sum())
+        Qs = _simplex_tiles(4, min(BLOCK, n - b * BLOCK), seed, b)
+        if set_id == "TNE":
+            Qs = (q for _, q in tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR))
+        if set_id in ("NE", "TNE"):
+            return sum(int(np.count_nonzero(witness_batch(Q) >= -TAU_F)) for Q in Qs)
+        if set_id == "E":
+            return sum(int(np.count_nonzero(witness_batch(Q) < -TAU_F)) for Q in Qs)
+        # dominance costs far more than the witness: read it only where needed
+        ent = (Q[witness_batch(Q) < -TAU_F] for Q in Qs)
+        return sum(int(np.count_nonzero(ok)) for ok in _majorizes_stream(origin, ent, ctx))
 
     # blocks are drawn lazily, so the set-up does not grow with n
     blocks = range(-(-n // BLOCK))
@@ -298,8 +298,8 @@ class HullMesh:
     volume_fraction: float    # relative to the whole simplex
 
     def to_obj(self) -> str:
-        lines = [f"v {x:.12g} {y:.12g} {z:.12g}" for x, y, z in self.points3d]
-        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in self.faces]
+        lines = [f"v {x:.12g} {y:.12g} {z:.12g}" for x, y, z in self.points3d.tolist()]
+        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in self.faces.tolist()]
         return "\n".join(lines) + "\n"
 
 

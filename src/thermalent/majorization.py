@@ -19,13 +19,13 @@ populations, so a tight point is a linear map of the sorted populations,
 q = M_sigma p (``_tight_maps``): the beta-permutations of de Oliveira
 Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109 (2022).
 Every tight point goes through these maps: ``tight_point_tiles`` builds
-them once per call for each ordering seen when the rows share gamma, and
+them once per stream for each ordering seen when the rows share gamma, and
 one per row when each row has its own (the critical-temperature scan),
 ``all_extreme_points`` builds those of all d! targets for one state, and
 ``geometry.tne_boundary`` reads f* along each ray from one map.  The
 orderings come from packed pairwise comparisons (``core.ordering_codes``).
-The batch calls walk their rows in tiles of CHUNK rows, so no temporary
-grows with the batch.
+The kernel walks streams of row tiles, of CHUNK rows for an array (``volume``
+streams its samples), so no temporary grows with the batch.
 """
 
 from __future__ import annotations
@@ -221,35 +221,41 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("nts,ns->nt", _covered(X, T), np.diff(Y, prepend=0.0, axis=1))
 
 
-def _grouped_tiles(P: np.ndarray, gamma: np.ndarray, build):
-    """Walk the rows of P in tiles of CHUNK rows, grouped by level ordering.
+def _row_tiles(P: np.ndarray):
+    """The rows of P in tiles of CHUNK rows."""
+    return (P[lo:lo + CHUNK] for lo in range(0, len(P), CHUNK))
 
-    Yields ``(lo, sorted_p, table, cls)`` per tile: the tile's populations
-    in each row's level ordering, ``build(orderings)`` stacked for the
-    orderings seen so far, and each row's index into it.  Up to
-    MAX_DENSE_DIM levels a row's pair code names its ordering, and ``build``
-    runs once per call, on the codes that no earlier tile had; above, each
-    tile groups its orderings with ``np.unique`` and builds its own table.
+
+def _grouped_tiles(tiles, gamma: np.ndarray, build):
+    """Walk a stream of row tiles (``_row_tiles(P)`` for an array), grouped
+    by level ordering.
+
+    Yields ``(lo, sorted_p, table, cls)`` per non-empty tile: the stream
+    offset of its first row, its populations in each row's level ordering,
+    ``build(orderings)`` stacked for the orderings seen so far, and each
+    row's index into it.  Up to MAX_DENSE_DIM levels a row's pair code names
+    its ordering, and ``build`` runs once per stream, on the codes that no
+    earlier tile had; above, each tile groups its orderings with
+    ``np.unique`` and builds its own table.
     """
-    n, d = P.shape
-    dense = d <= MAX_DENSE_DIM
-    if dense:
-        orders = code_orders(d)
-        cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
-    for lo in range(0, n, CHUNK):
-        Pt = P[lo:lo + CHUNK]
-        if not dense:
+    lo, n, table = 0, 0, None
+    for Pt in tiles:
+        lo, (n, d) = lo + n, Pt.shape
+        if not n:
+            continue
+        if d > MAX_DENSE_DIM:
             order = batch_order(Pt, gamma)
             classes, cls = np.unique(order, axis=0, return_inverse=True)
             yield lo, _take_rows(Pt, order), build(classes), cls.ravel()
             continue
-        code = ordering_codes(Pt, gamma)
+        orders, code = code_orders(d), ordering_codes(Pt, gamma)
+        if table is None:
+            cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
         cls = cls_of[code]
         if cls.min() < 0:
             fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
             new = build(orders[fresh])
-            # every row of the first tile is fresh, so its table is all new
-            table = new if lo == 0 else np.concatenate([table, new])
+            table = new if table is None else np.concatenate([table, new])
             cls_of[fresh] = np.arange(len(table) - len(fresh), len(table))
             cls = cls_of[code]
         yield lo, _take_rows(Pt, np.take(orders, code, axis=0)), table, cls
@@ -281,27 +287,26 @@ def _tight(maps: np.ndarray, sorted_p: np.ndarray) -> np.ndarray:
     return np.clip(q, 0.0, None, out=q)
 
 
-def tight_point_tiles(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
-    """Extreme point of every row's cone for one shared target ordering,
-    one tile of CHUNK rows at a time: yields ``(lo, q)``.
+def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
+    """Extreme point of every row's cone for one shared target ordering, for
+    a stream of row tiles (``_row_tiles(P)`` for an array): yields ``(lo, q)``
+    per tile, ``lo`` the offset of its first row in the stream.
 
     Each row's sorted populations go through the map of its ordering
     (``_tight_maps``): with one shared (d,) Gibbs vector, built once per
-    call for each ordering seen; with one Gibbs vector per row, one per row.
-    Swapping the populations of two levels of equal weight swaps the tight
-    point exactly.
+    stream for each ordering seen; with one Gibbs vector per row of a stream
+    of CHUNK-row tiles, one per row.  Swapping the populations of two levels
+    of equal weight swaps the tight point exactly.
     """
-    P = np.asarray(P, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim == 1:
         def maps_of(orders):
             return _level_maps(orders, gammas, target)
 
-        for lo, sorted_p, maps, cls in _grouped_tiles(P, gammas, maps_of):
+        for lo, sorted_p, maps, cls in _grouped_tiles(tiles, gammas, maps_of):
             yield lo, _tight(np.take(maps, cls, axis=0), sorted_p)
         return
-    for lo in range(0, P.shape[0], CHUNK):
-        Pt, Gt = P[lo:lo + CHUNK], gammas[lo:lo + CHUNK]
+    for lo, Pt, Gt in zip(itertools.count(0, CHUNK), tiles, _row_tiles(gammas)):
         order = batch_order(Pt, Gt)
         yield lo, _tight(_level_maps(order, Gt, target), _take_rows(Pt, order))
 
@@ -311,32 +316,38 @@ def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) 
     (``tight_point_tiles`` gathered into one array)."""
     P = np.asarray(P, dtype=float)
     out = np.empty_like(P)
-    for lo, q in tight_point_tiles(P, gammas, target):
+    for lo, q in tight_point_tiles(_row_tiles(P), gammas, target):
         out[lo:lo + len(q)] = q
     return out
 
 
-def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext) -> np.ndarray:
-    """Dominance of a fixed origin's curve over each row of ``Q``, within TAU_CMP.
+def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext):
+    """Dominance of a fixed origin's curve over each row of a stream of row
+    tiles, within TAU_CMP: yields each non-empty tile's verdicts.
 
     By concavity it suffices to test at each row's own elbows, which depend
-    only on the row's ordering: the origin's curve is read once per call
+    only on the row's ordering: the origin's curve is read once per stream
     for each ordering seen, with ``batch_eval`` (at x=0, at the top of its
-    jump).  Rows go in tiles of CHUNK; the cumulative sums and the test run
-    column by column, which adds in the same order as ``np.cumsum``.
+    jump).  The cumulative sums and the test run column by column, which
+    adds in the same order as ``np.cumsum``.
     """
     _check_dims(ctx, origin)
     gamma = ctx.checked_gamma()
     _, X, Y = batch_curves(origin.probs[None, :], gamma)
-    Q = np.asarray(Q, dtype=float)
-    ok = np.ones(Q.shape[0], dtype=bool)
 
     def heights_of(orders):
         return batch_eval(X, Y, np.cumsum(gamma[orders], axis=1))
 
-    for lo, sorted_q, heights, cls in _grouped_tiles(Q, gamma, heights_of):
-        okb, y = ok[lo:lo + len(cls)], np.zeros(len(cls))
-        for k in range(Q.shape[1]):
+    for _, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of):
+        ok, y = np.ones(len(cls), dtype=bool), np.zeros(len(cls))
+        for k in range(sorted_q.shape[1]):
             y += sorted_q[:, k]
-            okb &= heights[:, k][cls] >= y - TAU_CMP
-    return ok
+            ok &= heights[:, k][cls] >= y - TAU_CMP
+        yield ok
+
+
+def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext) -> np.ndarray:
+    """Dominance of a fixed origin's curve over each row of ``Q``
+    (``_majorizes_stream`` over tiles of CHUNK rows, gathered)."""
+    oks = _majorizes_stream(origin, _row_tiles(np.asarray(Q, dtype=float)), ctx)
+    return np.concatenate([np.ones(0, dtype=bool), *oks])

@@ -153,6 +153,20 @@ def ref_mtp_search(probs, energies, beta, witness, strategy, budget):
 
 
 # ---------------------------------------------------------------------------
+# Reference: one block of uniform simplex samples drawn whole and normalized
+# by numpy's row sums.  The package draws it in reused tiles and adds the
+# row sums column by column.
+# ---------------------------------------------------------------------------
+
+def ref_simplex_block(d, rows, seed, block):
+    """One block of uniform simplex points, from the Philox key (seed, block)."""
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)])
+    e = np.random.Generator(np.random.Philox(key=key)).standard_exponential((rows, d))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+# ---------------------------------------------------------------------------
 # Reference: the facet grid as a set of float tuples, one facet at a time.
 # The package builds it from integer index arrays.
 # ---------------------------------------------------------------------------

@@ -139,6 +139,10 @@ class TestJcProtocol:
             dy.JCConfig("00", math.inf)
         with pytest.raises(ValueError, match="finite"):
             dy.JCConfig("11", math.inf, n_max=20)
+        # the truncation of an infinite beta_E is rejected with the same
+        # message, not read as one level
+        with pytest.raises(ValueError, match="beta_E must be finite"):
+            dy.suggest_n_max(math.inf)
 
     def test_unbounded_truncation_names_the_cap(self):
         # log(TAIL_TOL) / 1e-320 overflows to inf

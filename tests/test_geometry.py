@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermalent import core, entangle as en, geometry as geo, majorization as mj
-from tests.conftest import random_states, ref_facet_grid, ref_tne_boundary
+from tests.conftest import random_states, ref_facet_grid, ref_simplex_block, ref_tne_boundary
 
 
 def ctx2q(beta):
@@ -44,6 +44,22 @@ class TestSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             geo.sample_simplex_array(1, 10, 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+    def test_tiles_match_block_reference(self, d):
+        # column adds below 8 levels and numpy's pairwise row sums from 8 on
+        # give the bits of the whole-block draw
+        sizes = (1, core.CHUNK - 1, core.CHUNK + 1, geo.BLOCK, geo.BLOCK + 1, 3 * geo.BLOCK + 5)
+        for n in sizes:
+            for seed in (0, 7, 2**64 - 1):
+                blocks = [ref_simplex_block(d, min(geo.BLOCK, n - lo), seed, b)
+                          for b, lo in enumerate(range(0, n, geo.BLOCK))]
+                assert np.array_equal(geo.sample_simplex_array(d, n, seed), np.concatenate(blocks))
+                for b, want in enumerate(blocks):
+                    # each tile is a view of one reused buffer, so copy it
+                    tiles = [t.copy() for t in geo._simplex_tiles(d, len(want), seed, b)]
+                    assert max(map(len, tiles)) <= core.CHUNK
+                    assert np.array_equal(np.concatenate(tiles), want)
 
 
 class TestVolumes:
@@ -99,6 +115,16 @@ class TestVolumes:
         for (fa, sa), (fb, sb) in zip(fractions, fractions[1:]):
             assert fb <= fa + 2 * math.hypot(sa, sb)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+    @pytest.mark.parametrize("set_id", geo.SET_IDS)
+    def test_thread_count_invariance_with_partial_blocks(self, set_id, beta):
+        # two whole blocks and a third ending one row into its second tile
+        n = 2 * geo.BLOCK + 4097
+        origin = core.PopVector([0.1, 0.1, 0.2, 0.6]) if set_id == "ENT_CONE" else None
+        fractions = {geo.volume_of(set_id, ctx2q(beta), origin, n, seed=12, threads=t).fraction
+                     for t in (1, 2, 3)}
+        assert len(fractions) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             geo.volume_of("BOGUS", ctx2q(0.0), None, 10, seed=0)
@@ -119,7 +145,7 @@ class TestVolumes:
         def fail(*args):
             raise RuntimeError("first block")
 
-        monkeypatch.setattr(geo, "_simplex_block", fail)
+        monkeypatch.setattr(geo, "_simplex_tiles", fail)
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="first block"):
@@ -164,9 +190,9 @@ class TestVolumes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 2 MB sample block, plus four times the largest temporary of a
-        # 4096-row tile: its gathered (4096, 4, 4) maps, 512 KB
-        assert peak <= 8 * 4 * geo.BLOCK + 4 * 8 * 4096 * 4 * 4
+        # four times the largest temporary of a 4096-row tile: its gathered
+        # (4096, 4, 4) maps, 512 KB
+        assert peak <= 4 * 8 * 4096 * 4 * 4
 
     def test_infinite_beta_tne_is_negligible(self):
         est = geo.volume_of("TNE", ctx2q(math.inf), None, 2_000, seed=2)

@@ -471,7 +471,7 @@ class TestPairCodes:
         energies, P, betas = batch
         gamma = core.make_context(energies, betas[0]).gamma
         with mock.patch.object(mj, "CHUNK", chunk):
-            tiles = list(mj._grouped_tiles(P, gamma, lambda orders: orders))
+            tiles = list(mj._grouped_tiles(mj._row_tiles(P), gamma, lambda orders: orders))
         assert [lo for lo, *_ in tiles] == list(range(0, len(P), chunk))
         for lo, sorted_p, table, cls in tiles:
             for p, s, o in zip(P[lo:lo + chunk], sorted_p, table[cls]):
