@@ -30,12 +30,8 @@ from .entangle import (
     WitnessReport,
     critical_temps_general,
     critical_temps_thermal,
-    is_subspace_entanglable,
     is_thermally_entanglable,
     max_negativity,
-    max_negativity_over_cone,
-    min_ppt_eigenvalue,
-    qubit_qutrit_witnesses,
     tne_bruteforce,
     witness_f,
 )
@@ -44,7 +40,6 @@ from .geometry import (
     HullMesh,
     VolumeEstimate,
     convex_hull_export,
-    ne_boundary_p3,
     sample_simplex_array,
     tne_boundary,
     volume_of,

@@ -90,10 +90,17 @@ def make_context(energies, beta) -> GibbsContext:
         ground = np.abs(e - e.min()) <= tol
         gamma = ground / ground.sum()
     else:
-        with np.errstate(over="ignore"):
-            w = np.exp(-beta * (e - e.min()))
-        gamma = w / w.sum()
+        gamma = _gibbs_rows(e, beta)
     return GibbsContext(energies=energies, beta=beta, gamma=_readonly(gamma))
+
+
+def _gibbs_rows(e: np.ndarray, betas) -> np.ndarray:
+    """Gibbs weights exp(-beta*(E - E_min)) / Z of the levels ``e`` for a
+    finite beta, or one row per beta of an array; unchecked, so a weight
+    whose exponent overflows is zero."""
+    with np.errstate(over="ignore"):
+        w = np.exp(np.multiply.outer(-np.asarray(betas), e - e.min()))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def two_qubit_context(beta, gap: float = 1.0) -> GibbsContext:

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import GibbsContext, PopVector, two_qubit_context
-from .entangle import _as_probs, is_thermally_entanglable, max_negativity, witness_batch, witness_f
+from .entangle import (PHI, _as_probs, is_thermally_entanglable, max_negativity, witness_batch,
+                       witness_f)
 from .majorization import thermo_majorizes
 
 HERM_TOL = 1e-12
@@ -162,18 +163,17 @@ def _transfer_prob(t, weights: np.ndarray, initial: str):
 
 
 def _golden_max(fn, a: float, b: float, tol: float = 1e-10) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
+    x1 = b - PHI * (b - a)
+    x2 = a + PHI * (b - a)
     f1, f2 = fn(x1), fn(x2)
     while b - a > tol:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
+            x2 = a + PHI * (b - a)
             f2 = fn(x2)
         else:
             b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
+            x1 = b - PHI * (b - a)
             f1 = fn(x1)
     return 0.5 * (a + b)
 
@@ -208,31 +208,6 @@ def jc_protocol(cfg: JCConfig) -> JCResult:
         pops = PopVector([0.0, 0.0, transfer, residual])
     return JCResult(optimal_time=float(t_opt), ground_pop=float(residual),
                     negativity=max_negativity(pops))
-
-
-def jc_joint_evolution(initial_qubit: int, beta_E: float, n_max: int,
-                       t: float) -> DensityMatrix:
-    """Exact joint qubit+mode state after interacting for time ``t`` (in units
-    of the inverse coupling).
-
-    Basis |q, n> with index q*(n_max+1) + n.  Used to cross-check the
-    block-wise transfer probabilities and the excitation-conserving block
-    structure.
-    """
-    if initial_qubit not in (0, 1):
-        raise ValueError("initial_qubit must be 0 or 1")
-    weights = thermal_mode_weights(beta_E, n_max)
-    nm = n_max + 1
-    u = np.eye(2 * nm, dtype=complex)
-    for n in range(n_max):
-        th = math.sqrt(n + 1) * t
-        i, j = nm + n, n + 1          # |1, n> and |0, n+1>
-        u[i, i] = u[j, j] = math.cos(th)
-        u[i, j] = u[j, i] = -1j * math.sin(th)
-    rho0 = np.zeros((2 * nm, 2 * nm), dtype=complex)
-    off = initial_qubit * nm
-    rho0[off:off + nm, off:off + nm] = np.diag(weights)
-    return DensityMatrix(u @ rho0 @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------

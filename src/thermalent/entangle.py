@@ -4,7 +4,9 @@ The central quantity is the witness ``f(q) = 4 q1 q4 - (q2 - q3)^2`` on
 population vectors ordered as (|00>, |01>, |10>, |11>).  A negative value
 means a rotation inside the degenerate energy subspace entangles the state
 without touching the bath.  Thermal entanglability reduces to the witness at
-the (2, 1, 3, 4) extreme point of the future thermal cone.  ``witness_batch``
+the (2, 1, 3, 4) extreme point of the future thermal cone, and the reachable
+negativity, a convex function, peaks at an extreme point; both come from one
+enumeration of the cone in ``is_thermally_entanglable``.  ``witness_batch``
 and ``max_negativity`` on (n, 4) rows are the one witness and negativity
 arithmetic; a single state is a one-row call, so a verdict and a volume read
 the same bits for the same state.
@@ -23,6 +25,7 @@ from .core import (
     PI_STAR,
     GibbsContext,
     PopVector,
+    _gibbs_rows,
     is_two_qubit_context,
     two_qubit_context,
 )
@@ -34,15 +37,15 @@ TAU_F = 1e-12
 #: golden-ratio conjugate, the branch point of the hot-system extreme state
 PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: largest scan of ``critical_temps_general``: one Gibbs context per point,
-#: about 2 s at the cap
+#: largest scan of ``critical_temps_general``: one (MAX_SCAN, 4) array of
+#: Gibbs rows and one tight point per row
 MAX_SCAN = 100_000
 
 
-def _as_probs(q, d: int = 4) -> np.ndarray:
+def _as_probs(q) -> np.ndarray:
     a = q.probs if isinstance(q, PopVector) else np.asarray(q, dtype=float)
-    if a.shape != (d,):
-        raise ValueError(f"expected a length-{d} population vector, got shape {a.shape}")
+    if a.shape != (4,):
+        raise ValueError(f"expected a length-4 population vector, got shape {a.shape}")
     return a
 
 
@@ -55,24 +58,6 @@ def witness_batch(Q: np.ndarray) -> np.ndarray:
 def witness_f(q) -> float:
     """Witness of one state: a one-row ``witness_batch``."""
     return float(witness_batch(_as_probs(q)[None, :])[0])
-
-
-def min_ppt_eigenvalue(q, theta: float) -> float:
-    """Smallest partial-transpose eigenvalue of the (|00>, |11>) block after
-    rotating the degenerate subspace by ``theta``.
-
-    This is the only part of the spectrum that can turn negative, and it
-    equals the global minimum whenever it is negative; the global minimum
-    over theta sits at sin^2 2theta = 1.
-    """
-    a = _as_probs(q)
-    s2 = math.sin(2.0 * theta) ** 2
-    return 0.5 * (a[0] + a[3] - math.sqrt((a[1] - a[2]) ** 2 * s2 + (a[0] - a[3]) ** 2))
-
-
-def is_subspace_entanglable(q) -> bool:
-    """Strictly negative witness beyond the tolerance band."""
-    return witness_f(q) < -TAU_F
 
 
 def max_negativity(q):
@@ -138,22 +123,6 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
     else:
         points = all_extreme_points(p, ctx)[1]
     return bool((witness_batch(points) >= -TAU_F).all())
-
-
-# ---------------------------------------------------------------------------
-# Negativity maximization over the future thermal cone
-# ---------------------------------------------------------------------------
-
-def max_negativity_over_cone(p: PopVector, ctx: GibbsContext):
-    """Maximize reachable negativity over the future thermal cone of ``p``.
-
-    The negativity is convex (a norm less a linear term), so its maximum over
-    the cone polytope sits at an extreme point.  Returns ``(value, state)``.
-    """
-    points = all_extreme_points(p, ctx)[1]
-    values = max_negativity(points)
-    best = int(values.argmax())
-    return float(values[best]), PopVector(points[best])
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +223,18 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     if not 2 <= n_scan <= MAX_SCAN:
         raise ValueError(f"scan size must lie in 2..{MAX_SCAN}, got {n_scan}")
 
+    # the ends validate every row: lo rejects a negative beta, and hi's
+    # check covers the underflow, since the smallest weight falls with beta
+    two_qubit_context(lo, gap)
+    top = two_qubit_context(hi, gap)
+    top.checked_gamma()
+    e = np.array(top.energies)
+
     def h(beta):
-        return fstar_batch(p.probs[None, :], two_qubit_context(beta, gap).checked_gamma())[0]
+        return fstar_batch(p.probs[None, :], _gibbs_rows(e, beta))[0]
 
     betas = np.linspace(lo, hi, n_scan)
-    gammas = np.array([two_qubit_context(b, gap).checked_gamma() for b in betas])
-    vals = fstar_batch(np.tile(p.probs, (n_scan, 1)), gammas)
+    vals = fstar_batch(np.tile(p.probs, (n_scan, 1)), _gibbs_rows(e, betas))
 
     roots = []
     for i in range(n_scan - 1):
@@ -270,12 +245,3 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     if vals[-1] == 0.0:
         roots.append(float(betas[-1]))
     return roots
-
-
-def qubit_qutrit_witnesses(p) -> tuple:
-    """Witness pair for a qubit-qutrit system with level layout
-    (0, E, E, 2E, 2E, 3E); the state is entanglable if either is negative."""
-    a = _as_probs(p, d=6)
-    f1 = 4.0 * a[0] * min(a[3], a[4]) - (a[1] - a[2]) ** 2
-    f2 = 4.0 * a[5] * min(a[1], a[2]) - (a[3] - a[4]) ** 2
-    return float(f1), float(f2)

@@ -252,20 +252,6 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
                          outer_points=_confirmed_ends(O, gamma, t, half, False))
 
 
-def ne_boundary_p3(p1: float, p2: float) -> tuple:
-    """Both roots in the third coordinate of the witness zero surface:
-    p3 = -2 p1 + p2 -/+ 2 sqrt(p1 - 2 p1 p2).
-
-    Roots are returned raw; callers select the one inside the simplex.
-    """
-    disc = p1 * (1.0 - 2.0 * p2)
-    if disc < 0:
-        raise ValueError(f"no real roots: p1 (1 - 2 p2) = {disc} < 0")
-    r = 2.0 * math.sqrt(disc)
-    base = -2.0 * p1 + p2
-    return base - r, base + r
-
-
 # ---------------------------------------------------------------------------
 # Hull export
 # ---------------------------------------------------------------------------

@@ -65,21 +65,17 @@ class ThermoCurve:
     xs: np.ndarray = field(compare=False)
     ys: np.ndarray = field(compare=False)
 
-    def evaluate_upper(self, x):
-        """Curve value at ``x`` (a number or an array); at x=0 the top of the
-        jump.  CHUNK points at a time, so the temporary is CHUNK x levels."""
-        x = np.asarray(x, dtype=float)
-        X, Y, flat = self.xs[None, 1:], self.ys[None, 1:], x.reshape(1, -1)
-        return np.concatenate([batch_eval(X, Y, flat[:, lo:lo + CHUNK])
-                               for lo in range(0, max(x.size, 1), CHUNK)], axis=1).reshape(x.shape)
-
     def evaluate(self, x):
-        """Curve value at ``x`` in [0, 1], a number or an array; exactly 0 at x=0."""
+        """Curve value at ``x`` in [0, 1], a number or an array; exactly 0 at
+        x=0.  CHUNK points at a time, so the temporary is CHUNK x levels."""
         x = np.asarray(x, dtype=float)
         inside = (x >= -1e-12) & (x <= 1 + 1e-12)
         if not inside.all():
             raise ValueError(f"x={x[~inside].flat[0]} outside [0, 1]")
-        y = np.where(x <= 0.0, 0.0, self.evaluate_upper(np.clip(x, 0.0, 1.0)))
+        X, Y, flat = self.xs[None, 1:], self.ys[None, 1:], np.clip(x, 0.0, 1.0).reshape(1, -1)
+        upper = np.concatenate([batch_eval(X, Y, flat[:, lo:lo + CHUNK])
+                                for lo in range(0, max(x.size, 1), CHUNK)], axis=1)
+        y = np.where(x <= 0.0, 0.0, upper.reshape(x.shape))
         return float(y) if y.ndim == 0 else y
 
 

