@@ -2,20 +2,21 @@
 
 Every run emits a manifest (subcommand, the parsed arguments as params, the
 resolved seed, version, wall time) alongside the result; rerunning with the
-same parameters and seed reproduces the result bytes exactly.  Floats are
-printed at 12 significant digits.  Exit codes: 0 success, 2 validation
-error, 1 internal error.
+same parameters and seed reproduces the result bytes exactly.  JSON is
+indented by two spaces; a float prints as ``repr`` of its 12-significant-digit
+value, or as json's ``NaN`` and ``Infinity``; CSV and OBJ numbers use
+``%.12g``.  Exit codes: 0 success, 2 validation error, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,29 +55,57 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _round12(obj):
-    """JSON form of a result: floats at 12 significant digits, a ``PopVector``
-    as its populations, a ``Fraction`` as its str, a dataclass as its fields."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+def _items(values, indent) -> list:
+    """JSON text of each value; a run of ints, or of floats, in one call."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds != {float}:
+        return [_json(v, indent) for v in values]
+    text = ("%.12g " * len(values)) % tuple(values)
+    out = list(map(float.__repr__, map(float, text.split())))
+    if "n" in text:  # nan or inf, which json spells NaN and Infinity
+        out = " ".join(out).replace("nan", "NaN").replace("inf", "Infinity").split()
+    return out
+
+
+def _wrap(items: list, brackets: str, indent) -> str:
+    """Items in brackets, laid out as ``json.dumps`` with this indent does."""
+    if items and indent is not None:  # one item per line, all indented once more
+        items = [("\n" + ",\n".join(items)).replace("\n", "\n" + indent) + "\n"]
+    return brackets[0] + ", ".join(items) + brackets[1]
+
+
+def _nest(shape: tuple, indent) -> str:
+    """%-template of a nested list of this shape, one ``%s`` per entry."""
+    return _wrap([_nest(shape[1:], indent)] * shape[0], "[]", indent) if shape else "%s"
+
+
+def _json(obj, indent="  ") -> str:
+    """JSON text of a result in one walk, laid out as ``json.dumps(obj, indent=indent)``:
+    floats (numpy's too) at 12 significant digits, a ``PopVector`` as its
+    populations, a ``Fraction`` as its str, a dataclass as its fields, an
+    array as nested lists; dict keys must be str."""
+    if isinstance(obj, (str, Fraction)):
+        return encode_basestring_ascii(str(obj))
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, (float, np.floating)):
+        return _items([float(obj)], None)[0]
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
     if isinstance(obj, PopVector):
-        return _round12(obj.probs)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if dataclasses.is_dataclass(obj):
-        return _round12(_fields(obj))
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
+        obj = obj.probs
+    elif dataclasses.is_dataclass(obj):
+        obj = _fields(obj)
     if isinstance(obj, np.ndarray):
-        flat = [float(f"{v:.12g}") if isinstance(v, float) else v for v in obj.ravel().tolist()]
-        return np.array(flat).reshape(obj.shape).tolist()
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+        return _nest(obj.shape, indent) % tuple(_items(obj.ravel().tolist(), indent))
+    if isinstance(obj, dict):
+        return _wrap([encode_basestring_ascii(k) + ": " + _json(v, indent)
+                      for k, v in obj.items()], "{}", indent)
+    if isinstance(obj, (list, tuple)):
+        return _wrap(_items(obj, indent), "[]", indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_state(text: str, renorm: bool) -> PopVector:
@@ -107,14 +136,11 @@ def _emit(args, manifest: dict, result, table) -> None:
     """Write JSON, or CSV with the manifest as a comment line."""
     if args.format == "csv":
         header, rows = table
-        lines = [f"# manifest: {json.dumps(_round12(manifest))}", ",".join(header)]
-        for row in rows:
-            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
+        cells = ["%.12g" if isinstance(v, float) else "%s" for v in rows[0]] if rows else []
+        text = "\n".join([f"# manifest: {_json(manifest, None)}", ",".join(header), ""])
+        text += (",".join(cells) + "\n") * len(rows) % tuple(v for row in rows for v in row)
     else:
-        text = json.dumps({"manifest": _round12(manifest), "result": _round12(result)},
-                          indent=2) + "\n"
+        text = _json({"manifest": manifest, "result": result}) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -123,9 +149,8 @@ def _emit(args, manifest: dict, result, table) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (result, table), where result is what
-# ``_round12`` encodes, library result objects included, and table is
-# (header, rows) for the subcommands that can write CSV and None otherwise
+# subcommand runners: each returns (result, table): what ``_json`` encodes, and
+# (header, rows) with every row typed as the first, or None where there is no CSV
 # ---------------------------------------------------------------------------
 
 def _run_classify(args):

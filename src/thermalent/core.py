@@ -236,15 +236,19 @@ def _pair_bits(P: np.ndarray, gammas) -> np.ndarray:
     G = np.asarray(gammas, dtype=float)
     Gt = G.T if G.ndim == 2 else G[:, None]
     I, J, _ = _pairs(d)
-    R = np.empty((d, n))
+    R, B = np.empty((d, n)), np.empty((len(I), n), dtype=bool)
     if Gt.all():
         np.divide(P.T, Gt, out=R)
-        return R[I] >= R[J]
+        for k, (i, j) in enumerate(zip(I, J)):
+            np.greater_equal(R[i], R[j], out=B[k])
+        return B
     zero = Gt == 0
     R[...] = np.where(P.T > 0, np.inf, -np.inf)
     np.divide(P.T, Gt, out=R, where=~zero)
     S = np.where(zero, P.T, 0.0)
-    return (R[I] > R[J]) | ((R[I] == R[J]) & (S[I] >= S[J]))
+    for k, (i, j) in enumerate(zip(I, J)):
+        np.logical_or(R[i] > R[j], (R[i] == R[j]) & (S[i] >= S[j]), out=B[k])
+    return B
 
 
 def _orders_from_bits(bits: np.ndarray, d: int) -> np.ndarray:

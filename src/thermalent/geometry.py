@@ -284,9 +284,9 @@ class HullMesh:
     volume_fraction: float    # relative to the whole simplex
 
     def to_obj(self) -> str:
-        lines = [f"v {x:.12g} {y:.12g} {z:.12g}" for x, y, z in self.points3d.tolist()]
-        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in self.faces.tolist()]
-        return "\n".join(lines) + "\n"
+        """OBJ text: ``v x y z`` lines at ``%.12g``, then ``f a b c`` lines, 1-based."""
+        v = "v %.12g %.12g %.12g\n" * len(self.points3d) % tuple(self.points3d.ravel().tolist())
+        return v + "f %d %d %d\n" * len(self.faces) % tuple((self.faces + 1).ravel().tolist())
 
 
 def convex_hull_export(cloud) -> HullMesh:

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from fractions import Fraction
 
 import hypothesis
 import numpy as np
@@ -278,3 +281,58 @@ def ref_fstar(p, gamma):
     """Witness at the (2,1,3,4) extreme point, from the per-row reference."""
     q = ref_extreme_point(np.asarray(p, dtype=float), gamma, (2, 1, 3, 4))
     return 4.0 * q[0] * q[3] - (q[1] - q[2]) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Reference: the result text as the CLI first wrote it, a second walk that
+# rounds every float through its own f-string followed by ``json.dumps``, and
+# the per-value CSV and OBJ lines.  The one-walk writer must give the same
+# bytes.
+# ---------------------------------------------------------------------------
+
+def ref_round12(obj):
+    """JSON form of a result: floats at 12 significant digits, a ``PopVector``
+    as its populations, a ``Fraction`` as its str, a dataclass as its fields."""
+    from thermalent.core import PopVector
+
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, PopVector):
+        return ref_round12(obj.probs)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return ref_round12({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    if isinstance(obj, dict):
+        return {k: ref_round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_round12(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        flat = [float(f"{v:.12g}") if isinstance(v, float) else v for v in obj.ravel().tolist()]
+        return np.array(flat).reshape(obj.shape).tolist()
+    if isinstance(obj, (np.floating,)):
+        return ref_round12(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+def ref_result_text(obj, indent=2):
+    """JSON text of a result: indented, or with ``indent=None`` the compact
+    layout of the CSV manifest line."""
+    return json.dumps(ref_round12(obj), indent=indent)
+
+
+def ref_csv_text(manifest, header, rows):
+    """CSV output: the manifest comment line, the header, one line per row."""
+    lines = [f"# manifest: {ref_result_text(manifest, None)}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_obj_text(points3d, faces):
+    """OBJ text of a mesh, one f-string per vertex and per face."""
+    lines = [f"v {x:.12g} {y:.12g} {z:.12g}" for x, y, z in points3d.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces.tolist()]
+    return "\n".join(lines) + "\n"

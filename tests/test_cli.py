@@ -575,8 +575,8 @@ class TestFormatting:
         from thermalent import core, geometry
 
         est = geometry.VolumeEstimate(0.1234567890123456, 0.5, 10, 3)
-        assert list(cli._round12(est)) == ["fraction", "std_error", "n_samples", "seed"]
-        assert cli._round12([est, core.PopVector([0.5, 0.5]), Fraction(3, 4)]) == [
+        assert list(json.loads(cli._json(est))) == ["fraction", "std_error", "n_samples", "seed"]
+        assert json.loads(cli._json([est, core.PopVector([0.5, 0.5]), Fraction(3, 4)])) == [
             {"fraction": 0.123456789012, "std_error": 0.5, "n_samples": 10, "seed": 3},
             [0.5, 0.5], "3/4"]
 
