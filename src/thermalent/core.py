@@ -197,9 +197,10 @@ class BetaOrdering:
 PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 
-#: rows per tile of the batch calls and of a volume's sample stream.  The
-#: largest temporary of a tile is its gathered maps in ``majorization``,
-#: CHUNK x d x d doubles (512 KB at four levels), so a tile stays resident
+#: rows per tile of the batch calls and of a volume's sample stream.  A
+#: tile's temporaries are a few CHUNK x d arrays of doubles (128 KB each at
+#: four levels: its sorted populations, its tight points, the products of
+#: the map entries that differ between orderings), so a tile stays resident
 #: from its draw to its hit count; 4,096 ran ``mc-finite`` faster than 8,192
 #: in paired benchmark runs
 CHUNK = 4096

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import CHUNK, PI_STAR, GibbsContext, PopVector, batch_order
 from .entangle import TAU_F, fstar_batch, witness_batch
-from .majorization import _level_maps, _majorizes_stream, _take_rows, tight_point_tiles
+from .majorization import _apply, _level_plan, _majorizes_stream, _take_levels, tight_point_tiles
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
@@ -72,6 +72,22 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def _refilled(tiles):
+    """The rows of a stream of (n, 4) tiles, in tiles of CHUNK rows (the last
+    one shorter): views of one buffer, refilled per tile."""
+    buf, fill = np.empty((CHUNK, 4)), 0
+    for T in tiles:
+        while len(T):
+            m = min(CHUNK - fill, len(T))
+            buf[fill:fill + m] = T[:m]
+            fill, T = fill + m, T[m:]
+            if fill == CHUNK:
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     """Monte Carlo volume fraction with its binomial standard error."""
@@ -114,8 +130,9 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
             return sum(int(np.count_nonzero(witness_batch(Q) >= -TAU_F)) for Q in Qs)
         if set_id == "E":
             return sum(int(np.count_nonzero(witness_batch(Q) < -TAU_F)) for Q in Qs)
-        # dominance costs far more than the witness: read it only where needed
-        ent = (Q[witness_batch(Q) < -TAU_F] for Q in Qs)
+        # dominance costs far more than the witness: read it only where needed,
+        # on the entangled rows of the block gathered into full tiles
+        ent = _refilled(np.compress(witness_batch(Q) < -TAU_F, Q, axis=0) for Q in Qs)
         return sum(int(np.count_nonzero(ok)) for ok in _majorizes_stream(origin, ent, ctx))
 
     # blocks are drawn lazily, so the set-up does not grow with n
@@ -183,9 +200,9 @@ def _ray_roots(O: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     t = np.empty(len(O))
     for lo in range(0, len(O), CHUNK):
         rows = slice(lo, lo + CHUNK)
-        maps = _level_maps(order[rows], gamma, PI_STAR)
-        q0 = np.einsum("nki,nk->ni", maps, np.take(gamma, order[rows]))
-        dq = np.einsum("nki,nk->ni", maps, _take_rows(O[rows], order[rows])) - q0
+        plan = _level_plan(order[rows], gamma, PI_STAR)
+        q0 = _apply(plan, _take_levels(gamma, order[rows]))
+        dq = _apply(plan, _take_levels(O[rows], order[rows])) - q0
         a, c = witness_batch(dq), witness_batch(q0) + TAU_F
         b = (4.0 * (q0[:, 0] * dq[:, 3] + q0[:, 3] * dq[:, 0])
              - 2.0 * (q0[:, 1] - q0[:, 2]) * (dq[:, 1] - dq[:, 2]))

@@ -22,14 +22,19 @@ Every tight point goes through these maps: ``tight_point_tiles`` builds
 them once per stream for each ordering seen when the rows share gamma, and
 one per row when each row has its own (the critical-temperature scan),
 ``all_extreme_points`` builds those of all d! targets for one state, and
-``geometry.tne_boundary`` reads f* along each ray from one map.  The
-orderings come from packed pairwise comparisons (``core.ordering_codes``).
-The kernel walks streams of row tiles, of CHUNK rows for an array (``volume``
-streams its samples), so no temporary grows with the batch.
+``geometry.tne_boundary`` reads f* along each ray from one map.  One
+applier, ``_apply``, reads the maps through their nonzero entries only, and
+gathers per row only the entries that differ between orderings (none at
+beta = 0, where every map is the same permutation).  The orderings come
+from packed pairwise comparisons (``core.ordering_codes``).  The kernel
+walks streams of row tiles, of CHUNK rows for an array (``volume`` streams
+its samples), each tile's sorted populations one contiguous row per rank,
+so no temporary grows with the batch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -145,23 +150,30 @@ def _dedup(points, tol):
     return np.flatnonzero(kept).tolist()
 
 
+@functools.cache
+def _targets(d: int) -> np.ndarray:
+    """The d! zero-based orderings of d levels in lexicographic order."""
+    return _readonly(np.array(list(itertools.permutations(range(d)))))
+
+
 def all_extreme_points(p: PopVector, ctx: GibbsContext):
     """``(targets, points)``: the d! zero-based target orderings in
-    lexicographic order and the tight-majorized state of each, equal to its
-    ``extreme_point``.  p is ordered once; the targets go in tiles of CHUNK."""
+    lexicographic order (read-only) and the tight-majorized state of each,
+    equal to its ``extreme_point``.  p is ordered once; the targets go in
+    tiles of CHUNK."""
     d = p.dim
     _check_dims(ctx, p)
     if d > MAX_ENUM_DIM:
         raise ValueError(f"dimension {d} too large for {d}! enumeration")
     gamma = ctx.checked_gamma()
     order = batch_order(p.probs[None, :], gamma)
-    sorted_p = _take_rows(p.probs, order)
-    targets = np.array(list(itertools.permutations(range(d))))
+    sorted_p = _take_levels(p.probs[None, :], order)
+    targets = _targets(d)
     points = np.empty(targets.shape)
     for lo in range(0, len(targets), CHUNK):
         t = targets[lo:lo + CHUNK]
-        q = _tight(_tight_maps(order, gamma, t), np.repeat(sorted_p, len(t), axis=0))
-        np.put_along_axis(points[lo:lo + CHUNK], t, q, axis=1)
+        q = _tight(_map_plan(_tight_maps(order, gamma, t)), np.repeat(sorted_p, len(t), axis=1))
+        points[lo + np.arange(len(t))[:, None], t] = q
     return targets, points
 
 
@@ -185,6 +197,14 @@ def _take_rows(A: np.ndarray, order: np.ndarray) -> np.ndarray:
     if A.ndim == 1:
         return np.take(A, order)
     return np.take(A, order + np.arange(0, A.size, A.shape[1])[:, None])
+
+
+def _take_levels(A: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``_take_rows(A, order).T`` as a contiguous (d, n) array: row k holds
+    the k-th entry of every row's ordering.  The indices are laid out as the
+    result (``order="C"``), which ``np.take`` reads several times faster."""
+    offsets = 0 if A.ndim == 1 else np.arange(0, A.size, A.shape[1])
+    return np.take(A, np.add(order.T, offsets, order="C"))
 
 
 def batch_curves(P: np.ndarray, gammas: np.ndarray):
@@ -222,17 +242,18 @@ def _row_tiles(P: np.ndarray):
     return (P[lo:lo + CHUNK] for lo in range(0, len(P), CHUNK))
 
 
-def _grouped_tiles(tiles, gamma: np.ndarray, build):
+def _grouped_tiles(tiles, gamma: np.ndarray, build, prepare=lambda table: table):
     """Walk a stream of row tiles (``_row_tiles(P)`` for an array), grouped
     by level ordering.
 
     Yields ``(lo, sorted_p, table, cls)`` per non-empty tile: the stream
-    offset of its first row, its populations in each row's level ordering,
+    offset of its first row, a contiguous (d, n) array whose row k holds
+    every row's k-th population in its level ordering, ``prepare`` of
     ``build(orderings)`` stacked for the orderings seen so far, and each
     row's index into it.  Up to MAX_DENSE_DIM levels a row's pair code names
-    its ordering, and ``build`` runs once per stream, on the codes that no
-    earlier tile had; above, each tile groups its orderings with
-    ``np.unique`` and builds its own table.
+    its ordering, and ``build`` and ``prepare`` run once per stream for the
+    codes that no earlier tile had; above, each tile groups its orderings
+    with ``np.unique`` and builds its own table.
     """
     lo, n, table = 0, 0, None
     for Pt in tiles:
@@ -242,7 +263,7 @@ def _grouped_tiles(tiles, gamma: np.ndarray, build):
         if d > MAX_DENSE_DIM:
             order = batch_order(Pt, gamma)
             classes, cls = np.unique(order, axis=0, return_inverse=True)
-            yield lo, _take_rows(Pt, order), build(classes), cls.ravel()
+            yield lo, _take_levels(Pt, order), prepare(build(classes)), cls.ravel()
             continue
         orders, code = code_orders(d), ordering_codes(Pt, gamma)
         if table is None:
@@ -253,8 +274,8 @@ def _grouped_tiles(tiles, gamma: np.ndarray, build):
             new = build(orders[fresh])
             table = new if table is None else np.concatenate([table, new])
             cls_of[fresh] = np.arange(len(table) - len(fresh), len(table))
-            cls = cls_of[code]
-        yield lo, _take_rows(Pt, np.take(orders, code, axis=0)), table, cls
+            cls, ready = cls_of[code], prepare(table)
+        yield lo, _take_levels(Pt, np.take(orders, code, axis=0)), ready, cls
 
 
 def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -262,25 +283,85 @@ def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> 
     tight point for the target ordering t: q[t[j]] = sum_k maps[c, k, j] r[k],
     the covered fractions of ``batch_eval`` at the target elbows
     cumsum(gamma[t]), differenced.  Rows of ``orders``, ``gammas`` (or one
-    shared (d,) vector) and ``targets`` broadcast.  The maps are C-ordered,
-    so every einsum over them adds in one order.
+    shared (d,) vector) and ``targets`` broadcast.  Every entry is >= 0, a
+    difference of non-decreasing covered fractions.
     """
     F = _covered(np.cumsum(_take_rows(gammas, orders), axis=1),
                  np.cumsum(_take_rows(gammas, targets), axis=1))
-    return np.diff(F, prepend=0.0, axis=1).transpose(0, 2, 1).copy()
+    F[:, 1:] -= F[:, :-1]  # np.diff(F, prepend=0.0, axis=1); a ufunc reads an overlap first
+    return F.transpose(0, 2, 1)
 
 
-def _level_maps(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
-    """``_tight_maps`` for one shared target ordering, with the tight point
-    in level order: q[i] = sum_k maps[c, k, i] r[k]."""
+def _map_plan(maps: np.ndarray, levels=None):
+    """How ``_apply`` reads the maps ``maps[c, k, j]`` of the classes c, with
+    output j at level ``levels[j]`` (at level j when ``levels`` is None).
+
+    Returns ``(terms, varying, spans)``: terms[i] lists the terms ``(k,
+    scale, row)`` of level i in ascending k.  An entry that is the same in
+    every class is a ``scale`` (None for 1); any other is ``row`` of
+    ``varying``, the (terms, classes) table of those entries (None if there
+    are none), whose rows ``varying[a:b]`` multiply sorted population k for
+    each ``(k, a, b)`` of ``spans``.  An entry 0 in every class is left out:
+    its product with a finite population is +0 or -0, which changes no sum
+    that starts at +0, since such a sum is never -0.
+    """
+    d = maps.shape[1]
+    least, most = maps.min(axis=0).tolist(), maps.max(axis=0).tolist()
+    at = range(d) if levels is None else levels.tolist()
+    terms, K, J, spans = [[] for _ in range(d)], [], [], []
+    for k in range(d):
+        a = len(K)
+        for j, i in enumerate(at):
+            if most[k][j] == 0.0:
+                continue
+            if least[k][j] == most[k][j]:
+                terms[i].append((k, None if most[k][j] == 1.0 else most[k][j], None))
+            else:
+                terms[i].append((k, None, len(K)))
+                K.append(k)
+                J.append(j)
+        if len(K) > a:
+            spans.append((k, a, len(K)))
+    return terms, maps.transpose(1, 2, 0)[K, J] if K else None, spans
+
+
+def _level_plan(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
+    """``_map_plan`` of the ``_tight_maps`` for one shared target ordering,
+    with the tight point in level order."""
     t0 = target.zero_based()
-    return np.take(_tight_maps(orders, gammas, t0[None, :]), np.argsort(t0), axis=2)
+    return _map_plan(_tight_maps(orders, gammas, t0[None, :]), t0)
 
 
-def _tight(maps: np.ndarray, sorted_p: np.ndarray) -> np.ndarray:
-    """Apply each row's map to its sorted populations, clipped at 0."""
-    q = np.einsum("nki,nk->ni", maps, sorted_p)
-    return np.clip(q, 0.0, None, out=q)
+def _apply(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
+    """Tight points, as an (n, d) view, of the sorted populations R, a (d, n)
+    array with one column per row: each column goes through the map of its
+    class ``cls``, or column j through class j when ``cls`` is None.  Each
+    output adds its terms to 0 in ascending k, as ``np.einsum("nki,nk->ni",
+    maps, r)`` does, bit for bit."""
+    terms, varying, spans = plan
+    d, n = R.shape
+    if varying is not None:
+        # each row's varying entries, times their populations, one call per k
+        V = np.empty((len(varying), n)) if cls is None else np.take(varying, cls, axis=1)
+        M = varying if cls is None else V
+        for k, a, b in spans:
+            np.multiply(M[a:b], R[k], out=V[a:b])
+    Q, tmp = np.zeros((d, n)), np.empty(n)
+    for q, col in zip(Q, terms):
+        for k, scale, row in col:
+            if row is not None:
+                q += V[row]
+            elif scale is not None:
+                q += np.multiply(R[k], scale, out=tmp)
+            else:
+                q += R[k]
+    return Q.T
+
+
+def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
+    """``_apply``, clipped at 0 (``np.maximum``, which ``np.clip`` calls)."""
+    q = _apply(plan, R, cls)
+    return np.maximum(q, 0.0, out=q)
 
 
 def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
@@ -289,22 +370,28 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
     per tile, ``lo`` the offset of its first row in the stream.
 
     Each row's sorted populations go through the map of its ordering
-    (``_tight_maps``): with one shared (d,) Gibbs vector, built once per
-    stream for each ordering seen; with one Gibbs vector per row of a stream
-    of CHUNK-row tiles, one per row.  Swapping the populations of two levels
-    of equal weight swaps the tight point exactly.
+    (``_tight_maps``, applied by ``_apply``): with one shared (d,) Gibbs
+    vector, built once per stream for each ordering seen; with one Gibbs
+    vector per row of a stream of CHUNK-row tiles, one per row.  Swapping
+    the populations of two levels of equal weight swaps the tight point
+    exactly.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim == 1:
-        def maps_of(orders):
-            return _level_maps(orders, gammas, target)
+        t0 = target.zero_based()
 
-        for lo, sorted_p, maps, cls in _grouped_tiles(tiles, gammas, maps_of):
-            yield lo, _tight(np.take(maps, cls, axis=0), sorted_p)
+        def maps_of(orders):
+            return _tight_maps(orders, gammas, t0[None, :])
+
+        def plan_of(maps):
+            return _map_plan(maps, t0)
+
+        for lo, sorted_p, plan, cls in _grouped_tiles(tiles, gammas, maps_of, plan_of):
+            yield lo, _tight(plan, sorted_p, cls)
         return
     for lo, Pt, Gt in zip(itertools.count(0, CHUNK), tiles, _row_tiles(gammas)):
         order = batch_order(Pt, Gt)
-        yield lo, _tight(_level_maps(order, Gt, target), _take_rows(Pt, order))
+        yield lo, _tight(_level_plan(order, Gt, target), _take_levels(Pt, order))
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
@@ -324,8 +411,8 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext):
     By concavity it suffices to test at each row's own elbows, which depend
     only on the row's ordering: the origin's curve is read once per stream
     for each ordering seen, with ``batch_eval`` (at x=0, at the top of its
-    jump).  The cumulative sums and the test run column by column, which
-    adds in the same order as ``np.cumsum``.
+    jump).  The cumulative sums and the test run level by level, which adds
+    in the same order as ``np.cumsum``.
     """
     _check_dims(ctx, origin)
     gamma = ctx.checked_gamma()
@@ -336,8 +423,8 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext):
 
     for _, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of):
         ok, y = np.ones(len(cls), dtype=bool), np.zeros(len(cls))
-        for k in range(sorted_q.shape[1]):
-            y += sorted_q[:, k]
+        for k, r in enumerate(sorted_q):
+            y += r
             ok &= heights[:, k][cls] >= y - TAU_CMP
         yield ok
 

@@ -69,6 +69,13 @@ def ref_extreme_point(p, gamma, perm):
     return np.clip(out, 0.0, None)
 
 
+def ref_tight(maps, sorted_p):
+    """Each row's map applied to its sorted populations by one einsum,
+    q[n, i] = sum_k maps[n, k, i] sorted_p[n, k], clipped at 0."""
+    q = np.einsum("nki,nk->ni", np.ascontiguousarray(maps), np.ascontiguousarray(sorted_p))
+    return np.clip(q, 0.0, None, out=q)
+
+
 def ref_margin(p, q, gamma):
     """Least value of p's curve less q's over the elbows of both curves; at
     x=0 the tops of the jumps are compared."""

@@ -133,6 +133,21 @@ class TestVolumes:
                      for t in (1, 2, 3)}
         assert len(fractions) == 1
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+    def test_refilled_dominance_verdicts(self, beta):
+        # the entangled rows of a block, regrouped into full tiles, get the
+        # verdicts they get in the tiles they were drawn in
+        ctx, origin = ctx2q(beta), core.PopVector([0.1, 0.1, 0.2, 0.6])
+        tiles = [Q.copy() for Q in geo._simplex_tiles(4, geo.BLOCK - 100, seed=5, block=2)]
+        ent = [Q[en.witness_batch(Q) < -en.TAU_F] for Q in tiles]
+        refilled = [Q.copy() for Q in geo._refilled(iter(ent))]
+        assert [len(Q) for Q in refilled[:-1]] == [core.CHUNK] * (len(refilled) - 1)
+        assert np.array_equal(np.concatenate(refilled), np.concatenate(ent))
+        drawn = np.concatenate(list(mj._majorizes_stream(origin, iter(ent), ctx)))
+        full = np.concatenate(list(mj._majorizes_stream(origin, iter(refilled), ctx)))
+        assert np.array_equal(drawn, full)
+        assert 0 < np.count_nonzero(full) < len(full)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             geo.volume_of("BOGUS", ctx2q(0.0), None, 10, seed=0)
@@ -172,6 +187,7 @@ class TestVolumes:
         ("ENT_CONE", 0.0, (0.1, 0.1, 0.2, 0.6), 2038),
         ("ENT_CONE", 1.0, (0.1, 0.1, 0.2, 0.6), 12939),
         ("ENT_CONE", math.inf, (0.1, 0.1, 0.2, 0.6), 22611),
+        ("ENT_CONE", 0.0, (0.4, 0.25, 0.33, 0.02), 0),
     ])
     def test_pinned_hit_counts(self, set_id, beta, origin, hits):
         # hit counts of the per-row curve construction; a flipped verdict
@@ -198,8 +214,9 @@ class TestVolumes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # four times the largest temporary of a 4096-row tile: its gathered
-        # (4096, 4, 4) maps, 512 KB
+        # 2 MB: a 4096-row tile's temporaries are a few (4, 4096) arrays of
+        # 128 KB each (sorted populations, tight points, the products of the
+        # varying map entries, up to 16 rows of them)
         assert peak <= 4 * 8 * 4096 * 4 * 4
 
     def test_infinite_beta_tne_is_negligible(self):

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
     qutrit_strategy, random_states, ref_curve, ref_extreme_point, ref_margin, ref_order,
-    ref_upper, state_strategy)
+    ref_tight, ref_upper, state_strategy)
 
 
 def ctx2q(beta):
@@ -475,7 +475,7 @@ class TestPairCodes:
             tiles = list(mj._grouped_tiles(mj._row_tiles(P), gamma, lambda orders: orders))
         assert [lo for lo, *_ in tiles] == list(range(0, len(P), chunk))
         for lo, sorted_p, table, cls in tiles:
-            for p, s, o in zip(P[lo:lo + chunk], sorted_p, table[cls]):
+            for p, s, o in zip(P[lo:lo + chunk], sorted_p.T, table[cls]):
                 assert o.tolist() == ref_order(p, gamma)
                 assert np.array_equal(s, p[o])
         if P.shape[1] <= mj.MAX_DENSE_DIM:
@@ -592,3 +592,59 @@ class TestOneTightPointArithmetic:
         for bad in ([0.5, 1.2], [-0.2, 0.5], [0.5, math.nan]):
             with pytest.raises(ValueError, match="outside"):
                 c.evaluate(np.array(bad))
+
+
+def faces_and_ties(rng, n, d):
+    """Uniform states of d levels, about a fifth of them with a zero
+    population and a fifth with levels 1 and 2 (equal weights in
+    ``degenerate_energies``) equally populated."""
+    P = random_states(rng, n, d)
+    face = np.flatnonzero(rng.random(n) < 0.2)
+    P[face, rng.integers(0, d, face.size)] = 0.0
+    tied = rng.random(n) < 0.2
+    P[tied, 2] = P[tied, 1]
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def degenerate_energies(d):
+    """Energies 0, 1, 1, 2, ...: levels 1 and 2 share a weight."""
+    return [0.0, 1.0, 1.0] + [float(e) for e in range(2, d - 1)]
+
+
+class TestMapApplier:
+    """The maps go through ``_apply`` by their nonzero entries only, and give
+    the einsum over the whole map bit for bit (a signed zero included)."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0, 20.0, math.inf])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_matches_einsum_reference(self, rng, d, beta):
+        gamma = core.make_context(degenerate_energies(d), beta).gamma
+        P = faces_and_ties(rng, 6000, d)
+        order = core.batch_order(P, gamma)
+        sorted_p = mj._take_levels(P, order)
+        t0 = rng.permutation(d)
+        expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :]), sorted_p.T)
+
+        # one map per row, and one per ordering with each row's class
+        per_row = mj._tight(mj._map_plan(mj._tight_maps(order, gamma, t0[None, :])), sorted_p)
+        classes, cls = np.unique(order, axis=0, return_inverse=True)
+        plan = mj._map_plan(mj._tight_maps(classes, gamma, t0[None, :]))
+        per_class = mj._tight(plan, sorted_p, cls.ravel())
+        for q in (per_row, per_class):
+            assert np.array_equal(q.view(np.int64), expected.view(np.int64))
+
+        # the stream, in level order
+        in_levels = np.empty_like(expected)
+        in_levels[:, t0] = expected
+        q = mj.batch_tight_points(P, gamma, core.BetaOrdering(t0 + 1))
+        assert np.array_equal(q.view(np.int64), in_levels.view(np.int64))
+
+    def test_plan_skips_zero_entries(self):
+        # at beta = 0 every ordering's map is one permutation, so the
+        # (2,1,3,4) point reads each sorted population once, with no product
+        gamma = ctx2q(0.0).gamma
+        orders = core.code_orders(4)[np.unique(core.ordering_codes(random_states(
+            np.random.default_rng(1), 4000), gamma))]
+        terms, varying, _ = mj._level_plan(orders, gamma, core.PI_STAR)
+        assert terms == [[(1, None, None)], [(0, None, None)], [(2, None, None)], [(3, None, None)]]
+        assert varying is None
