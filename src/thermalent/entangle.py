@@ -37,8 +37,9 @@ TAU_F = 1e-12
 #: golden-ratio conjugate, the branch point of the hot-system extreme state
 PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: largest scan of ``critical_temps_general``: one (MAX_SCAN, 4) array of
-#: Gibbs rows and one tight point per row
+#: largest scan of ``critical_temps_general``, and the most points one round
+#: of its refinement evaluates: one (MAX_SCAN, 4) array of Gibbs rows and one
+#: tight point per row
 MAX_SCAN = 100_000
 
 
@@ -147,37 +148,44 @@ def fstar_thermal_cooler(delta: float, delta_s: float) -> float:
     return (4.0 * delta_s**2 * (1.0 - u) - u**2) / zs**2
 
 
-def fstar_thermal_hotter(delta: float, delta_s: float) -> float:
+def _hotter_quartic(x, delta_s: float):
     """Witness at the (2,1,3,4) extreme point for a system hotter than the
-    bath, on the branch valid for ambient weight below the golden ratio."""
-    zs = (1.0 + delta_s) ** 2
-    u = delta_s - delta
-    return (-(u**2) * (1.0 + delta_s) ** 2
-            + 4.0 * delta**2 * (1.0 + delta_s - (1.0 - delta_s) * delta - delta**2)) / zs**2
+    bath, at ambient weight ``x * delta_s`` below the golden ratio, times
+    (1 + delta_s)^4 / delta_s^2: a quartic in x with O(1) coefficients that
+    is -(1 + delta_s)^2 at x = 0."""
+    return (4.0 * x**2 * (1.0 + delta_s - ((1.0 - delta_s) * delta_s + delta_s**2 * x) * x)
+            - ((1.0 - x) * (1.0 + delta_s))**2)
 
 
-def _bisect(fn, lo, hi, rtol=1e-12, max_iter=200):
-    flo = fn(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * max(abs(lo), abs(hi), 1e-30):
-            return mid
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+#: rounds and sub-brackets of ``_refine``: a bracket ends 64**-8 < 4e-15 as wide
+REFINE_ROUNDS, REFINE_SPLIT = 8, 64
+
+
+def _refine(fn, lo, hi) -> np.ndarray:
+    """Midpoints of the brackets [lo[i], hi[i]] after REFINE_ROUNDS rounds.
+    Each round evaluates every bracket at REFINE_SPLIT + 1 even steps, its
+    last exactly ``hi``, in one call of ``fn`` on an (n, steps) array, and
+    keeps the first step whose ends differ in sign bit; the ends of each
+    given bracket must differ in sign bit."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    steps, rows = np.arange(REFINE_SPLIT + 1) / REFINE_SPLIT, np.arange(len(lo))
+    for _ in range(REFINE_ROUNDS):
+        grid = lo[:, None] + (hi - lo)[:, None] * steps
+        grid[:, -1] = hi
+        neg = np.signbit(fn(grid))
+        k = (neg[:, :-1] != neg[:, 1:]).argmax(axis=1)
+        lo, hi = grid[rows, k], grid[rows, k + 1]
     return 0.5 * (lo + hi)
 
 
 def critical_temps_thermal(beta_s: float, gap: float) -> CriticalTemps:
     """Critical ambient temperatures for a thermal initial state.
 
-    ``beta_c1`` (hot bath side) comes from the closed form; ``beta_c2``
-    (cold bath side) from bracketed bisection of the hot-system branch,
-    absent when no root exists.  The large-``beta_s`` approximations
+    ``beta_c1`` (hot bath side) comes from the closed form.  ``beta_c2``
+    (cold bath side) is beta_s - log(x)/gap at the root x of the hot-system
+    branch in x = delta/delta_s (``_hotter_quartic``), refined on [0,
+    min(1, PHI/delta_s)] by ``_refine``, and absent when the quartic is not
+    positive at the top of that range.  The large-``beta_s`` approximations
     ``beta_s -/+ log(3)/gap`` are always reported.  Raises ValueError when
     a temperature it would report is not finite.
     """
@@ -193,12 +201,10 @@ def critical_temps_thermal(beta_s: float, gap: float) -> CriticalTemps:
     delta_c1 = delta_s * (1.0 + 2.0 * math.sqrt(1.0 + delta_s**2) - 2.0 * delta_s)
     beta_c1 = -math.log(delta_c1) / gap if delta_c1 < 1.0 else None
 
-    beta_c2 = None
-    hi = min(delta_s, PHI)
-    lo = hi * 1e-14
-    if delta_s > 0 and fstar_thermal_hotter(lo, delta_s) < 0 < fstar_thermal_hotter(hi, delta_s):
-        root = _bisect(lambda d: fstar_thermal_hotter(d, delta_s), lo, hi)
-        beta_c2 = -math.log(root) / gap
+    beta_c2, top = None, min(1.0, PHI / delta_s)
+    if _hotter_quartic(top, delta_s) > 0:
+        x = _refine(lambda X: _hotter_quartic(X, delta_s), [0.0], [top])[0]
+        beta_c2 = beta_s - math.log(x) / gap
 
     log3 = math.log(3.0) / gap
     temps = (beta_c1, beta_c2, beta_s - log3, beta_s + log3)
@@ -209,8 +215,12 @@ def critical_temps_thermal(beta_s: float, gap: float) -> CriticalTemps:
 
 
 def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) -> list:
-    """Locate all ambient inverse temperatures at which the (2,1,3,4)
-    extreme-point witness of ``p`` changes sign, by scan plus bisection."""
+    """All ambient inverse temperatures in ``beta_range`` at which the
+    (2,1,3,4) extreme-point witness of ``p`` changes sign: the exact zeros
+    of a scan of ``n_scan`` even steps, and a root refined by ``_refine`` in
+    every step across which the sign bit flips.  The scan only brackets the
+    roots; one ``fstar_batch`` call of at most MAX_SCAN points per round
+    refines the brackets."""
     if p.dim != 4:
         raise ValueError("requires a 4-level state")
     if gap <= 0:
@@ -230,18 +240,15 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     top.checked_gamma()
     e = np.array(top.energies)
 
-    def h(beta):
-        return fstar_batch(p.probs[None, :], _gibbs_rows(e, beta))[0]
+    def fstar_at(B):
+        P = np.broadcast_to(p.probs, (B.size, 4))
+        return fstar_batch(P, _gibbs_rows(e, B.ravel())).reshape(B.shape)
 
     betas = np.linspace(lo, hi, n_scan)
-    vals = fstar_batch(np.tile(p.probs, (n_scan, 1)), _gibbs_rows(e, betas))
-
-    roots = []
-    for i in range(n_scan - 1):
-        if vals[i] == 0.0:
-            roots.append(float(betas[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(_bisect(h, float(betas[i]), float(betas[i + 1]), rtol=1e-9))
-    if vals[-1] == 0.0:
-        roots.append(float(betas[-1]))
-    return roots
+    vals = fstar_at(betas)
+    zero, neg = vals == 0.0, np.signbit(vals)
+    cross = np.flatnonzero((neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:])
+    per_call = MAX_SCAN // (REFINE_SPLIT + 1)  # brackets refined together
+    groups = (cross[i:i + per_call] for i in range(0, len(cross), per_call))
+    refined = [_refine(fstar_at, betas[c], betas[c + 1]) for c in groups]
+    return np.sort(np.concatenate([betas[zero], *refined])).tolist()

@@ -192,17 +192,12 @@ def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
 # weight means infinite beta.
 # ---------------------------------------------------------------------------
 
-def _take_rows(A: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``A[r, order[r]]`` for every row r; a 1-d ``A`` is shared by all rows."""
-    if A.ndim == 1:
-        return np.take(A, order)
-    return np.take(A, order + np.arange(0, A.size, A.shape[1])[:, None])
-
-
 def _take_levels(A: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``_take_rows(A, order).T`` as a contiguous (d, n) array: row k holds
-    the k-th entry of every row's ordering.  The indices are laid out as the
-    result (``order="C"``), which ``np.take`` reads several times faster."""
+    """``A[r, order[r, k]]`` at [k, r], a contiguous (d, n) array: row k holds
+    the k-th entry of every row's ordering; a 1-d ``A`` is shared by all
+    rows, and rows of ``A`` and ``order`` broadcast.  The indices are laid
+    out as the result (``order="C"``), which ``np.take`` reads several times
+    faster."""
     offsets = 0 if A.ndim == 1 else np.arange(0, A.size, A.shape[1])
     return np.take(A, np.add(order.T, offsets, order="C"))
 
@@ -211,8 +206,8 @@ def batch_curves(P: np.ndarray, gammas: np.ndarray):
     """Per-row ordering and cumulative-sum elbows for a batch of states."""
     P = np.asarray(P, dtype=float)
     order = batch_order(P, gammas)
-    X = np.cumsum(_take_rows(np.asarray(gammas, dtype=float), order), axis=1)
-    Y = np.cumsum(_take_rows(P, order), axis=1)
+    X = np.cumsum(_take_levels(np.asarray(gammas, dtype=float), order), axis=0).T
+    Y = np.cumsum(_take_levels(P, order), axis=0).T
     return order, X, Y
 
 
@@ -234,7 +229,9 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Evaluate each row's piecewise-linear curve at that row's targets: the
     sum over segments of each rise times its covered fraction, which avoids
     a per-row searchsorted."""
-    return np.einsum("nts,ns->nt", _covered(X, T), np.diff(Y, prepend=0.0, axis=1))
+    rises = np.array(Y, dtype=float)  # a copy: Y may be a read-only ThermoCurve.ys
+    rises[:, 1:] -= Y[:, :-1]
+    return np.einsum("nts,ns->nt", _covered(X, T), rises)
 
 
 def _row_tiles(P: np.ndarray):
@@ -242,18 +239,18 @@ def _row_tiles(P: np.ndarray):
     return (P[lo:lo + CHUNK] for lo in range(0, len(P), CHUNK))
 
 
-def _grouped_tiles(tiles, gamma: np.ndarray, build, prepare=lambda table: table):
+def _grouped_tiles(tiles, gamma: np.ndarray, build):
     """Walk a stream of row tiles (``_row_tiles(P)`` for an array), grouped
     by level ordering.
 
     Yields ``(lo, sorted_p, table, cls)`` per non-empty tile: the stream
     offset of its first row, a contiguous (d, n) array whose row k holds
-    every row's k-th population in its level ordering, ``prepare`` of
-    ``build(orderings)`` stacked for the orderings seen so far, and each
-    row's index into it.  Up to MAX_DENSE_DIM levels a row's pair code names
-    its ordering, and ``build`` and ``prepare`` run once per stream for the
-    codes that no earlier tile had; above, each tile groups its orderings
-    with ``np.unique`` and builds its own table.
+    every row's k-th population in its level ordering, ``build(orderings)``
+    of the orderings seen so far, and each row's index into them.  Up to
+    MAX_DENSE_DIM levels a row's pair code names its ordering, and ``build``
+    runs again on every ordering seen when a tile brings codes that no
+    earlier tile had; above, each tile groups its orderings with
+    ``np.unique`` and builds its own table.
     """
     lo, n, table = 0, 0, None
     for Pt in tiles:
@@ -263,19 +260,19 @@ def _grouped_tiles(tiles, gamma: np.ndarray, build, prepare=lambda table: table)
         if d > MAX_DENSE_DIM:
             order = batch_order(Pt, gamma)
             classes, cls = np.unique(order, axis=0, return_inverse=True)
-            yield lo, _take_levels(Pt, order), prepare(build(classes)), cls.ravel()
+            yield lo, _take_levels(Pt, order), build(classes), cls.ravel()
             continue
         orders, code = code_orders(d), ordering_codes(Pt, gamma)
         if table is None:
             cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
+            seen = np.zeros(0, dtype=int)
         cls = cls_of[code]
         if cls.min() < 0:
             fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
-            new = build(orders[fresh])
-            table = new if table is None else np.concatenate([table, new])
-            cls_of[fresh] = np.arange(len(table) - len(fresh), len(table))
-            cls, ready = cls_of[code], prepare(table)
-        yield lo, _take_levels(Pt, np.take(orders, code, axis=0)), ready, cls
+            cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
+            seen = np.concatenate([seen, fresh])
+            table, cls = build(orders[seen]), cls_of[code]
+        yield lo, _take_levels(Pt, np.take(orders, code, axis=0)), table, cls
 
 
 def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -286,8 +283,8 @@ def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> 
     shared (d,) vector) and ``targets`` broadcast.  Every entry is >= 0, a
     difference of non-decreasing covered fractions.
     """
-    F = _covered(np.cumsum(_take_rows(gammas, orders), axis=1),
-                 np.cumsum(_take_rows(gammas, targets), axis=1))
+    F = _covered(np.cumsum(_take_levels(gammas, orders), axis=0).T,
+                 np.cumsum(_take_levels(gammas, targets), axis=0).T)
     F[:, 1:] -= F[:, :-1]  # np.diff(F, prepend=0.0, axis=1); a ufunc reads an overlap first
     return F.transpose(0, 2, 1)
 
@@ -378,15 +375,8 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim == 1:
-        t0 = target.zero_based()
-
-        def maps_of(orders):
-            return _tight_maps(orders, gammas, t0[None, :])
-
-        def plan_of(maps):
-            return _map_plan(maps, t0)
-
-        for lo, sorted_p, plan, cls in _grouped_tiles(tiles, gammas, maps_of, plan_of):
+        plans = _grouped_tiles(tiles, gammas, lambda orders: _level_plan(orders, gammas, target))
+        for lo, sorted_p, plan, cls in plans:
             yield lo, _tight(plan, sorted_p, cls)
         return
     for lo, Pt, Gt in zip(itertools.count(0, CHUNK), tiles, _row_tiles(gammas)):

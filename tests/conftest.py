@@ -284,6 +284,76 @@ def ref_jc_joint_evolution(initial_qubit, beta_E, n_max, t):
     return DensityMatrix(u @ rho0 @ u.conj().T)
 
 
+def ref_fstar_thermal_hotter(delta, delta_s):
+    """Witness at the (2,1,3,4) extreme point for a thermal system of weight
+    ``delta_s`` hotter than the bath, on the branch valid for ambient weight
+    ``delta`` below the golden ratio.  The package refines the same branch in
+    x = delta/delta_s (``entangle._hotter_quartic``)."""
+    zs = (1.0 + delta_s) ** 2
+    u = delta_s - delta
+    return (-(u**2) * (1.0 + delta_s) ** 2
+            + 4.0 * delta**2 * (1.0 + delta_s - (1.0 - delta_s) * delta - delta**2)) / zs**2
+
+
+def ref_thermal_c2(beta_s, gap=1.0):
+    """beta_c2 of a thermal state, or None: 64 exact-rational halvings of the
+    hot-system branch's numerator, -(ds - d)^2 (1 + ds)^2 + 4 d^2 (1 + ds -
+    (1 - ds) d - d^2) at d = x ds, over x in [0, min(1, PHI/ds)], where ds is
+    the double exp(-beta_s gap).  There is a root iff the numerator is
+    positive at the top, and beta_c2 = beta_s - log(x)/gap."""
+    from thermalent.entangle import PHI
+
+    ds = Fraction(math.exp(-beta_s * gap))
+
+    def positive(x):
+        d = x * ds
+        return 4 * d**2 * (1 + ds - (1 - ds) * d - d**2) > (ds - d) ** 2 * (1 + ds) ** 2
+
+    lo, hi = Fraction(0), min(Fraction(1), Fraction(PHI) / ds)
+    if not positive(hi):
+        return None
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if positive(mid) else (mid, hi)
+    return beta_s - math.log((lo + hi) / 2) / gap
+
+
+def ref_critical_roots(p, gap, beta_range, n_scan):
+    """The critical-temperature roots as the package first found them: the
+    exact zeros of an ``n_scan``-point scan of ``fstar_batch``, and a scalar
+    bisection, to 1e-9 of the larger end, of each step whose ends have a
+    negative product."""
+    from thermalent.core import _gibbs_rows
+    from thermalent.entangle import fstar_batch
+
+    e = np.array([0.0, gap, gap, 2.0 * gap])
+
+    def h(beta):
+        return fstar_batch(p[None, :], _gibbs_rows(e, beta))[0]
+
+    betas = np.linspace(beta_range[0], beta_range[1], n_scan)
+    vals = fstar_batch(np.tile(p, (n_scan, 1)), _gibbs_rows(e, betas))
+    roots = []
+    for i in range(n_scan - 1):
+        if vals[i] == 0.0:
+            roots.append(float(betas[i]))
+        elif vals[i] * vals[i + 1] < 0:
+            lo, hi, flo = float(betas[i]), float(betas[i + 1]), vals[i]
+            while hi - lo > 1e-9 * max(abs(lo), abs(hi), 1e-30):
+                mid = 0.5 * (lo + hi)
+                fm = h(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                elif (fm < 0) == (flo < 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(float(betas[-1]))
+    return roots
+
+
 def ref_fstar(p, gamma):
     """Witness at the (2,1,3,4) extreme point, from the per-row reference."""
     q = ref_extreme_point(np.asarray(p, dtype=float), gamma, (2, 1, 3, 4))

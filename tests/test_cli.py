@@ -525,6 +525,14 @@ class TestOtherSubcommands:
         assert res["beta_c1"] == pytest.approx(3.9058746, abs=1e-6)
         assert res["beta_c2"] > res["beta_c1"]
 
+    @pytest.mark.parametrize("beta_s, printed", [
+        ("77.5", 78.5986122887), ("100", 101.098612289), ("373", 374.098612289),
+        ("700", 701.098612289), ("708.39", 709.488612289)])
+    def test_critical_temp_cold_side(self, capsys, beta_s, printed):
+        # the root of the hot-system quartic, about beta_s + log(3) this cold
+        code, out, _ = run(capsys, "critical-temp", "--beta-s", beta_s)
+        assert code == 0 and result_of(out)["beta_c2"] == printed
+
     def test_critical_temp_scan(self, capsys):
         code, out, _ = run(capsys, "critical-temp", "--state", "0.12,0.38,0.12,0.38",
                            "--range", "0:2", "--scan", "300")

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
-    random_states, ref_extreme_point, ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses,
-    state_strategy)
+    random_states, ref_critical_roots, ref_extreme_point, ref_fstar_thermal_hotter,
+    ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses, ref_thermal_c2, state_strategy)
 
 
 def ctx2q(beta):
@@ -337,12 +337,66 @@ class TestCriticalTemps:
     def test_branch_functions_match_machinery(self):
         # cooler branch at (beta_s, beta) = (2, 1); hotter branch at (0.3, 1)
         for beta_s, beta, fn in ((2.0, 1.0, en.fstar_thermal_cooler),
-                                 (0.3, 1.0, en.fstar_thermal_hotter)):
+                                 (0.3, 1.0, ref_fstar_thermal_hotter)):
             ds, d = math.exp(-beta_s), math.exp(-beta)
             zs = (1 + ds) ** 2
             p = core.PopVector(np.array([1, ds, ds, ds**2]) / zs)
             ref = en.witness_f(mj.extreme_point(p, ctx2q(beta), core.PI_STAR))
             assert fn(d, ds) == pytest.approx(ref, abs=1e-14)
+
+    @pytest.mark.parametrize("gap", [1.0, 0.5, 3.0])
+    def test_c2_matches_exact_root(self, gap):
+        # a bisection with an absolute floor moved beta_c2 from beta_s * gap
+        # = 77.5 and lost it from 373
+        for bse in [*np.linspace(0.0, 708.39, 60), 0.2, 77.5, 90.0, 100.0, 373.0, 500.0, 708.39]:
+            beta_s = bse / gap
+            ct, ref = en.critical_temps_thermal(beta_s, gap), ref_thermal_c2(beta_s, gap)
+            assert (ct.beta_c2 is None) == (ref is None)
+            if ref is not None:
+                assert abs(ct.beta_c2 - ref) <= 1e-12
+            if bse >= 40.0:
+                assert ct.beta_c2 == pytest.approx(beta_s + math.log(3.0) / gap, abs=1e-12)
+
+    @pytest.mark.parametrize("beta_s", [0.0, 0.3, 2.0, 23.0, 100.0, 708.39])
+    def test_hotter_quartic_is_the_scaled_branch(self, beta_s):
+        ds = math.exp(-beta_s)
+        for x in np.linspace(0.0, min(1.0, en.PHI / ds), 9):
+            scaled = en._hotter_quartic(x, ds) * ds**2 / (1 + ds) ** 4
+            assert scaled == pytest.approx(ref_fstar_thermal_hotter(x * ds, ds),
+                                           rel=1e-12, abs=1e-15 * ds**2)
+
+
+class TestRefine:
+    def test_tiny_ends(self):
+        # a product of the ends, 1e-400, underflows to 0; sign bits do not
+        roots = en._refine(lambda X: 1e-200 * (X - 0.3) / 0.7, [0.0], [1.0])
+        assert roots[0] == pytest.approx(0.3, abs=4e-15)
+        for f_lo, f_hi in ((-1e-200, 1e-200), (1e-200, -1e-200)):
+            root = en._refine(lambda X: np.where(X < 0.25, f_lo, f_hi), [0.0], [1.0])[0]
+            assert abs(root - 0.25) <= 4e-15
+
+    def test_brackets_in_one_call(self):
+        want = np.array([0.1, 1.7, -3.25, 12.0])
+        lo, hi = want - np.array([0.05, 1.0, 0.3, 7.0]), want + np.array([0.2, 0.01, 0.5, 1.0])
+        calls = []
+
+        def fn(X):
+            calls.append(X.shape)
+            return np.sign(np.arange(4) - 1.5)[:, None] * (X - want[:, None])
+
+        got = en._refine(fn, lo, hi)
+        assert calls == [(4, en.REFINE_SPLIT + 1)] * en.REFINE_ROUNDS
+        assert np.all(np.abs(got - want) <= 4e-15 * (hi - lo) + 1e-15 * np.abs(want))
+
+    def test_root_at_an_end(self):
+        # -0.0 and +0.0 differ in sign bit, so a zero end is a root
+        assert en._refine(lambda X: X - 1.0, [0.0], [1.0])[0] == pytest.approx(1.0, abs=4e-15)
+        assert en._refine(lambda X: X, [0.0], [1.0])[0] == pytest.approx(0.0, abs=4e-15)
+        # the top step ends at hi itself, which lo + (hi - lo) falls an ulp short of
+        lo, hi = -1.5407072141620373, 2.976847140711767
+        assert lo + (hi - lo) < hi
+        root = en._refine(lambda X: np.where(X < hi, -1.0, 1.0), [lo], [hi])[0]
+        assert abs(root - hi) <= 4e-15 * (hi - lo)
 
 
 class TestCriticalTempsGeneral:
@@ -365,6 +419,66 @@ class TestCriticalTempsGeneral:
         assert len(roots) == 2
         assert roots[0] == pytest.approx(ct.beta_c1, abs=1e-7)
         assert roots[1] == pytest.approx(ct.beta_c2, abs=1e-7)
+
+    @pytest.fixture
+    def fstar_rows(self, monkeypatch):
+        """The row count of every ``fstar_batch`` call that ``entangle`` makes."""
+        rows, fstar_batch = [], en.fstar_batch
+
+        def counting(P, gammas):
+            rows.append(len(P))
+            return fstar_batch(P, gammas)
+
+        monkeypatch.setattr(en, "fstar_batch", counting)
+        return rows
+
+    @pytest.mark.parametrize("state, beta_range, n_scan", [
+        ((0.12, 0.38, 0.12, 0.38), (0.0, 2.0), 400),
+        ((0.12, 0.38, 0.12, 0.38), (0.0, 2.0), 50),
+        ((0.7, 0.1, 0.15, 0.05), (0.0, 5.0), 100),
+        ((0.0, 0.0, 0.0, 1.0), (0.0, 5.0), 100),
+    ])
+    def test_fstar_calls_bounded(self, fstar_rows, state, beta_range, n_scan):
+        # a scalar bisection made 26 one-row calls for the first state
+        roots = en.critical_temps_general(core.PopVector(state), 1.0, beta_range, n_scan)
+        refine = [len(roots) * (en.REFINE_SPLIT + 1)] * (en.REFINE_ROUNDS if roots else 0)
+        assert fstar_rows == [n_scan] + refine
+
+    def test_refine_calls_hold_at_most_max_scan_rows(self, fstar_rows, monkeypatch):
+        # near beta_s = 18, f* of a thermal state is rounding noise and its
+        # scan flips sign at many steps
+        ds = math.exp(-18.0)
+        p = core.PopVector(np.array([1, ds, ds, ds**2]) / (1 + ds) ** 2)
+        whole = en.critical_temps_general(p, 1.0, (18.1, 18.7), 150)
+        fstar_rows.clear()
+        monkeypatch.setattr(en, "MAX_SCAN", 3 * (en.REFINE_SPLIT + 1))
+        split = en.critical_temps_general(p, 1.0, (18.1, 18.7), 150)
+        # a bracket's root does not depend on the brackets refined with it
+        assert split == whole and len(split) > 3
+        assert max(fstar_rows[1:]) <= en.MAX_SCAN
+        assert len(fstar_rows) == 1 + en.REFINE_ROUNDS * -(-len(split) // 3)
+
+    def test_tiny_values_still_bracket(self, monkeypatch):
+        # the product of two scan values of 1e-200 underflows to 0; sign bits
+        # still bracket the crossing
+        p = core.PopVector([0.12, 0.38, 0.12, 0.38])
+        want = en.critical_temps_general(p, 1.0, (0.0, 2.0), 50)
+        fstar_batch = en.fstar_batch
+        monkeypatch.setattr(en, "fstar_batch", lambda P, gammas: 1e-200 * fstar_batch(P, gammas))
+        assert en.critical_temps_general(p, 1.0, (0.0, 2.0), 50) == want
+
+    def test_crossing_does_not_depend_on_scan(self):
+        p = core.PopVector([0.12, 0.38, 0.12, 0.38])
+        roots = [en.critical_temps_general(p, 1.0, (0.0, 2.0), n)[0] for n in (50, 400, 4001)]
+        assert max(roots) - min(roots) <= 1e-15
+
+    def test_roots_match_reference(self, rng):
+        for probs in rng.dirichlet(np.ones(4), 40):
+            roots = en.critical_temps_general(core.PopVector(probs), 1.0, (0.0, 20.0), 400)
+            ref = ref_critical_roots(probs, 1.0, (0.0, 20.0), 400)
+            assert len(roots) == len(ref)
+            for a, b in zip(roots, ref):
+                assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
     def test_empty_range_errors(self):
         with pytest.raises(ValueError):

@@ -80,7 +80,7 @@ PINNED = {
     ),
     "critical-state": (
         ("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:2", "--scan", "50"),
-        {"out": "59156be35b4b7eb2322037c06ad1e706b1ea22ebe3e57d903f6ae0a8aaaff37f"},
+        {"out": "a9471cd0e87fbcb750832d01e1c3d855c31d4265898fdf3470ad9e0b965a326b"},
     ),
     "volume": (
         ("volume", "--set", "TNE", "--beta", "1", "--samples", "20000", "--seed", "3",
