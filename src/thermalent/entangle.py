@@ -29,7 +29,7 @@ from .core import (
     is_two_qubit_context,
     two_qubit_context,
 )
-from .majorization import _row_tiles, all_extreme_points, tight_point_tiles
+from .majorization import all_extreme_points, batch_tight_points
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -105,13 +105,8 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Witness at the (2,1,3,4) extreme point for every row, at any beta,
-    one tile of tight points at a time."""
-    P = np.asarray(P, dtype=float)
-    out = np.empty(P.shape[0])
-    for lo, q in tight_point_tiles(_row_tiles(P), gammas, PI_STAR):
-        out[lo:lo + len(q)] = witness_batch(q)
-    return out
+    """Witness at the (2,1,3,4) extreme point for every row, at any beta."""
+    return witness_batch(batch_tight_points(P, gammas, PI_STAR))
 
 
 def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:

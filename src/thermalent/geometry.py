@@ -17,9 +17,9 @@ from itertools import islice
 
 import numpy as np
 
-from .core import CHUNK, PI_STAR, GibbsContext, PopVector, batch_order
+from .core import CHUNK, PI_STAR, GibbsContext, PopVector, is_two_qubit_context
 from .entangle import TAU_F, fstar_batch, witness_batch
-from .majorization import _apply, _level_plan, _majorizes_stream, _take_levels, tight_point_tiles
+from .majorization import _majorizes_stream, batch_tight_points, tight_point_tiles
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
@@ -119,8 +119,8 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
         raise ValueError("sample count must be positive")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads}")
-    if ctx.dim != 4:
-        raise ValueError("volume predicates are defined for 4-level systems")
+    if not is_two_qubit_context(ctx):
+        raise ValueError("volume predicates are defined for two-qubit (0, E, E, 2E) spectra")
 
     def count(b):
         Qs = _simplex_tiles(4, min(BLOCK, n - b * BLOCK), seed, b)
@@ -191,30 +191,25 @@ def _ray_roots(O: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     to a row o of O (t = 1), where f* < -TAU_F.
 
     Along the ray every ratio p_i/gamma_i - 1 is t (o_i/gamma_i - 1), so o's
-    level ordering holds for all t > 0 and the (2,1,3,4) tight point is
-    q0 + t dq, through the map of that ordering.  f* is then the quadratic
-    a t^2 + b t + f*(gamma), solved in the stable form of the formula.
-    Raises RuntimeError unless each ray has exactly one root in (0, 1].
+    level ordering, and with it the map of the (2,1,3,4) tight point, holds
+    for all t > 0.  That map sends gamma, whose curve is the diagonal, to
+    itself, so the tight point is gamma + t (q(o) - gamma) and f* is the
+    quadratic a t^2 + b t + f*(gamma), solved in the stable form of the
+    formula; the temporaries are (n, 4), with n <= 2 MAX_GRID^2 + 2.  Raises
+    RuntimeError unless each ray has exactly one root in (0, 1].
     """
-    order = batch_order(O, gamma)
-    t = np.empty(len(O))
-    for lo in range(0, len(O), CHUNK):
-        rows = slice(lo, lo + CHUNK)
-        plan = _level_plan(order[rows], gamma, PI_STAR)
-        q0 = _apply(plan, _take_levels(gamma, order[rows]))
-        dq = _apply(plan, _take_levels(O[rows], order[rows])) - q0
-        a, c = witness_batch(dq), witness_batch(q0) + TAU_F
-        b = (4.0 * (q0[:, 0] * dq[:, 3] + q0[:, 3] * dq[:, 0])
-             - 2.0 * (q0[:, 1] - q0[:, 2]) * (dq[:, 1] - dq[:, 2]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-            r1, r2 = h / a, c / h
-        in1, in2 = (r1 > 0) & (r1 <= 1), (r2 > 0) & (r2 <= 1)
-        if not (in1 != in2).all():
-            raise RuntimeError(f"{int((in1 == in2).sum())} boundary rays have no "
-                               f"single root of f* = -{TAU_F:g} in (0, 1]")
-        t[rows] = np.where(in1, r1, r2)
-    return t
+    dq = batch_tight_points(O, gamma, PI_STAR) - gamma
+    a, c = witness_batch(dq), witness_batch(gamma[None, :])[0] + TAU_F
+    b = (4.0 * (gamma[0] * dq[:, 3] + gamma[3] * dq[:, 0])
+         - 2.0 * (gamma[1] - gamma[2]) * (dq[:, 1] - dq[:, 2]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        r1, r2 = h / a, c / h
+    in1, in2 = (r1 > 0) & (r1 <= 1), (r2 > 0) & (r2 <= 1)
+    if not (in1 != in2).all():
+        raise RuntimeError(f"{int((in1 == in2).sum())} boundary rays have no "
+                           f"single root of f* = -{TAU_F:g} in (0, 1]")
+    return np.where(in1, r1, r2)
 
 
 def _confirmed_ends(O: np.ndarray, gamma: np.ndarray, t: np.ndarray, step: float,
@@ -250,8 +245,8 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
     At infinite beta the set degenerates to the ground state, which is
     returned as a single-point cloud.
     """
-    if ctx.dim != 4:
-        raise ValueError("boundary construction is defined for 4-level systems")
+    if not is_two_qubit_context(ctx):
+        raise ValueError("boundary construction is defined for two-qubit (0, E, E, 2E) spectra")
     if not 1 <= iters <= MAX_ITERS:
         raise ValueError(f"iters must lie in 1..{MAX_ITERS}, got {iters}")
     _check_resolution(grid)

@@ -22,14 +22,15 @@ Every tight point goes through these maps: ``tight_point_tiles`` builds
 them once per stream for each ordering seen when the rows share gamma, and
 one per row when each row has its own (the critical-temperature scan),
 ``all_extreme_points`` builds those of all d! targets for one state, and
-``geometry.tne_boundary`` reads f* along each ray from one map.  One
-applier, ``_apply``, reads the maps through their nonzero entries only, and
-gathers per row only the entries that differ between orderings (none at
-beta = 0, where every map is the same permutation).  The orderings come
-from packed pairwise comparisons (``core.ordering_codes``).  The kernel
-walks streams of row tiles, of CHUNK rows for an array (``volume`` streams
-its samples), each tile's sorted populations one contiguous row per rank,
-so no temporary grows with the batch.
+``geometry.tne_boundary`` reads from the stream the tight point of each
+ray's far end (its near end, gamma, is its own tight point).  One applier,
+``_tight``, reads the maps through their nonzero entries only, and gathers
+per row only the entries that differ between orderings (none at beta = 0,
+where every map is the same permutation).  The orderings come from packed
+pairwise comparisons (``core.ordering_codes``).  The kernel walks streams
+of row tiles, of CHUNK rows for an array (``volume`` streams its samples),
+each tile's sorted populations one contiguous row per rank, so no
+temporary grows with the batch.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> 
 
 
 def _map_plan(maps: np.ndarray, levels=None):
-    """How ``_apply`` reads the maps ``maps[c, k, j]`` of the classes c, with
+    """How ``_tight`` reads the maps ``maps[c, k, j]`` of the classes c, with
     output j at level ``levels[j]`` (at level j when ``levels`` is None).
 
     Returns ``(terms, varying, spans)``: terms[i] lists the terms ``(k,
@@ -329,12 +330,13 @@ def _level_plan(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
     return _map_plan(_tight_maps(orders, gammas, t0[None, :]), t0)
 
 
-def _apply(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
+def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
     """Tight points, as an (n, d) view, of the sorted populations R, a (d, n)
     array with one column per row: each column goes through the map of its
     class ``cls``, or column j through class j when ``cls`` is None.  Each
     output adds its terms to 0 in ascending k, as ``np.einsum("nki,nk->ni",
-    maps, r)`` does, bit for bit."""
+    maps, r)`` does, bit for bit, and is clipped at 0 (``np.maximum``, which
+    ``np.clip`` calls)."""
     terms, varying, spans = plan
     d, n = R.shape
     if varying is not None:
@@ -352,13 +354,7 @@ def _apply(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
                 q += np.multiply(R[k], scale, out=tmp)
             else:
                 q += R[k]
-    return Q.T
-
-
-def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
-    """``_apply``, clipped at 0 (``np.maximum``, which ``np.clip`` calls)."""
-    q = _apply(plan, R, cls)
-    return np.maximum(q, 0.0, out=q)
+    return np.maximum(Q, 0.0, out=Q).T
 
 
 def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
@@ -367,7 +363,7 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
     per tile, ``lo`` the offset of its first row in the stream.
 
     Each row's sorted populations go through the map of its ordering
-    (``_tight_maps``, applied by ``_apply``): with one shared (d,) Gibbs
+    (``_tight_maps``, applied by ``_tight``): with one shared (d,) Gibbs
     vector, built once per stream for each ordering seen; with one Gibbs
     vector per row of a stream of CHUNK-row tiles, one per row.  Swapping
     the populations of two levels of equal weight swaps the tight point

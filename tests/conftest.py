@@ -360,6 +360,36 @@ def ref_fstar(p, gamma):
     return 4.0 * q[0] * q[3] - (q[1] - q[2]) ** 2
 
 
+def ref_fstar_exact(p, gamma):
+    """Witness at the (2,1,3,4) extreme point, exactly: the input doubles
+    taken as ``Fraction``s, the curve read at the target elbows in rational
+    arithmetic, a zero-width segment a step at its left edge."""
+    p = [Fraction(float(v)) for v in p]
+    g = [Fraction(float(v)) for v in gamma]
+    order = ref_order(p, g)
+    xs, ys = [Fraction(0)], [Fraction(0)]
+    for i in order:
+        xs.append(xs[-1] + g[i])
+        ys.append(ys[-1] + p[i])
+
+    def height(x):
+        y = Fraction(0)
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            if x1 == x0:
+                y += (y1 - y0) if x >= x0 else 0
+            else:
+                y += (y1 - y0) * min(max((x - x0) / (x1 - x0), Fraction(0)), Fraction(1))
+        return y
+
+    target = (1, 0, 2, 3)
+    q, x, prev = [Fraction(0)] * 4, Fraction(0), Fraction(0)
+    for i in target:
+        x += g[i]
+        y = height(x)
+        q[i], prev = max(y - prev, Fraction(0)), y
+    return 4 * q[0] * q[3] - (q[1] - q[2]) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Reference: the result text as the CLI first wrote it, a second walk that
 # rounds every float through its own f-string followed by ``json.dumps``, and

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
-    random_states, ref_critical_roots, ref_extreme_point, ref_fstar_thermal_hotter,
-    ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses, ref_thermal_c2, state_strategy)
+    random_states, ref_critical_roots, ref_extreme_point, ref_fstar, ref_fstar_exact,
+    ref_fstar_thermal_hotter, ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses, ref_thermal_c2,
+    state_strategy)
 
 
 def ctx2q(beta):
@@ -194,6 +195,25 @@ class TestBruteforceOracle:
             if abs(f_star) < 1e-9:
                 continue
             assert (f_star < -en.TAU_F) == (not en.tne_bruteforce(p, ctx))
+
+
+class TestExactFstarOracle:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_matches_float_reference(self, rng, beta):
+        # states on faces and with levels 2 and 3 tied test the step rule
+        gamma = ctx2q(beta).gamma
+        P = random_states(rng, 200)
+        P[::5, 0] = 0.0
+        P[1::5, 2] = P[1::5, 1]
+        P /= P.sum(axis=1, keepdims=True)
+        for p in P:
+            assert abs(float(ref_fstar_exact(p, gamma)) - ref_fstar(p, gamma)) <= 1e-15
+
+    def test_exact_at_gibbs(self):
+        # gamma's curve is the diagonal, so its tight point is gamma itself
+        gamma = ctx2q(2.0).gamma
+        g = [Fraction(v) for v in gamma.tolist()]
+        assert ref_fstar_exact(gamma, gamma) == 4 * g[0] * g[3] - (g[1] - g[2]) ** 2
 
 
 class TestNegativity:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, geometry as geo, majorization as mj
 from tests.conftest import (
-    random_states, ref_facet_grid, ref_fstar, ref_ne_boundary_p3, ref_simplex_block,
-    ref_tne_boundary, state_strategy)
+    random_states, ref_facet_grid, ref_fstar, ref_fstar_exact, ref_ne_boundary_p3,
+    ref_simplex_block, ref_tne_boundary, state_strategy)
 
 #: V_TNE(0), the volume fraction of the states no thermal process entangles
 #: with an infinitely hot bath, to the 20 digits on which two 40-digit mpmath
@@ -155,6 +156,12 @@ class TestVolumes:
             geo.volume_of("ENT_CONE", ctx2q(0.0), None, 10, seed=0)
         with pytest.raises(ValueError):
             geo.volume_of("E", ctx2q(0.0), None, 0, seed=0)
+        # four levels, but not the (0, E, E, 2E) spectrum the witness reads
+        ladder = core.make_context((0.0, 1.0, 2.0, 3.0), 1.0)
+        for set_id, origin in (("E", None), ("NE", None), ("TNE", None),
+                               ("ENT_CONE", core.PopVector([0.1, 0.1, 0.2, 0.6]))):
+            with pytest.raises(ValueError, match="two-qubit"):
+                geo.volume_of(set_id, ladder, origin, 10, seed=0)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one(self, threads):
@@ -360,6 +367,8 @@ class TestBoundary:
     def test_validation(self):
         with pytest.raises(ValueError):
             geo.tne_boundary(ctx2q(0.5), grid=4, iters=0)
+        with pytest.raises(ValueError, match="two-qubit"):
+            geo.tne_boundary(core.make_context((0.0, 1.0, 2.0, 3.0), 1.0), grid=4, iters=30)
 
     @pytest.mark.parametrize("beta", [0.5, math.inf])
     @pytest.mark.parametrize("grid", [0, 100_000])
@@ -406,6 +415,16 @@ class TestBoundaryClosedForm:
         # a non-entanglable o: f* stays above -TAU_F along the whole ray
         with pytest.raises(RuntimeError, match="single root"):
             geo._ray_roots(np.array([[0.5, 0.2, 0.2, 0.1]]), ctx2q(0.5).gamma)
+
+    @pytest.mark.parametrize("beta", [5.0, 10.0, 20.0])
+    def test_cold_roots_on_the_exact_surface(self, beta):
+        # at cold beta f* is tiny near the surface, so any rounding in the
+        # quadratic's coefficients shows: in exact arithmetic each point's f*
+        # is -TAU_F up to the rounding of the point itself
+        ctx = ctx2q(beta)
+        cloud = geo.tne_boundary(ctx, grid=12, iters=30)
+        band = Fraction(en.TAU_F)
+        assert float(max(abs(ref_fstar_exact(p, ctx.gamma) + band) for p in cloud.points)) <= 1e-18
 
     @pytest.fixture
     def witness_rows(self, monkeypatch):

@@ -132,3 +132,35 @@ def test_public_names_are_read():
                for p in sorted((ROOT / folder).rglob("*.py"))]
     readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
     assert unread_public_names(modules, readers) == []
+
+
+#: the tight-point map format: how the maps are built, planned and applied,
+#: and the tile walk that feeds them; only ``majorization`` reads these
+MAP_INTERNALS = ("_tight_maps", "_map_plan", "_level_plan", "_tight", "_take_levels",
+                 "_grouped_tiles", "_covered", "_row_tiles")
+
+
+def foreign_reads(sources: dict, owner: str, names) -> list:
+    """(module, line, name) of each module-level statement of a module other
+    than ``owner`` that reads one of ``names``."""
+    return sorted((module, stmt.lineno, name)
+                  for module, source in sources.items() if module != owner
+                  for stmt in ast.parse(source).body
+                  for name in sorted(_reads(stmt) & set(names)))
+
+
+def test_finds_foreign_reads():
+    owner = "from .core import x\ndef _m():\n    return 1\ny = _m()\n"
+    a = "from .owner import _m\n"
+    b = "from . import owner\ndef f():\n    return owner._m() + owner.z\n"
+    c = "def _m():\n    return 2\n"
+    sources = {"owner": owner, "a": a, "b": b, "c": c}
+    assert foreign_reads(sources, "owner", ["_m"]) == [("a", 1, "_m"), ("b", 2, "_m")]
+
+
+def test_map_internals_stay_in_majorization():
+    """Only ``majorization`` knows the tight-point map format; the other
+    modules read tight points through ``tight_point_tiles``,
+    ``batch_tight_points`` and ``all_extreme_points``."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_reads(sources, "majorization.py", MAP_INTERNALS) == []

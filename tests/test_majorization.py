@@ -558,8 +558,9 @@ class TestOneTightPointArithmetic:
 
     @given(ordering_batches(), st.integers(1, 4))
     def test_per_row_gammas_match_shared(self, batch, chunk):
-        # the critical-temperature scan reads f* with one Gibbs vector per
-        # row, and its bisection with one shared vector per step
+        # the critical-temperature scan and every round of its refiner read
+        # f* with one Gibbs vector per row; each row gives the bits of a
+        # one-row call with its vector shared
         energies, P, betas = batch
         G = np.array([core.make_context(energies, b).gamma for b in betas])
         d = P.shape[1]
@@ -612,7 +613,7 @@ def degenerate_energies(d):
 
 
 class TestMapApplier:
-    """The maps go through ``_apply`` by their nonzero entries only, and give
+    """The maps go through ``_tight`` by their nonzero entries only, and give
     the einsum over the whole map bit for bit (a signed zero included)."""
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0, 20.0, math.inf])
