@@ -197,12 +197,12 @@ class BetaOrdering:
 PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 
-#: rows per tile of the batch calls and of a volume's sample stream.  A
-#: tile's temporaries are a few CHUNK x d arrays of doubles (128 KB each at
-#: four levels: its sorted populations, its tight points, the products of
-#: the map entries that differ between orderings), so a tile stays resident
-#: from its draw to its hit count; 4,096 ran ``mc-finite`` faster than 8,192
-#: in paired benchmark runs
+#: columns per tile of the batch calls and of a volume's sample stream.  A
+#: tile is level-major, one contiguous row per level, and writes each step
+#: into its stream's ``_Workspace`` (a few levels x CHUNK arrays, 128 KB each
+#: at four levels), so it stays resident from its draw to its hit count and,
+#: past a stream's first tile, allocates nothing; 4,096 ran ``mc-finite``
+#: faster than 8,192 in paired benchmark runs
 CHUNK = 4096
 
 
@@ -210,6 +210,47 @@ CHUNK = 4096
 #: code (2^(d(d-1)/2) entries: 64 at four levels, 32,768 at six); it covers
 #: every spectrum the package defines
 MAX_DENSE_DIM = 6
+
+
+class _Workspace:
+    """The scratch arrays of one stream of ``rows`` rows in tiles, by name.
+
+    ``array(name, shape, dtype)`` is a C-contiguous array for one step of a
+    tile.  In a stream of more than CHUNK rows it is a view of the buffer
+    ``name``, which the first tile that asks for it makes, and a later one
+    makes again only when it asks for more, so every later tile writes into
+    the arrays of the first.  A stream of one tile has nothing to reuse:
+    there each array is new, and is freed when its step is done, as numpy's
+    own temporaries are, rather than held to the end of the stream.  A
+    workspace serves one stream in one thread.
+    """
+
+    def __init__(self, rows: int):
+        self._views = {} if rows > CHUNK else None
+        self._columns = np.arange(0)
+
+    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        if self._views is None:
+            return np.empty(shape, dtype)
+        view = self._views.get(name)
+        if view is None or view.shape != shape:
+            base = view if view is None or view.base is None else view.base
+            size = math.prod(shape)
+            view = self._views[name] = (np.empty(shape, dtype) if base is None or base.size < size
+                                        else base.reshape(-1)[:size].reshape(shape))
+        return view
+
+    def level_major(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """The (n, d) ``rows`` copied into the (d, n) array ``name``."""
+        tile = self.array(name, rows.shape[::-1])
+        np.copyto(tile, rows.T)
+        return tile
+
+    def columns(self, n: int) -> np.ndarray:
+        """The column indices 0, 1, ..., n - 1."""
+        if len(self._columns) < n:
+            self._columns = np.arange(n)
+        return self._columns[:n]
 
 
 @functools.cache
@@ -223,9 +264,11 @@ def _pairs(d: int) -> tuple:
     return I, J, bit
 
 
-def _pair_bits(P: np.ndarray, gammas) -> np.ndarray:
+def _pair_bits(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
     """For each pair of levels i < j, in the order of ``_pairs``, whether
-    level i goes before level j: a (d(d-1)/2, n) bool array.
+    level i goes before level j in each column of the level-major (d, n) tile
+    P: a (d(d-1)/2, n) bool array of ``ws``.  ``gammas`` is one (d,) Gibbs
+    vector shared by every column, or a (d, n) tile of one per column.
 
     Level i goes first when its population-to-Gibbs ratio is >= level j's,
     so ties go to the lower index.  A zero Gibbs weight (infinite beta) has
@@ -233,56 +276,77 @@ def _pair_bits(P: np.ndarray, gammas) -> np.ndarray:
     unpopulated one -inf, and two zero-weight levels of equal ratio compare
     by population, the larger first.
     """
-    n, d = P.shape
-    G = np.asarray(gammas, dtype=float)
-    Gt = G.T if G.ndim == 2 else G[:, None]
+    d, n = P.shape
+    Gt = gammas if gammas.ndim == 2 else gammas[:, None]
     I, J, _ = _pairs(d)
-    R, B = np.empty((d, n)), np.empty((len(I), n), dtype=bool)
+    R, B = ws.array("ratios", (d, n)), ws.array("bits", (len(I), n), bool)
     if Gt.all():
-        np.divide(P.T, Gt, out=R)
+        np.divide(P, Gt, out=R)
         for k, (i, j) in enumerate(zip(I, J)):
             np.greater_equal(R[i], R[j], out=B[k])
         return B
     zero = Gt == 0
-    R[...] = np.where(P.T > 0, np.inf, -np.inf)
-    np.divide(P.T, Gt, out=R, where=~zero)
-    S = np.where(zero, P.T, 0.0)
+    R.fill(-np.inf)
+    np.copyto(R, np.inf, where=P > 0)
+    np.divide(P, Gt, out=R, where=~zero)
+    S = ws.array("zero_weight_pops", (d, n))
+    S.fill(0.0)
+    np.copyto(S, P, where=zero)
     for k, (i, j) in enumerate(zip(I, J)):
         np.logical_or(R[i] > R[j], (R[i] == R[j]) & (S[i] >= S[j]), out=B[k])
     return B
 
 
 def _orders_from_bits(bits: np.ndarray, d: int) -> np.ndarray:
-    """Orderings from pair bits: a level's rank is the number of levels that
-    go before it."""
+    """Level-major orderings from pair bits, column r listing row r's levels
+    by rank: a level's rank is the number of levels that go before it."""
     n = bits.shape[1]
     rank = np.zeros((d, n), dtype=np.intp)
     I, J, _ = _pairs(d)
     for i, j, first in zip(I, J, bits):
         rank[j] += first
         rank[i] += ~first
-    order = np.zeros((n, d), dtype=np.intp)
-    np.put_along_axis(order, rank.T, np.arange(d)[None, :], axis=1)
-    return order
+    levels = np.zeros((d, n), dtype=np.intp)
+    np.put_along_axis(levels, rank, np.arange(d)[:, None], axis=0)
+    return levels
 
 
-def ordering_codes(P: np.ndarray, gammas) -> np.ndarray:
-    """Pair code of every row, for up to MAX_DENSE_DIM levels (at most 15
-    pairs, so a code fits in 16 bits): bit k is row k of ``_pair_bits``."""
-    bit = _pairs(P.shape[1])[2]
-    return np.bitwise_or.reduce(np.left_shift(_pair_bits(P, gammas), bit), axis=0)
+def ordering_codes(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Pair code of every column of a level-major tile, for up to
+    MAX_DENSE_DIM levels (at most 15 pairs, so a code fits in 16 bits): bit
+    k is row k of ``_pair_bits``.  An intp array of ``ws``."""
+    bits = _pair_bits(P, gammas, ws)
+    n = bits.shape[1]
+    shifted = np.left_shift(bits, _pairs(len(P))[2], out=ws.array("shifted", bits.shape, np.uint16))
+    code = ws.array("code", (n,), np.intp)
+    np.copyto(code, np.bitwise_or.reduce(shifted, axis=0, out=ws.array("code16", (n,), np.uint16)))
+    return code
 
 
 @functools.cache
 def code_orders(d: int) -> np.ndarray:
     """Ordering of every pair code of d <= MAX_DENSE_DIM levels, indexed by
-    the code.  Codes that no ordering produces hold no permutation and are
-    never read."""
+    the code: a read-only view of the level-major table ``code_orders(d).T``.
+    Codes that no ordering produces hold no permutation and are never read."""
     bit = _pairs(d)[2]
     codes = np.arange(2 ** len(bit))
     table = _orders_from_bits((codes >> bit & 1).astype(bool), d)
     table.setflags(write=False)
-    return table
+    return table.T
+
+
+def _tile_levels(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> tuple:
+    """``(levels, code)`` of the level-major tile P: each column's ordering
+    (``batch_order``), as a (d, n) intp array whose row k holds the level of
+    rank k, and up to MAX_DENSE_DIM levels the pair codes that name the
+    orderings (None above, where the ranks are counted from the pair bits).
+    Both are arrays of ``ws`` up to MAX_DENSE_DIM levels."""
+    d, n = P.shape
+    if d > MAX_DENSE_DIM:
+        return _orders_from_bits(_pair_bits(P, gammas, ws), d), None
+    code = ordering_codes(P, gammas, ws)
+    levels = ws.array("levels", (d, n), np.intp)
+    return np.take(code_orders(d).T, code, axis=1, out=levels, mode="clip"), code
 
 
 def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -295,19 +359,16 @@ def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     (infinite beta) rank first, among themselves by descending population,
     and unpopulated ones rank last.  Up to MAX_DENSE_DIM levels the
     comparisons are packed into a code that indexes ``code_orders``; above,
-    each level's rank is counted from them.  Rows go in tiles of CHUNK, so
-    the (d(d-1)/2, rows) comparisons do not grow with the batch.
+    each level's rank is counted from them.  Rows go in level-major tiles of
+    CHUNK (``_tile_levels``), so the (d(d-1)/2, rows) comparisons do not grow
+    with the batch.
     """
     P = np.asarray(P, dtype=float)
     G = np.asarray(gammas, dtype=float)
-    n, d = P.shape
-    order = np.empty((n, d), dtype=np.intp)
-    for lo in range(0, n, CHUNK):
-        Pt, Gt = P[lo:lo + CHUNK], G if G.ndim == 1 else G[lo:lo + CHUNK]
-        if d <= MAX_DENSE_DIM:
-            order[lo:lo + CHUNK] = np.take(code_orders(d), ordering_codes(Pt, Gt), axis=0)
-        else:
-            order[lo:lo + CHUNK] = _orders_from_bits(_pair_bits(Pt, Gt), d)
+    order, ws = np.empty(P.shape, dtype=np.intp), _Workspace(len(P))
+    for lo in range(0, len(P), CHUNK):
+        Gt = G if G.ndim == 1 else ws.level_major("gammas", G[lo:lo + CHUNK])
+        order[lo:lo + CHUNK] = _tile_levels(ws.level_major("rows", P[lo:lo + CHUNK]), Gt, ws)[0].T
     return order
 
 

@@ -26,6 +26,7 @@ from .core import (
     GibbsContext,
     PopVector,
     _gibbs_rows,
+    _Workspace,
     is_two_qubit_context,
     two_qubit_context,
 )
@@ -50,10 +51,16 @@ def _as_probs(q) -> np.ndarray:
     return a
 
 
-def witness_batch(Q: np.ndarray) -> np.ndarray:
-    """Witness 4 q1 q4 - (q2 - q3)^2 of each row; negative iff subspace entanglable."""
+def witness_batch(Q: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Witness 4 q1 q4 - (q2 - q3)^2 of each row; negative iff subspace
+    entanglable.  With a workspace the result is its array ``witness``, so
+    the witness of a tile (``tile.T``) allocates nothing."""
     Q = np.asarray(Q, dtype=float)
-    return 4.0 * Q[:, 0] * Q[:, 3] - (Q[:, 1] - Q[:, 2]) ** 2
+    n = (len(Q),)
+    w = np.multiply(Q[:, 0], 4.0, out=ws and ws.array("witness", n))
+    w *= Q[:, 3]
+    t = np.subtract(Q[:, 1], Q[:, 2], out=ws and ws.array("witness_term", n))
+    return np.subtract(w, np.square(t, out=t), out=w)
 
 
 def witness_f(q) -> float:

@@ -3,29 +3,26 @@
 Volumes are Monte Carlo fractions of uniform simplex samples passing a
 membership predicate.  Sampling uses the counter-based Philox generator,
 keyed per fixed-size block, so streams are reproducible bit-for-bit and can
-be partitioned across workers without changing the result; each block is
-drawn, normalized and classified as one stream of tiles of CHUNK rows.
+be partitioned across workers without changing the result.  Each worker
+draws, normalizes and classifies its blocks as one stream of level-major
+tiles of CHUNK samples, in one workspace.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .core import CHUNK, PI_STAR, GibbsContext, PopVector, is_two_qubit_context
+from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context
 from .entangle import TAU_F, fstar_batch, witness_batch
 from .majorization import _majorizes_stream, batch_tight_points, tight_point_tiles
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
-
-#: blocks per worker thread submitted ahead of the results read
-IN_FLIGHT = 2
 
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 
@@ -39,19 +36,36 @@ MAX_GRID = 256
 MAX_ITERS = 52
 
 
-def _simplex_tiles(d: int, rows: int, seed: int, block: int):
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not a Philox key word, rather than alias it."""
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
+
+
+def _simplex_tiles(d: int, rows: int, seed: int, block: int, ws: _Workspace):
     """The first ``rows`` uniform simplex points of the Philox key (seed,
-    block), in tiles of CHUNK rows: views of one buffer, refilled per tile."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)])
-    gen, buf = np.random.Generator(np.random.Philox(key=key)), np.empty((CHUNK, d))
+    block), as level-major (d, n) tiles of up to CHUNK columns, each the
+    array ``tile`` of ``ws``, refilled per tile."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
     for lo in range(0, rows, CHUNK):
-        e = gen.standard_exponential(out=buf[:rows - lo])
-        # numpy sums a row of fewer than 8 entries left to right, as the column
-        # adds of sum(e.T) do, and pairwise from 8 on
-        s = sum(e.T) if d < 8 else e.sum(axis=1)
-        for k in range(d):
-            e[:, k] /= s
-        yield e
+        yield _normalized(gen.standard_exponential(
+            out=ws.array("draws", (min(CHUNK, rows - lo), d))), ws)
+
+
+def _normalized(e: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """The (n, d) rows of e divided by their sums, as the level-major (d, n)
+    array ``tile`` of ``ws`` (in a function of its own, so that a stream of
+    one tile frees the draws before the tile's next steps)."""
+    s = ws.array("sums", e.shape[:1])
+    # numpy sums a row of fewer than 8 entries left to right, as these column
+    # adds do, and pairwise from 8 on
+    if e.shape[1] < 8:
+        np.copyto(s, e[:, 0])
+        for k in range(1, e.shape[1]):
+            s += e[:, k]
+    else:
+        e.sum(axis=1, out=s)
+    return np.divide(e.T, s, out=ws.array("tile", e.shape[::-1]))
 
 
 def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
@@ -64,28 +78,33 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
         raise ValueError("d must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = np.empty((n, d))
+    _check_seed(seed)
+    out, ws = np.empty((n, d)), _Workspace(n)
     for block, start in enumerate(range(0, n, BLOCK)):
-        tiles = _simplex_tiles(d, min(BLOCK, n - start), seed, block)
+        tiles = _simplex_tiles(d, min(BLOCK, n - start), seed, block, ws)
         for lo, tile in zip(range(start, n, CHUNK), tiles):
-            out[lo:lo + len(tile)] = tile
+            out[lo:lo + tile.shape[1]] = tile.T
     return out
 
 
-def _refilled(tiles):
-    """The rows of a stream of (n, 4) tiles, in tiles of CHUNK rows (the last
-    one shorter): views of one buffer, refilled per tile."""
-    buf, fill = np.empty((CHUNK, 4)), 0
-    for T in tiles:
-        while len(T):
-            m = min(CHUNK - fill, len(T))
-            buf[fill:fill + m] = T[:m]
-            fill, T = fill + m, T[m:]
+def _refilled(tiles, ws: _Workspace):
+    """The kept columns of a stream of ``(tile, keep)`` pairs, a level-major
+    (4, n) tile and a bool per column, in tiles of CHUNK columns (the last
+    one shorter): views of the array ``refill`` of ``ws``, refilled per
+    tile."""
+    buf, fill = ws.array("refill", (4, CHUNK)), 0
+    for T, keep in tiles:
+        idx = np.flatnonzero(keep)
+        while len(idx):
+            m = min(CHUNK - fill, len(idx))
+            for row, dest in zip(T, buf):
+                np.take(row, idx[:m], out=dest[fill:fill + m], mode="clip")
+            fill, idx = fill + m, idx[m:]
             if fill == CHUNK:
                 yield buf
                 fill = 0
     if fill:
-        yield buf[:fill]
+        yield buf[:, :fill]
 
 
 @dataclass(frozen=True)
@@ -119,33 +138,38 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
         raise ValueError("sample count must be positive")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads}")
+    _check_seed(seed)
     if not is_two_qubit_context(ctx):
         raise ValueError("volume predicates are defined for two-qubit (0, E, E, 2E) spectra")
 
-    def count(b):
-        Qs = _simplex_tiles(4, min(BLOCK, n - b * BLOCK), seed, b)
+    def count(blocks):
+        # one stream of tiles, in one workspace, for all of a worker's blocks
+        ws = _Workspace(n)
+        Qs = (Q for b in blocks for Q in _simplex_tiles(4, min(BLOCK, n - b * BLOCK), seed, b, ws))
         if set_id == "TNE":
-            Qs = (q for _, q in tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR))
-        if set_id in ("NE", "TNE"):
-            return sum(int(np.count_nonzero(witness_batch(Q) >= -TAU_F)) for Q in Qs)
-        if set_id == "E":
-            return sum(int(np.count_nonzero(witness_batch(Q) < -TAU_F)) for Q in Qs)
-        # dominance costs far more than the witness: read it only where needed,
-        # on the entangled rows of the block gathered into full tiles
-        ent = _refilled(np.compress(witness_batch(Q) < -TAU_F, Q, axis=0) for Q in Qs)
-        return sum(int(np.count_nonzero(ok)) for ok in _majorizes_stream(origin, ent, ctx))
+            Qs = (q for _, q in tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR, ws))
 
-    # blocks are drawn lazily, so the set-up does not grow with n
-    blocks = range(-(-n // BLOCK))
-    if threads == 1:
-        return VolumeEstimate.from_counts(sum(map(count, blocks)), n, seed)
-    hits, todo = 0, iter(blocks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # at most IN_FLIGHT blocks per thread are submitted at a time
-        pending = deque(pool.submit(count, b) for b in islice(todo, IN_FLIGHT * threads))
-        while pending:
-            hits += pending.popleft().result()
-            pending.extend(pool.submit(count, b) for b in islice(todo, 1))
+        def witness(Q, compare):
+            mask = ws.array("mask", Q.shape[1:], bool)
+            return compare(witness_batch(Q.T, ws), -TAU_F, out=mask)
+
+        if set_id in ("NE", "TNE"):
+            return sum(int(np.count_nonzero(witness(Q, np.greater_equal))) for Q in Qs)
+        if set_id == "E":
+            return sum(int(np.count_nonzero(witness(Q, np.less))) for Q in Qs)
+        # dominance costs far more than the witness: read it only where needed,
+        # on the entangled samples of the stream gathered into full tiles
+        ent = _refilled(((Q, witness(Q, np.less)) for Q in Qs), ws)
+        return sum(int(np.count_nonzero(ok)) for _, ok in _majorizes_stream(origin, ent, ctx, ws))
+
+    # blocks are drawn lazily, so the set-up does not grow with n; worker w
+    # takes blocks w, w + workers, ...
+    blocks = -(-n // BLOCK)
+    workers = min(threads, blocks)
+    if workers == 1:
+        return VolumeEstimate.from_counts(count(range(blocks)), n, seed)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        hits = sum(pool.map(count, (range(w, blocks, workers) for w in range(workers))))
     return VolumeEstimate.from_counts(hits, n, seed)
 
 

@@ -28,9 +28,10 @@ ray's far end (its near end, gamma, is its own tight point).  One applier,
 per row only the entries that differ between orderings (none at beta = 0,
 where every map is the same permutation).  The orderings come from packed
 pairwise comparisons (``core.ordering_codes``).  The kernel walks streams
-of row tiles, of CHUNK rows for an array (``volume`` streams its samples),
-each tile's sorted populations one contiguous row per rank, so no
-temporary grows with the batch.
+of level-major (d, n) tiles, of CHUNK rows of an array (``volume`` streams
+its samples), one contiguous row per level or rank.  Each step of a tile
+writes into the stream's one ``core._Workspace``, so no temporary grows
+with the batch and a tile allocates nothing.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .core import (
     GibbsContext,
     PopVector,
     _readonly,
+    _tile_levels,
+    _Workspace,
     batch_order,
     code_orders,
-    ordering_codes,
 )
 
 #: comparison tolerance for curve dominance and extreme-point dedup
@@ -168,13 +170,13 @@ def all_extreme_points(p: PopVector, ctx: GibbsContext):
         raise ValueError(f"dimension {d} too large for {d}! enumeration")
     gamma = ctx.checked_gamma()
     order = batch_order(p.probs[None, :], gamma)
-    sorted_p = _take_levels(p.probs[None, :], order)
+    sorted_p = _take_levels(p.probs, order.T)
     targets = _targets(d)
     points = np.empty(targets.shape)
     for lo in range(0, len(targets), CHUNK):
         t = targets[lo:lo + CHUNK]
         q = _tight(_map_plan(_tight_maps(order, gamma, t)), np.repeat(sorted_p, len(t), axis=1))
-        points[lo + np.arange(len(t))[:, None], t] = q
+        points[lo + np.arange(len(t))[:, None], t] = q.T
     return targets, points
 
 
@@ -193,22 +195,28 @@ def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
 # weight means infinite beta.
 # ---------------------------------------------------------------------------
 
-def _take_levels(A: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``A[r, order[r, k]]`` at [k, r], a contiguous (d, n) array: row k holds
-    the k-th entry of every row's ordering; a 1-d ``A`` is shared by all
-    rows, and rows of ``A`` and ``order`` broadcast.  The indices are laid
-    out as the result (``order="C"``), which ``np.take`` reads several times
-    faster."""
-    offsets = 0 if A.ndim == 1 else np.arange(0, A.size, A.shape[1])
-    return np.take(A, np.add(order.T, offsets, order="C"))
+def _take_levels(A: np.ndarray, levels: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """``A[levels[k, r], r]`` at [k, r] of a contiguous (d, n) array: row k
+    holds the k-th entry of every column's ordering, for a level-major (d, n)
+    array ``A``, or ``A[levels[k, r]]`` for one (d,) vector shared by all
+    columns; columns of ``A`` and ``levels`` broadcast.  The flat indices
+    are laid out as the result, which ``np.take`` reads several times
+    faster.  With a workspace the indices overwrite ``levels`` and the
+    result is its array ``sorted``."""
+    if A.ndim == 2 and ws is None:
+        levels = levels * A.shape[1] + np.arange(A.shape[1])
+    elif A.ndim == 2:
+        np.add(np.multiply(levels, A.shape[1], out=levels), ws.columns(A.shape[1]), out=levels)
+    out = None if ws is None else ws.array("sorted", levels.shape)
+    return np.take(A, levels, out=out, mode="clip")
 
 
 def batch_curves(P: np.ndarray, gammas: np.ndarray):
     """Per-row ordering and cumulative-sum elbows for a batch of states."""
-    P = np.asarray(P, dtype=float)
-    order = batch_order(P, gammas)
-    X = np.cumsum(_take_levels(np.asarray(gammas, dtype=float), order), axis=0).T
-    Y = np.cumsum(_take_levels(P, order), axis=0).T
+    P, G = np.asarray(P, dtype=float), np.asarray(gammas, dtype=float)
+    order = batch_order(P, G)
+    X = np.cumsum(_take_levels(G if G.ndim == 1 else G.T, order.T), axis=0).T
+    Y = np.cumsum(_take_levels(P.T, order.T), axis=0).T
     return order, X, Y
 
 
@@ -235,57 +243,68 @@ def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("nts,ns->nt", _covered(X, T), rises)
 
 
-def _row_tiles(P: np.ndarray):
-    """The rows of P in tiles of CHUNK rows."""
-    return (P[lo:lo + CHUNK] for lo in range(0, len(P), CHUNK))
+def _row_tiles(P: np.ndarray, ws: _Workspace):
+    """The rows of P as level-major (d, n) tiles of CHUNK columns, each the
+    array ``rows`` of ``ws``, refilled per tile."""
+    return (ws.level_major("rows", P[lo:lo + CHUNK]) for lo in range(0, len(P), CHUNK))
 
 
-def _grouped_tiles(tiles, gamma: np.ndarray, build):
-    """Walk a stream of row tiles (``_row_tiles(P)`` for an array), grouped
-    by level ordering.
+def _grouped_tiles(tiles, gammas: np.ndarray, build, ws: _Workspace):
+    """Walk a stream of level-major (d, n) tiles (``_row_tiles(P, ws)`` for
+    an array), grouped by level ordering.
 
     Yields ``(lo, sorted_p, table, cls)`` per non-empty tile: the stream
-    offset of its first row, a contiguous (d, n) array whose row k holds
-    every row's k-th population in its level ordering, ``build(orderings)``
-    of the orderings seen so far, and each row's index into them.  Up to
-    MAX_DENSE_DIM levels a row's pair code names its ordering, and ``build``
-    runs again on every ordering seen when a tile brings codes that no
-    earlier tile had; above, each tile groups its orderings with
-    ``np.unique`` and builds its own table.
+    offset of its first column, a (d, n) array of ``ws`` whose row k holds
+    every column's k-th population in its level ordering, ``build(orderings,
+    gammas)`` of the orderings seen so far, and each column's index into
+    them.  ``gammas`` is one (d,) Gibbs vector shared by the stream, or an
+    (N, d) array of one per row of the stream; then every column is its own
+    class, built with the (d, n) tile of its vectors, and ``cls`` is None.
+    With a shared vector, up to MAX_DENSE_DIM levels a column's pair code
+    names its ordering, and ``build`` runs again on every ordering seen when
+    a tile brings codes that no earlier tile had; above, each tile groups
+    its orderings with ``np.unique`` and builds its own table.
     """
     lo, n, table = 0, 0, None
-    for Pt in tiles:
-        lo, (n, d) = lo + n, Pt.shape
+    for P in tiles:
+        lo, (d, n) = lo + n, P.shape
         if not n:
             continue
-        if d > MAX_DENSE_DIM:
-            order = batch_order(Pt, gamma)
-            classes, cls = np.unique(order, axis=0, return_inverse=True)
-            yield lo, _take_levels(Pt, order), build(classes), cls.ravel()
-            continue
-        orders, code = code_orders(d), ordering_codes(Pt, gamma)
-        if table is None:
-            cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
-            seen = np.zeros(0, dtype=int)
-        cls = cls_of[code]
-        if cls.min() < 0:
-            fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
-            cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
-            seen = np.concatenate([seen, fresh])
-            table, cls = build(orders[seen]), cls_of[code]
-        yield lo, _take_levels(Pt, np.take(orders, code, axis=0)), table, cls
+        G = gammas if gammas.ndim == 1 else ws.level_major("gammas", gammas[lo:lo + n])
+        levels, code = _tile_levels(P, G, ws)
+        if gammas.ndim == 2:
+            table, cls = build(levels.T, G), None
+        elif d > MAX_DENSE_DIM:
+            classes, cls = np.unique(levels, axis=1, return_inverse=True)
+            table, cls = build(classes.T, G), cls.ravel()
+        else:
+            orders = code_orders(d)
+            if table is None:
+                cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
+                seen = np.zeros(0, dtype=int)
+            cls = np.take(cls_of, code, out=ws.array("classes", (n,), np.intp), mode="clip")
+            if cls.min() < 0:
+                fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
+                cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
+                seen = np.concatenate([seen, fresh])
+                table = build(orders[seen], G)
+                np.take(cls_of, code, out=cls, mode="clip")
+        sorted_p = _take_levels(P, levels, ws)
+        del levels, code  # in a stream of one tile, freed before the tile's next steps
+        yield lo, sorted_p, table, cls
 
 
 def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Linear maps from a state's sorted populations r = p[orders[c]] to its
     tight point for the target ordering t: q[t[j]] = sum_k maps[c, k, j] r[k],
     the covered fractions of ``batch_eval`` at the target elbows
-    cumsum(gamma[t]), differenced.  Rows of ``orders``, ``gammas`` (or one
-    shared (d,) vector) and ``targets`` broadcast.  Every entry is >= 0, a
-    difference of non-decreasing covered fractions.
+    cumsum(gamma[t]), differenced.  Rows of ``orders`` and ``targets``
+    broadcast with the columns of ``gammas``, a level-major (d, n) tile, or
+    one shared (d,) vector.  Every entry is >= 0, a difference of
+    non-decreasing covered fractions.
     """
-    F = _covered(np.cumsum(_take_levels(gammas, orders), axis=0).T,
-                 np.cumsum(_take_levels(gammas, targets), axis=0).T)
+    F = _covered(np.cumsum(_take_levels(gammas, orders.T), axis=0).T,
+                 np.cumsum(_take_levels(gammas, targets.T), axis=0).T)
     F[:, 1:] -= F[:, :-1]  # np.diff(F, prepend=0.0, axis=1); a ufunc reads an overlap first
     return F.transpose(0, 2, 1)
 
@@ -330,22 +349,25 @@ def _level_plan(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
     return _map_plan(_tight_maps(orders, gammas, t0[None, :]), t0)
 
 
-def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
-    """Tight points, as an (n, d) view, of the sorted populations R, a (d, n)
-    array with one column per row: each column goes through the map of its
-    class ``cls``, or column j through class j when ``cls`` is None.  Each
-    output adds its terms to 0 in ascending k, as ``np.einsum("nki,nk->ni",
-    maps, r)`` does, bit for bit, and is clipped at 0 (``np.maximum``, which
-    ``np.clip`` calls)."""
+def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None,
+           ws: _Workspace | None = None) -> np.ndarray:
+    """Tight points, a level-major (d, n) array (``tight`` of ``ws``), of the
+    sorted populations R, a (d, n) array with one column per row: each
+    column goes through the map of its class ``cls``, or column j through
+    class j when ``cls`` is None.  Each output adds its terms to 0 in
+    ascending k, as ``np.einsum("nki,nk->ni", maps, r)`` does, bit for bit,
+    and is clipped at 0 (``np.maximum``, which ``np.clip`` calls)."""
     terms, varying, spans = plan
     d, n = R.shape
+    ws = _Workspace(n) if ws is None else ws
     if varying is not None:
         # each row's varying entries, times their populations, one call per k
-        V = np.empty((len(varying), n)) if cls is None else np.take(varying, cls, axis=1)
-        M = varying if cls is None else V
+        V = ws.array("products", (len(varying), n))
+        M = varying if cls is None else np.take(varying, cls, axis=1, out=V, mode="clip")
         for k, a, b in spans:
             np.multiply(M[a:b], R[k], out=V[a:b])
-    Q, tmp = np.zeros((d, n)), np.empty(n)
+    Q, tmp = ws.array("tight", (d, n)), ws.array("scaled", (n,))
+    Q.fill(0.0)
     for q, col in zip(Q, terms):
         for k, scale, row in col:
             if row is not None:
@@ -354,45 +376,43 @@ def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None) -> np.ndarray:
                 q += np.multiply(R[k], scale, out=tmp)
             else:
                 q += R[k]
-    return np.maximum(Q, 0.0, out=Q).T
+    return np.maximum(Q, 0.0, out=Q)
 
 
-def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
+def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Workspace):
     """Extreme point of every row's cone for one shared target ordering, for
-    a stream of row tiles (``_row_tiles(P)`` for an array): yields ``(lo, q)``
-    per tile, ``lo`` the offset of its first row in the stream.
+    a stream of level-major (d, n) tiles (``_row_tiles(P, ws)`` for an
+    array): yields ``(lo, q)`` per tile, ``lo`` the offset of its first
+    column in the stream and ``q`` a level-major (d, n) array of ``ws``.
 
-    Each row's sorted populations go through the map of its ordering
+    Each column's sorted populations go through the map of its ordering
     (``_tight_maps``, applied by ``_tight``): with one shared (d,) Gibbs
-    vector, built once per stream for each ordering seen; with one Gibbs
-    vector per row of a stream of CHUNK-row tiles, one per row.  Swapping
-    the populations of two levels of equal weight swaps the tight point
-    exactly.
+    vector, built once per stream for each ordering seen; with an (N, d)
+    array of one Gibbs vector per row of the stream, one per column.
+    Swapping the populations of two levels of equal weight swaps the tight
+    point exactly.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim == 1:
-        plans = _grouped_tiles(tiles, gammas, lambda orders: _level_plan(orders, gammas, target))
-        for lo, sorted_p, plan, cls in plans:
-            yield lo, _tight(plan, sorted_p, cls)
-        return
-    for lo, Pt, Gt in zip(itertools.count(0, CHUNK), tiles, _row_tiles(gammas)):
-        order = batch_order(Pt, Gt)
-        yield lo, _tight(_level_plan(order, Gt, target), _take_levels(Pt, order))
+    plans = _grouped_tiles(tiles, np.asarray(gammas, dtype=float),
+                           lambda orders, G: _level_plan(orders, G, target), ws)
+    for lo, sorted_p, plan, cls in plans:
+        yield lo, _tight(plan, sorted_p, cls, ws)
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
     """Extreme point of every row's cone for one shared target ordering
-    (``tight_point_tiles`` gathered into one array)."""
+    (``tight_point_tiles`` gathered into one (n, d) array)."""
     P = np.asarray(P, dtype=float)
-    out = np.empty_like(P)
-    for lo, q in tight_point_tiles(_row_tiles(P), gammas, target):
-        out[lo:lo + len(q)] = q
+    out, ws = np.empty_like(P), _Workspace(len(P))
+    for lo, q in tight_point_tiles(_row_tiles(P, ws), gammas, target, ws):
+        out[lo:lo + q.shape[1]] = q.T
     return out
 
 
-def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext):
-    """Dominance of a fixed origin's curve over each row of a stream of row
-    tiles, within TAU_CMP: yields each non-empty tile's verdicts.
+def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext, ws: _Workspace):
+    """Dominance of a fixed origin's curve over each column of a stream of
+    level-major (d, n) tiles, within TAU_CMP: yields ``(lo, ok)`` per
+    non-empty tile, ``lo`` the offset of its first column and ``ok`` its
+    verdicts, a bool array of ``ws``.
 
     By concavity it suffices to test at each row's own elbows, which depend
     only on the row's ordering: the origin's curve is read once per stream
@@ -404,19 +424,27 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext):
     gamma = ctx.checked_gamma()
     _, X, Y = batch_curves(origin.probs[None, :], gamma)
 
-    def heights_of(orders):
-        return batch_eval(X, Y, np.cumsum(gamma[orders], axis=1))
+    def heights_of(orders, _):
+        return np.ascontiguousarray(batch_eval(X, Y, np.cumsum(gamma[orders], axis=1)).T)
 
-    for _, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of):
-        ok, y = np.ones(len(cls), dtype=bool), np.zeros(len(cls))
-        for k, r in enumerate(sorted_q):
+    for lo, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of, ws):
+        n = (len(cls),)
+        ok, above = ws.array("dominated", n, bool), ws.array("above", n, bool)
+        y, least, top = ws.array("height", n), ws.array("least", n), ws.array("top", n)
+        ok.fill(True)
+        y.fill(0.0)
+        for k, r in enumerate(sorted_q):  # heights level-major: each level one contiguous row
             y += r
-            ok &= heights[:, k][cls] >= y - TAU_CMP
-        yield ok
+            np.subtract(y, TAU_CMP, out=least)
+            ok &= np.greater_equal(np.take(heights[k], cls, out=top, mode="clip"), least, out=above)
+        yield lo, ok
 
 
 def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext) -> np.ndarray:
     """Dominance of a fixed origin's curve over each row of ``Q``
     (``_majorizes_stream`` over tiles of CHUNK rows, gathered)."""
-    oks = _majorizes_stream(origin, _row_tiles(np.asarray(Q, dtype=float)), ctx)
-    return np.concatenate([np.ones(0, dtype=bool), *oks])
+    Q = np.asarray(Q, dtype=float)
+    out, ws = np.empty(len(Q), dtype=bool), _Workspace(len(Q))
+    for lo, ok in _majorizes_stream(origin, _row_tiles(Q, ws), ctx, ws):
+        out[lo:lo + len(ok)] = ok
+    return out

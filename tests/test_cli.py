@@ -383,6 +383,20 @@ class TestVolume:
         assert code == 0
         assert json.loads(out)["manifest"]["seed"] == 0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits(self, capsys, monkeypatch, seed):
+        monkeypatch.delenv("THERMALENT_SEED", raising=False)
+        code, out, err = run(capsys, "volume", "--set", "E", "--samples", "100", "--seed", seed)
+        assert code == 2 and out == "" and "seed" in err
+        monkeypatch.setenv("THERMALENT_SEED", seed)
+        code, out, err = run(capsys, "volume", "--set", "E", "--samples", "100")
+        assert code == 2 and out == "" and "seed" in err
+
+    def test_seed_at_the_top_of_64_bits(self, capsys):
+        code, out, _ = run(capsys, "volume", "--set", "E", "--samples", "100",
+                           "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["manifest"]["seed"] == 2**64 - 1
+
     def test_ent_cone_requires_state(self, capsys):
         code, _, err = run(capsys, "volume", "--set", "ENT_CONE", "--samples", "100")
         assert code == 2

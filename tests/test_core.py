@@ -194,13 +194,14 @@ class TestBetaOrdering:
 
     @pytest.fixture
     def compared_rows(self, monkeypatch):
-        """The row count of every ``_pair_bits`` call."""
+        """The row count of every ``_pair_bits`` call (its level-major tile's
+        column count)."""
         rows = []
         pair_bits = core._pair_bits
 
-        def counting(P, gammas):
-            rows.append(P.shape[0])
-            return pair_bits(P, gammas)
+        def counting(P, gammas, ws):
+            rows.append(P.shape[1])
+            return pair_bits(P, gammas, ws)
 
         monkeypatch.setattr(core, "_pair_bits", counting)
         return rows

@@ -65,8 +65,9 @@ class TestSampling:
                           for b, lo in enumerate(range(0, n, geo.BLOCK))]
                 assert np.array_equal(geo.sample_simplex_array(d, n, seed), np.concatenate(blocks))
                 for b, want in enumerate(blocks):
-                    # each tile is a view of one reused buffer, so copy it
-                    tiles = [t.copy() for t in geo._simplex_tiles(d, len(want), seed, b)]
+                    # each tile is a level-major view of one reused buffer, so copy its rows
+                    ws = core._Workspace(len(want))
+                    tiles = [t.T.copy() for t in geo._simplex_tiles(d, len(want), seed, b, ws)]
                     assert max(map(len, tiles)) <= core.CHUNK
                     assert np.array_equal(np.concatenate(tiles), want)
 
@@ -138,14 +139,17 @@ class TestVolumes:
     def test_refilled_dominance_verdicts(self, beta):
         # the entangled rows of a block, regrouped into full tiles, get the
         # verdicts they get in the tiles they were drawn in
+        # (tiles are level-major views of reused buffers, so copy them)
         ctx, origin = ctx2q(beta), core.PopVector([0.1, 0.1, 0.2, 0.6])
-        tiles = [Q.copy() for Q in geo._simplex_tiles(4, geo.BLOCK - 100, seed=5, block=2)]
-        ent = [Q[en.witness_batch(Q) < -en.TAU_F] for Q in tiles]
-        refilled = [Q.copy() for Q in geo._refilled(iter(ent))]
-        assert [len(Q) for Q in refilled[:-1]] == [core.CHUNK] * (len(refilled) - 1)
-        assert np.array_equal(np.concatenate(refilled), np.concatenate(ent))
-        drawn = np.concatenate(list(mj._majorizes_stream(origin, iter(ent), ctx)))
-        full = np.concatenate(list(mj._majorizes_stream(origin, iter(refilled), ctx)))
+        ws = core._Workspace(geo.BLOCK - 100)
+        tiles = [Q.copy() for Q in geo._simplex_tiles(4, geo.BLOCK - 100, seed=5, block=2, ws=ws)]
+        keep = [en.witness_batch(Q.T) < -en.TAU_F for Q in tiles]
+        ent = [Q[:, k] for Q, k in zip(tiles, keep)]
+        refilled = [Q.copy() for Q in geo._refilled(zip(tiles, keep), ws)]
+        assert [Q.shape[1] for Q in refilled[:-1]] == [core.CHUNK] * (len(refilled) - 1)
+        assert np.array_equal(np.concatenate(refilled, axis=1), np.concatenate(ent, axis=1))
+        drawn, full = (np.concatenate([ok.copy() for _, ok in mj._majorizes_stream(
+            origin, iter(stream), ctx, ws)]) for stream in (ent, refilled))
         assert np.array_equal(drawn, full)
         assert 0 < np.count_nonzero(full) < len(full)
 
@@ -162,6 +166,19 @@ class TestVolumes:
                                ("ENT_CONE", core.PopVector([0.1, 0.1, 0.2, 0.6]))):
             with pytest.raises(ValueError, match="two-qubit"):
                 geo.volume_of(set_id, ladder, origin, 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        # masked to 64 bits, -1 drew the samples of 2^64 - 1 and 2^64 those of 0
+        with pytest.raises(ValueError, match="seed"):
+            geo.volume_of("E", ctx2q(0.0), None, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            geo.sample_simplex_array(4, 10, seed)
+
+    def test_seeds_at_the_ends_of_64_bits(self):
+        for seed in (0, 2**64 - 1):
+            assert geo.volume_of("E", ctx2q(0.0), None, 10, seed=seed).seed == seed
+            assert geo.sample_simplex_array(4, 10, seed).shape == (10, 4)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one(self, threads):
@@ -204,6 +221,32 @@ class TestVolumes:
         est = geo.volume_of(set_id, ctx2q(beta), origin, n, seed=11)
         assert est.fraction == hits / n
 
+    @pytest.mark.parametrize("set_id, origin, beta, hits", [
+        ("E", None, 0.0, (23349, 23499)),
+        ("E", None, 1.0, (23349, 23499)),
+        ("E", None, math.inf, (23349, 23499)),
+        ("NE", None, 0.0, (46284, 46134)),
+        ("NE", None, 1.0, (46284, 46134)),
+        ("NE", None, math.inf, (46284, 46134)),
+        ("TNE", None, 0.0, (22614, 22595)),
+        ("TNE", None, 1.0, (8415, 8546)),
+        ("TNE", None, math.inf, (0, 0)),
+        ("ENT_CONE", (0, 0, 0, 1), 0.0, (23349, 23499)),
+        ("ENT_CONE", (0, 0, 0, 1), 1.0, (23349, 23499)),
+        ("ENT_CONE", (0, 0, 0, 1), math.inf, (23349, 23499)),
+        ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), 0.0, (1145, 1088)),
+        ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), 1.0, (6821, 6922)),
+        ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), math.inf, (11967, 12144)),
+    ])
+    def test_pinned_hit_counts_on_ragged_tiles(self, set_id, origin, beta, hits):
+        # a whole block and a second ending one row into its second tile, so
+        # each block ends in a short tile; at seeds 5 and 2^64 - 1
+        n = geo.BLOCK + core.CHUNK + 1
+        origin = core.PopVector(origin) if origin else None
+        got = tuple(geo.volume_of(set_id, ctx2q(beta), origin, n, seed=s).fraction
+                    for s in (5, 2**64 - 1))
+        assert got == tuple(h / n for h in hits)
+
     @pytest.mark.parametrize("set_id, beta, origin", [
         ("TNE", 0.0, None),
         ("TNE", 1.0, None),
@@ -221,9 +264,11 @@ class TestVolumes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2 MB: a 4096-row tile's temporaries are a few (4, 4096) arrays of
-        # 128 KB each (sorted populations, tight points, the products of the
-        # varying map entries, up to 16 rows of them)
+        # 2 MB: the stream's workspace, made by its first tiles and reused by
+        # the rest, holds a few (4, 4096) arrays of 128 KB each (the draws, the
+        # tile, its ratios, orderings, sorted populations and tight points,
+        # the refilled entangled samples, and the products of the varying map
+        # entries, up to 16 rows of them)
         assert peak <= 4 * 8 * 4096 * 4 * 4
 
     def test_infinite_beta_tne_is_negligible(self):

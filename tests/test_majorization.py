@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -471,8 +472,11 @@ class TestPairCodes:
     def test_classes_across_tiles(self, batch, chunk):
         energies, P, betas = batch
         gamma = core.make_context(energies, betas[0]).gamma
+        ws = core._Workspace(len(P))
         with mock.patch.object(mj, "CHUNK", chunk):
-            tiles = list(mj._grouped_tiles(mj._row_tiles(P), gamma, lambda orders: orders))
+            # each tile's arrays are views of the stream's reused buffers, so copy them
+            tiles = [(lo, s.copy(), table, cls.copy()) for lo, s, table, cls in mj._grouped_tiles(
+                mj._row_tiles(P, ws), gamma, lambda orders, G: orders, ws)]
         assert [lo for lo, *_ in tiles] == list(range(0, len(P), chunk))
         for lo, sorted_p, table, cls in tiles:
             for p, s, o in zip(P[lo:lo + chunk], sorted_p.T, table[cls]):
@@ -622,7 +626,7 @@ class TestMapApplier:
         gamma = core.make_context(degenerate_energies(d), beta).gamma
         P = faces_and_ties(rng, 6000, d)
         order = core.batch_order(P, gamma)
-        sorted_p = mj._take_levels(P, order)
+        sorted_p = mj._take_levels(P.T, order.T)
         t0 = rng.permutation(d)
         expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :]), sorted_p.T)
 
@@ -632,7 +636,7 @@ class TestMapApplier:
         plan = mj._map_plan(mj._tight_maps(classes, gamma, t0[None, :]))
         per_class = mj._tight(plan, sorted_p, cls.ravel())
         for q in (per_row, per_class):
-            assert np.array_equal(q.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(q.T.view(np.int64), expected.view(np.int64))
 
         # the stream, in level order
         in_levels = np.empty_like(expected)
@@ -645,7 +649,54 @@ class TestMapApplier:
         # (2,1,3,4) point reads each sorted population once, with no product
         gamma = ctx2q(0.0).gamma
         orders = core.code_orders(4)[np.unique(core.ordering_codes(random_states(
-            np.random.default_rng(1), 4000), gamma))]
+            np.random.default_rng(1), 4000).T, gamma, core._Workspace(4000)))]
         terms, varying, _ = mj._level_plan(orders, gamma, core.PI_STAR)
         assert terms == [[(1, None, None)], [(0, None, None)], [(2, None, None)], [(3, None, None)]]
         assert varying is None
+
+
+def pinned_rows(n=20_000):
+    """Exponential spacings with a fifth of the rows on a face (level 1 or 4
+    empty), a fifth with levels 2 and 3 tied, and the four vertices."""
+    rng = np.random.default_rng(2024)
+    P = rng.standard_exponential((n, 4))
+    P[rng.random(n) < 0.2, 0] = 0.0
+    P[rng.random(n) < 0.2, 3] = 0.0
+    tied = rng.random(n) < 0.2
+    P[tied, 2] = P[tied, 1]
+    P[:100] = np.eye(4)[np.arange(100) % 4]
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def bits_digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).view(np.int64).tobytes()).hexdigest()[:16]
+
+
+class TestPinnedTightPointBits:
+    """The bits of f* and of the tight points of 20,000 rows, for shared Gibbs
+    vectors and for one vector per row as the critical scan builds them:
+    sha256 prefixes of the (fstar_batch, (2,1,3,4) point, (4,3,2,1) point)
+    arrays, recorded from the per-tile kernel before its tiles were laid out
+    level by level."""
+
+    PINS = {
+        0.0: ("620902e51ec55cf9", "addf2d070976d667", "c5640c370036b8eb"),
+        0.5: ("4268a688d24d8218", "412a1c4e668b5469", "8e63256346f1a502"),
+        1.0: ("bc3d2d74e4423c90", "b579b6d033a6e3c4", "0e30d1866001f6f9"),
+        3.0: ("4a220dab2562da34", "f2413210e87b5f67", "4098127fdf2ee2fa"),
+        20.0: ("90c89ce7bde50079", "1d4f3e72383baa07", "29bdefbd66e023e7"),
+        math.inf: ("2ff61f1dc04f3a45", "a543c3e807e00025", "173a584269961bfc"),
+        "per-row": ("a54e0e38f270b823", "65e6ac84ea26bc6e", "b52116e7cb28a07a"),
+    }
+
+    @pytest.mark.parametrize("beta", list(PINS))
+    def test_bits(self, beta):
+        P = pinned_rows()
+        if beta == "per-row":
+            gammas = core._gibbs_rows(np.array([0.0, 1.0, 1.0, 2.0]),
+                                      np.linspace(0.0, 20.0, len(P)))
+        else:
+            gammas = ctx2q(beta).gamma
+        got = (en.fstar_batch(P, gammas), mj.batch_tight_points(P, gammas, core.PI_STAR),
+               mj.batch_tight_points(P, gammas, core.BetaOrdering((4, 3, 2, 1))))
+        assert tuple(map(bits_digest, got)) == self.PINS[beta]
