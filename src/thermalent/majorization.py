@@ -31,7 +31,7 @@ pairwise comparisons (``core.ordering_codes``).  The kernel walks streams
 of level-major (d, n) tiles, of CHUNK rows of an array (``volume`` streams
 its samples), one contiguous row per level or rank.  Each step of a tile
 writes into the stream's one ``core._Workspace``, so no temporary grows
-with the batch and a tile allocates nothing.
+with the batch and no tile after a stream's first allocates.
 """
 
 from __future__ import annotations
