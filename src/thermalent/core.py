@@ -199,11 +199,15 @@ PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 #: columns per tile of the batch calls and of a volume's sample stream.  A
 #: tile is level-major, one contiguous row per level, and writes each step
-#: into its stream's ``_Workspace`` (a few levels x CHUNK arrays, 128 KB each
+#: into its stream's ``_Workspace`` (a few levels x CHUNK arrays, 256 KB each
 #: at four levels), so it stays resident from its draw to its hit count and,
-#: past a stream's first tile, allocates nothing; 4,096 ran ``mc-finite``
-#: faster than 8,192 in paired benchmark runs
-CHUNK = 4096
+#: past a stream's first tile, allocates nothing.  A tile also costs some 50
+#: numpy calls whatever its size, so larger tiles run faster: in 12
+#: interleaved in-process rounds on a 2-core host the five ``mc-finite``
+#: volumes took a median 0.91 of their 4,096-row time at 8,192 rows and 0.94
+#: at 6,144, with the same hit counts.  At 8,192 the workspace of a volume
+#: stream stays under 2 MB
+CHUNK = 8192
 
 
 #: largest dimension whose orderings are read from a table of every pair
@@ -274,21 +278,42 @@ def _pair_bits(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
     so ties go to the lower index.  A zero Gibbs weight (infinite beta) has
     no finite ratio: a populated zero-weight level has ratio +inf and an
     unpopulated one -inf, and two zero-weight levels of equal ratio compare
-    by population, the larger first.
+    by population, the larger first.  With a shared vector these rules come
+    to one comparison per pair: of the ratios when both weights are positive,
+    of the populations when both are zero, and otherwise whether the
+    zero-weight level is populated.
     """
     d, n = P.shape
-    Gt = gammas if gammas.ndim == 2 else gammas[:, None]
     I, J, _ = _pairs(d)
-    R, B = ws.array("ratios", (d, n)), ws.array("bits", (len(I), n), bool)
-    if Gt.all():
-        np.divide(P, Gt, out=R)
+    # the ratios go in the array that ``_take_levels`` fills with the sorted
+    # populations once the comparisons are done
+    R, B = ws.array("sorted", (d, n)), ws.array("bits", (len(I), n), bool)
+    if gammas.ndim == 1:
+        weighted = (gammas > 0).tolist()
+        if all(weighted):
+            np.divide(P, gammas[:, None], out=R)
+        else:
+            for i in np.flatnonzero(gammas):
+                np.divide(P[i], gammas[i], out=R[i])
+        for k, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
+            if weighted[i] and weighted[j]:
+                np.greater_equal(R[i], R[j], out=B[k])
+            elif not (weighted[i] or weighted[j]):
+                np.greater_equal(P[i], P[j], out=B[k])
+            elif weighted[j]:
+                np.greater(P[i], 0.0, out=B[k])
+            else:
+                np.less_equal(P[j], 0.0, out=B[k])
+        return B
+    if gammas.all():
+        np.divide(P, gammas, out=R)
         for k, (i, j) in enumerate(zip(I, J)):
             np.greater_equal(R[i], R[j], out=B[k])
         return B
-    zero = Gt == 0
+    zero = gammas == 0
     R.fill(-np.inf)
     np.copyto(R, np.inf, where=P > 0)
-    np.divide(P, Gt, out=R, where=~zero)
+    np.divide(P, gammas, out=R, where=~zero)
     S = ws.array("zero_weight_pops", (d, n))
     S.fill(0.0)
     np.copyto(S, P, where=zero)

@@ -89,9 +89,9 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
 
 def _refilled(tiles, ws: _Workspace):
     """The kept columns of a stream of ``(tile, keep)`` pairs, a level-major
-    (4, n) tile and a bool per column, in tiles of CHUNK columns (the last
-    one shorter): views of the array ``refill`` of ``ws``, refilled per
-    tile."""
+    (4, n) tile and a bool per column, in contiguous tiles of CHUNK columns
+    (the last one shorter): views of the array ``refill`` of ``ws``,
+    refilled per tile."""
     buf, fill = ws.array("refill", (4, CHUNK)), 0
     for T, keep in tiles:
         idx = np.flatnonzero(keep)
@@ -104,7 +104,13 @@ def _refilled(tiles, ws: _Workspace):
                 yield buf
                 fill = 0
     if fill:
-        yield buf[:, :fill]
+        # the last tile, made contiguous so that np.take need not copy it:
+        # row k moves left, from k * CHUNK to k * fill, past the end of every
+        # row moved before it, so nothing is overwritten before it is read
+        tail = buf.reshape(-1)[:4 * fill].reshape(4, fill)
+        for k in range(1, 4):
+            tail[k] = buf[k, :fill]
+        yield tail
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,14 @@ one per row when each row has its own (the critical-temperature scan),
 ray's far end (its near end, gamma, is its own tight point).  One applier,
 ``_tight``, reads the maps through their nonzero entries only, and gathers
 per row only the entries that differ between orderings (none at beta = 0,
-where every map is the same permutation).  The orderings come from packed
-pairwise comparisons (``core.ordering_codes``).  The kernel walks streams
-of level-major (d, n) tiles, of CHUNK rows of an array (``volume`` streams
-its samples), one contiguous row per level or rank.  Each step of a tile
-writes into the stream's one ``core._Workspace``, so no temporary grows
-with the batch and no tile after a stream's first allocates.
+where every map is the same permutation), one entry at a time into one
+row, so no table of products grows with the tile.  The orderings come from
+packed pairwise comparisons (``core.ordering_codes``).  The kernel walks
+streams of level-major (d, n) tiles, of CHUNK rows of an array (``volume``
+streams its samples), one contiguous row per level or rank.  Each step of a
+tile, the building of per-row maps included, writes into the stream's one
+``core._Workspace``, so no temporary grows with the batch and no tile after
+a stream's first allocates.
 """
 
 from __future__ import annotations
@@ -195,19 +197,20 @@ def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
 # weight means infinite beta.
 # ---------------------------------------------------------------------------
 
-def _take_levels(A: np.ndarray, levels: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+def _take_levels(A: np.ndarray, levels: np.ndarray, ws: _Workspace | None = None,
+                 name: str = "sorted") -> np.ndarray:
     """``A[levels[k, r], r]`` at [k, r] of a contiguous (d, n) array: row k
     holds the k-th entry of every column's ordering, for a level-major (d, n)
     array ``A``, or ``A[levels[k, r]]`` for one (d,) vector shared by all
     columns; columns of ``A`` and ``levels`` broadcast.  The flat indices
     are laid out as the result, which ``np.take`` reads several times
     faster.  With a workspace the indices overwrite ``levels`` and the
-    result is its array ``sorted``."""
+    result is its array ``name``."""
     if A.ndim == 2 and ws is None:
         levels = levels * A.shape[1] + np.arange(A.shape[1])
     elif A.ndim == 2:
         np.add(np.multiply(levels, A.shape[1], out=levels), ws.columns(A.shape[1]), out=levels)
-    out = None if ws is None else ws.array("sorted", levels.shape)
+    out = None if ws is None else ws.array(name, levels.shape)
     return np.take(A, levels, out=out, mode="clip")
 
 
@@ -220,17 +223,23 @@ def batch_curves(P: np.ndarray, gammas: np.ndarray):
     return order, X, Y
 
 
-def _covered(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _covered(X: np.ndarray, T: np.ndarray, F: np.ndarray | None = None,
+             ws: _Workspace | None = None) -> np.ndarray:
     """Covered fraction F[n, t, s] of segment s of row n's curve, whose
     elbows are X, at the row's target T[n, t]; rows of X and T broadcast.
     A zero-width segment is a step at its left edge: a target at or right of
-    that edge covers all of it."""
-    X0 = np.concatenate([np.zeros((X.shape[0], 1)), X[:, :-1]], axis=1)
-    W = X - X0
-    step = (W == 0)[:, None, :]
-    F = T[:, :, None] - X0[:, None, :]
-    F /= np.where(step, 1.0, W[:, None, :])
-    np.copyto(F, F >= 0, where=step)
+    that edge covers all of it.  Written into ``F`` when it is given, in any
+    layout, with the segments' edges and widths in arrays of ``ws``."""
+    ws = _Workspace(0) if ws is None else ws
+    X0 = ws.array("left_edges", X.shape[::-1]).T
+    X0[:, 0] = 0.0
+    X0[:, 1:] = X[:, :-1]
+    W = np.subtract(X, X0, out=ws.array("widths", X.shape[::-1]).T)
+    step = np.equal(W, 0.0, out=ws.array("steps", X.shape[::-1], bool).T)
+    np.copyto(W, 1.0, where=step)
+    F = np.subtract(T[:, :, None], X0[:, None, :], out=F)
+    F /= W[:, None, :]
+    np.greater_equal(F, 0.0, out=F, where=step[:, None, :])
     return np.clip(F, 0.0, 1.0, out=F)
 
 
@@ -294,84 +303,98 @@ def _grouped_tiles(tiles, gammas: np.ndarray, build, ws: _Workspace):
         yield lo, sorted_p, table, cls
 
 
-def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _cumulative_weights(gammas: np.ndarray, orders: np.ndarray, ws: _Workspace,
+                        name: str) -> np.ndarray:
+    """The elbow positions of each row's ordering, ``np.cumsum`` of its Gibbs
+    weights in that order: a level-major (d, rows) array ``name`` of ``ws``.
+    Rows of ``orders`` broadcast with the columns of ``gammas``, a (d, n)
+    tile or one shared (d,) vector."""
+    rows = max(len(orders), gammas.shape[1] if gammas.ndim == 2 else 1)
+    levels = ws.array("index", (orders.shape[1], rows), np.intp)
+    np.copyto(levels, orders.T)
+    W = _take_levels(gammas, levels, ws, name)
+    for k in range(1, len(W)):
+        W[k] += W[k - 1]
+    return W
+
+
+def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray,
+                ws: _Workspace | None = None) -> np.ndarray:
     """Linear maps from a state's sorted populations r = p[orders[c]] to its
     tight point for the target ordering t: q[t[j]] = sum_k maps[c, k, j] r[k],
     the covered fractions of ``batch_eval`` at the target elbows
     cumsum(gamma[t]), differenced.  Rows of ``orders`` and ``targets``
     broadcast with the columns of ``gammas``, a level-major (d, n) tile, or
     one shared (d,) vector.  Every entry is >= 0, a difference of
-    non-decreasing covered fractions.
+    non-decreasing covered fractions.  The maps are a view of the (d, d,
+    classes) array ``maps`` of ``ws`` (new without one), so that each entry
+    is one contiguous row over the classes.
     """
-    F = _covered(np.cumsum(_take_levels(gammas, orders.T), axis=0).T,
-                 np.cumsum(_take_levels(gammas, targets.T), axis=0).T)
-    F[:, 1:] -= F[:, :-1]  # np.diff(F, prepend=0.0, axis=1); a ufunc reads an overlap first
+    ws = _Workspace(0) if ws is None else ws
+    X = _cumulative_weights(gammas, orders, ws, "elbows")
+    T = _cumulative_weights(gammas, targets, ws, "target_elbows")
+    d, rows = len(X), max(X.shape[1], T.shape[1])
+    F = _covered(X.T, T.T, ws.array("maps", (d, d, rows)).transpose(2, 0, 1), ws)
+    for j in range(d - 1, 0, -1):  # np.diff(F, prepend=0.0, axis=1), in place
+        F[:, j] -= F[:, j - 1]
     return F.transpose(0, 2, 1)
 
 
-def _map_plan(maps: np.ndarray, levels=None):
+def _map_plan(maps: np.ndarray, levels=None) -> list:
     """How ``_tight`` reads the maps ``maps[c, k, j]`` of the classes c, with
     output j at level ``levels[j]`` (at level j when ``levels`` is None).
 
-    Returns ``(terms, varying, spans)``: terms[i] lists the terms ``(k,
-    scale, row)`` of level i in ascending k.  An entry that is the same in
-    every class is a ``scale`` (None for 1); any other is ``row`` of
-    ``varying``, the (terms, classes) table of those entries (None if there
-    are none), whose rows ``varying[a:b]`` multiply sorted population k for
-    each ``(k, a, b)`` of ``spans``.  An entry 0 in every class is left out:
-    its product with a finite population is +0 or -0, which changes no sum
-    that starts at +0, since such a sum is never -0.
+    Returns ``terms``: terms[i] lists the terms ``(k, scale, entries)`` of
+    level i in ascending k.  An entry that is the same in every class is a
+    ``scale`` (None for 1), with ``entries`` None; any other is ``entries``,
+    its value in each class (a view of ``maps``).  An entry 0 in every class
+    is left out: its product with a finite population is +0 or -0, which
+    changes no sum that starts at +0, since such a sum is never -0.
     """
     d = maps.shape[1]
     least, most = maps.min(axis=0).tolist(), maps.max(axis=0).tolist()
     at = range(d) if levels is None else levels.tolist()
-    terms, K, J, spans = [[] for _ in range(d)], [], [], []
+    terms = [[] for _ in range(d)]
     for k in range(d):
-        a = len(K)
         for j, i in enumerate(at):
             if most[k][j] == 0.0:
                 continue
             if least[k][j] == most[k][j]:
                 terms[i].append((k, None if most[k][j] == 1.0 else most[k][j], None))
             else:
-                terms[i].append((k, None, len(K)))
-                K.append(k)
-                J.append(j)
-        if len(K) > a:
-            spans.append((k, a, len(K)))
-    return terms, maps.transpose(1, 2, 0)[K, J] if K else None, spans
+                terms[i].append((k, None, maps[:, k, j]))
+    return terms
 
 
-def _level_plan(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering):
+def _level_plan(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering,
+                ws: _Workspace | None = None) -> list:
     """``_map_plan`` of the ``_tight_maps`` for one shared target ordering,
     with the tight point in level order."""
     t0 = target.zero_based()
-    return _map_plan(_tight_maps(orders, gammas, t0[None, :]), t0)
+    return _map_plan(_tight_maps(orders, gammas, t0[None, :], ws), t0)
 
 
-def _tight(plan, R: np.ndarray, cls: np.ndarray | None = None,
+def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None = None,
            ws: _Workspace | None = None) -> np.ndarray:
     """Tight points, a level-major (d, n) array (``tight`` of ``ws``), of the
     sorted populations R, a (d, n) array with one column per row: each
     column goes through the map of its class ``cls``, or column j through
     class j when ``cls`` is None.  Each output adds its terms to 0 in
     ascending k, as ``np.einsum("nki,nk->ni", maps, r)`` does, bit for bit,
-    and is clipped at 0 (``np.maximum``, which ``np.clip`` calls)."""
-    terms, varying, spans = plan
+    and is clipped at 0 (``np.maximum``, which ``np.clip`` calls).  A term
+    whose entry varies between classes gathers each column's entry into one
+    row, ``scaled`` of ``ws``, which then takes its product with the
+    populations."""
     d, n = R.shape
     ws = _Workspace(n) if ws is None else ws
-    if varying is not None:
-        # each row's varying entries, times their populations, one call per k
-        V = ws.array("products", (len(varying), n))
-        M = varying if cls is None else np.take(varying, cls, axis=1, out=V, mode="clip")
-        for k, a, b in spans:
-            np.multiply(M[a:b], R[k], out=V[a:b])
     Q, tmp = ws.array("tight", (d, n)), ws.array("scaled", (n,))
     Q.fill(0.0)
-    for q, col in zip(Q, terms):
-        for k, scale, row in col:
-            if row is not None:
-                q += V[row]
+    for q, col in zip(Q, plan):
+        for k, scale, entries in col:
+            if entries is not None:
+                if cls is not None:
+                    entries = np.take(entries, cls, out=tmp, mode="clip")
+                q += np.multiply(entries, R[k], out=tmp)
             elif scale is not None:
                 q += np.multiply(R[k], scale, out=tmp)
             else:
@@ -393,7 +416,7 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Work
     point exactly.
     """
     plans = _grouped_tiles(tiles, np.asarray(gammas, dtype=float),
-                           lambda orders, G: _level_plan(orders, G, target), ws)
+                           lambda orders, G: _level_plan(orders, G, target, ws), ws)
     for lo, sorted_p, plan, cls in plans:
         yield lo, _tight(plan, sorted_p, cls, ws)
 
@@ -417,26 +440,30 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext, ws: _Workspac
     By concavity it suffices to test at each row's own elbows, which depend
     only on the row's ordering: the origin's curve is read once per stream
     for each ordering seen, with ``batch_eval`` (at x=0, at the top of its
-    jump).  The cumulative sums and the test run level by level, which adds
-    in the same order as ``np.cumsum``.
+    jump), and a height that is the same for every ordering seen is one
+    number.  Each tile's cumulative sums replace its sorted populations,
+    level by level, which adds in the same order as ``np.cumsum``.
     """
     _check_dims(ctx, origin)
     gamma = ctx.checked_gamma()
     _, X, Y = batch_curves(origin.probs[None, :], gamma)
 
     def heights_of(orders, _):
-        return np.ascontiguousarray(batch_eval(X, Y, np.cumsum(gamma[orders], axis=1)).T)
+        heights = np.ascontiguousarray(batch_eval(X, Y, np.cumsum(gamma[orders], axis=1)).T)
+        return [h[0] if h.min() == h.max() else h for h in heights]
 
     for lo, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of, ws):
         n = (len(cls),)
         ok, above = ws.array("dominated", n, bool), ws.array("above", n, bool)
-        y, least, top = ws.array("height", n), ws.array("least", n), ws.array("top", n)
+        top = ws.array("top", n)
+        for k in range(1, len(sorted_q)):
+            sorted_q[k] += sorted_q[k - 1]
+        least = np.subtract(sorted_q, TAU_CMP, out=sorted_q)
         ok.fill(True)
-        y.fill(0.0)
-        for k, r in enumerate(sorted_q):  # heights level-major: each level one contiguous row
-            y += r
-            np.subtract(y, TAU_CMP, out=least)
-            ok &= np.greater_equal(np.take(heights[k], cls, out=top, mode="clip"), least, out=above)
+        for h, y in zip(heights, least):  # level-major: each level one contiguous row
+            if isinstance(h, np.ndarray):
+                h = np.take(h, cls, out=top, mode="clip")
+            ok &= np.greater_equal(h, y, out=above)
         yield lo, ok
 
 

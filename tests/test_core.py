@@ -13,6 +13,24 @@ def probs_strategy(d=4):
             .map(lambda v: np.array(v) / np.sum(v)))
 
 
+@st.composite
+def degenerate_ground_rows(draw):
+    """A spectrum of 3, 5 or 7 levels with at least two ground levels, and
+    rows of it: faces, tied populations, and rows with all their mass above
+    the ground levels (in the zero-weight levels at infinite beta)."""
+    d = draw(st.sampled_from([3, 5, 7]))
+    ground = draw(st.integers(2, d - 1))
+    energies = [0.0] * ground + sorted(draw(st.lists(st.sampled_from([1.0, 2.0]),
+                                                     min_size=d - ground, max_size=d - ground)))
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.tuples(st.lists(value, min_size=d, max_size=d), st.booleans()),
+                         min_size=1, max_size=12))
+    P = np.array([r for r, _ in rows])
+    P[[excited for _, excited in rows], :ground] = 0.0
+    P[P.sum(axis=1) == 0, -1] = 1.0
+    return energies, P / P.sum(axis=1, keepdims=True)
+
+
 class TestMakeContext:
     def test_uniform_at_beta_zero(self):
         ctx = core.make_context((0, 1, 1, 2), 0.0)
@@ -190,6 +208,19 @@ class TestBetaOrdering:
                       for b in np.resize([0.0, 1.0, math.inf, 3.0], 60)])
         order = core.batch_order(P, G)
         for p, g, o in zip(P, G, order):
+            assert o.tolist() == ref_order(p, g)
+
+    @given(degenerate_ground_rows())
+    def test_shared_and_per_row_gammas_on_degenerate_spectra(self, case):
+        # one comparison per level pair with a shared Gibbs vector, and the
+        # general rules with one per row, both against the reference
+        energies, P = case
+        gammas = [core.make_context(energies, b).gamma for b in (0.0, 1.0, 3.0, math.inf)]
+        for gamma in gammas:
+            for p, o in zip(P, core.batch_order(P, gamma)):
+                assert o.tolist() == ref_order(p, gamma)
+        G = np.array([gammas[r % len(gammas)] for r in range(len(P))])
+        for p, g, o in zip(P, G, core.batch_order(P, G)):
             assert o.tolist() == ref_order(p, g)
 
     @pytest.fixture

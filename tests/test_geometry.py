@@ -239,9 +239,34 @@ class TestVolumes:
         ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), math.inf, (11967, 12144)),
     ])
     def test_pinned_hit_counts_on_ragged_tiles(self, set_id, origin, beta, hits):
-        # a whole block and a second ending one row into its second tile, so
-        # each block ends in a short tile; at seeds 5 and 2^64 - 1
-        n = geo.BLOCK + core.CHUNK + 1
+        # a whole block and a second of 4,097 rows, at seeds 5 and 2^64 - 1:
+        # one short tile at 8,192 rows a tile, a full one and one row at 4,096
+        self.check_pinned_hits(set_id, origin, beta, hits, 69_633)
+
+    @pytest.mark.parametrize("set_id, origin, beta, hits", [
+        ("E", None, 0.0, (24715, 24790)),
+        ("E", None, 1.0, (24715, 24790)),
+        ("E", None, math.inf, (24715, 24790)),
+        ("NE", None, 0.0, (49014, 48939)),
+        ("NE", None, 1.0, (49014, 48939)),
+        ("NE", None, math.inf, (49014, 48939)),
+        ("TNE", None, 0.0, (23960, 24008)),
+        ("TNE", None, 1.0, (8934, 9084)),
+        ("TNE", None, math.inf, (0, 0)),
+        ("ENT_CONE", (0, 0, 0, 1), 0.0, (24715, 24790)),
+        ("ENT_CONE", (0, 0, 0, 1), 1.0, (24715, 24790)),
+        ("ENT_CONE", (0, 0, 0, 1), math.inf, (24715, 24790)),
+        ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), 0.0, (1206, 1146)),
+        ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), 1.0, (7258, 7315)),
+        ("ENT_CONE", (0.1, 0.1, 0.2, 0.6), math.inf, (12687, 12795)),
+    ])
+    def test_pinned_hit_counts_on_a_one_row_tile(self, set_id, origin, beta, hits):
+        # a whole block and a second of 8,193 rows: at 8,192 rows a tile it
+        # ends in a tile of one row
+        self.check_pinned_hits(set_id, origin, beta, hits, 73_729)
+
+    @staticmethod
+    def check_pinned_hits(set_id, origin, beta, hits, n):
         origin = core.PopVector(origin) if origin else None
         got = tuple(geo.volume_of(set_id, ctx2q(beta), origin, n, seed=s).fraction
                     for s in (5, 2**64 - 1))
@@ -265,10 +290,10 @@ class TestVolumes:
         finally:
             tracemalloc.stop()
         # 2 MB: the stream's workspace, made by its first tiles and reused by
-        # the rest, holds a few (4, 4096) arrays of 128 KB each (the draws, the
-        # tile, its ratios, orderings, sorted populations and tight points,
-        # the refilled entangled samples, and the products of the varying map
-        # entries, up to 16 rows of them)
+        # the rest, holds a few (4, 8192) arrays of 256 KB each (the draws, the
+        # tile, its orderings, its ratios and then its sorted populations, its
+        # tight points, and the refilled entangled samples) and a few rows of
+        # 64 KB
         assert peak <= 4 * 8 * 4096 * 4 * 4
 
     def test_infinite_beta_tne_is_negligible(self):

@@ -650,9 +650,9 @@ class TestMapApplier:
         gamma = ctx2q(0.0).gamma
         orders = core.code_orders(4)[np.unique(core.ordering_codes(random_states(
             np.random.default_rng(1), 4000).T, gamma, core._Workspace(4000)))]
-        terms, varying, _ = mj._level_plan(orders, gamma, core.PI_STAR)
+        # every term a population with no scale and no varying entries
+        terms = mj._level_plan(orders, gamma, core.PI_STAR)
         assert terms == [[(1, None, None)], [(0, None, None)], [(2, None, None)], [(3, None, None)]]
-        assert varying is None
 
 
 def pinned_rows(n=20_000):
