@@ -30,7 +30,7 @@ from .core import (
     is_two_qubit_context,
     two_qubit_context,
 )
-from .majorization import all_extreme_points, batch_tight_points
+from .majorization import TAU_CMP, all_extreme_points, batch_curves, batch_eval, batch_tight_points
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -68,6 +68,13 @@ def witness_f(q) -> float:
     return float(witness_batch(_as_probs(q)[None, :])[0])
 
 
+def _negativity(Q: np.ndarray) -> np.ndarray:
+    """(hypot(q1 - q4, q2 - q3) - (q1 + q4)) / 2 of each (n, 4) row: the
+    negativity a subspace rotation reaches, before its clip at zero.  It is
+    convex, and negative exactly where the witness is positive."""
+    return 0.5 * (np.hypot(Q[:, 0] - Q[:, 3], Q[:, 1] - Q[:, 2]) - (Q[:, 0] + Q[:, 3]))
+
+
 def max_negativity(q):
     """Largest negativity a subspace rotation reaches, zero where the witness
     is non-negative: a number for one state, an array for (n, 4) rows."""
@@ -75,7 +82,7 @@ def max_negativity(q):
     if a.ndim not in (1, 2) or a.shape[-1] != 4:
         raise ValueError(f"expected length-4 population vectors, got shape {a.shape}")
     Q = a.reshape(-1, 4)
-    neg = 0.5 * (np.hypot(Q[:, 0] - Q[:, 3], Q[:, 1] - Q[:, 2]) - (Q[:, 0] + Q[:, 3]))
+    neg = _negativity(Q)
     neg[witness_batch(Q) >= 0.0] = 0.0
     return float(neg[0]) if a.ndim == 1 else neg
 
@@ -109,6 +116,55 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
                          in_TE=f_star < -TAU_F,
                          max_negativity=float(max_negativity(points).max()),
                          optimal_theta=math.pi / 4.0, pi_star_point=PopVector(points[star]))
+
+
+#: bound on the rounding of ``_negativity`` at a computed cone vertex: each
+#: vertex entry is a sum of at most four map entries in [0, 1] times sorted
+#: populations that sum to 1, so it is off by a few ulp, and the negativity
+#: moves by at most the l1 change of the vertex plus its own rounding
+_VERTEX_SLACK = 1e-12
+
+
+def _cone_misses_entanglement(p: PopVector, ctx: GibbsContext) -> bool:
+    """True when no sample that an ENT_CONE volume from origin ``p`` counts
+    can exist: a certificate read from the 24 vertices of p's future cone
+    (``all_extreme_points``) and from p's curve L.  It declines (False) when
+    the smallest Gibbs weight g is not a normal double (infinite beta, or
+    weights that underflow), before any cone work.
+
+    With mu = -max M(v) - _VERTEX_SLACK over the vertices v, M the
+    negativity before its clip (``_negativity``), Delta = min(L(g) - g,
+    L(1 - g) - (1 - g)) and eps = 2 TAU_CMP, it holds iff mu > 0, Delta > 0
+    and 4 mu^2 > 8 eps / Delta.  Proof that then no sample is counted:
+
+    1. The cone is the convex hull of its vertices and M is convex, so every
+       state Q' of the cone has M(Q') <= -mu.  With s = q1 + q4 and h =
+       hypot(q1 - q4, q2 - q3), that is s >= h + 2 mu, so the witness
+       w(Q') = (s - h)(s + h) >= 4 mu^2.
+    2. Take a sample Q that passes ``_majorizes_stream``: at each of Q's
+       elbows x, its cumulative sum y is at most L(x) + TAU_CMP.  Then Q' =
+       (1 - lam) Q + lam gamma, with lam = eps / (Delta + eps), lies in the
+       cone.  Every ratio q'_i / gamma_i is (1 - lam) q_i / gamma_i + lam,
+       so Q' keeps Q's ordering and elbows, and its heights are (1 - lam) y
+       + lam x.  Q's interior elbows lie in [g, 1 - g], where the concave L
+       - x is at least Delta, so (1 - lam) (L(x) + eps) + lam x <= L(x); at
+       x = 1 both heights are 1.  On a segment of L of slope s, s x <= L(x)
+       <= 1, so the rounding of a computed elbow moves L by a few ulp;
+       eps - TAU_CMP absorbs it, with the rounding of the sample's sums.
+    3. On the simplex |w(Q) - w(Q')| <= 4 ||Q - Q'||_1 = 4 lam ||Q -
+       gamma||_1 <= 8 lam < 8 eps / Delta < 4 mu^2, so w(Q) > 0, while a
+       counted sample needs w < -TAU_F <= 0.  The bound holds for the exact
+       witness of Q, so it holds for an exact-sign verdict too.
+    """
+    g = ctx.gamma.min()
+    if not g >= _SMALLEST_WEIGHT:
+        return False
+    mu = -_negativity(all_extreme_points(p, ctx)[1]).max() - _VERTEX_SLACK
+    x = np.array([g, 1.0 - g])
+    _, X, Y = batch_curves(p.probs[None, :], ctx.gamma)
+    delta = (batch_eval(X, Y, x[None, :])[0] - x).min()
+    eps = 2.0 * TAU_CMP
+    return bool(mu > 0.0 and delta > 0.0 and 4.0 * mu * mu > 8.0 * eps / delta)
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context
-from .entangle import TAU_F, fstar_batch, witness_batch
+from .entangle import TAU_F, _cone_misses_entanglement, fstar_batch, witness_batch
 from .majorization import _majorizes_stream, batch_tight_points, tight_point_tiles
 
 #: samples per RNG block; one Philox key per block
@@ -134,7 +134,11 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     """Monte Carlo volume fraction of one of the entanglability sets.
 
     ``origin`` is required for ENT_CONE (the future thermal cone of
-    entanglement of that state); it is ignored otherwise.
+    entanglement of that state); it is ignored otherwise.  At finite beta,
+    an ENT_CONE origin whose cone provably holds no counted sample
+    (``entangle._cone_misses_entanglement``) returns the estimate of zero
+    hits without drawing: the result of the stream, with ``n_samples`` and
+    ``std_error`` as if sampled.
     """
     if set_id not in SET_IDS:
         raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")
@@ -147,6 +151,8 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     _check_seed(seed)
     if not is_two_qubit_context(ctx):
         raise ValueError("volume predicates are defined for two-qubit (0, E, E, 2E) spectra")
+    if set_id == "ENT_CONE" and _cone_misses_entanglement(origin, ctx):
+        return VolumeEstimate.from_counts(0, n, seed)
 
     def count(blocks):
         # one stream of tiles, in one workspace, for all of a worker's blocks

@@ -17,6 +17,12 @@ from tests.conftest import (
 V_TNE0 = 0.32723006198927174069
 
 
+#: a non-entanglable origin at beta = 1 next to the boundary (f* = 8.6e-6):
+#: its cone comes within about 1e-5 of the entangled states, too near for
+#: the empty-cone certificate
+BOUNDARY_ORIGIN = (0.3837, 0.1411, 0.1411, 0.3341)
+
+
 def ctx2q(beta):
     return core.two_qubit_context(beta)
 
@@ -212,6 +218,8 @@ class TestVolumes:
         ("ENT_CONE", 1.0, (0.1, 0.1, 0.2, 0.6), 12939),
         ("ENT_CONE", math.inf, (0.1, 0.1, 0.2, 0.6), 22611),
         ("ENT_CONE", 0.0, (0.4, 0.25, 0.33, 0.02), 0),
+        # the certificate declines here, so the stream counts the hits
+        ("ENT_CONE", 1.0, BOUNDARY_ORIGIN, 0),
     ])
     def test_pinned_hit_counts(self, set_id, beta, origin, hits):
         # hit counts of the per-row curve construction; a flipped verdict
@@ -220,6 +228,15 @@ class TestVolumes:
         origin = core.PopVector(origin) if origin else None
         est = geo.volume_of(set_id, ctx2q(beta), origin, n, seed=11)
         assert est.fraction == hits / n
+
+    def test_dominance_at_a_non_entanglable_origin(self):
+        # the origin of the zero pin above takes the empty-cone certificate,
+        # so the dominance kernel is checked there directly: it reaches none
+        # of the entangled samples of that pin
+        S = geo.sample_simplex_array(4, 2 * geo.BLOCK, 11)
+        ent = S[en.witness_batch(S) < -en.TAU_F]
+        ok = mj.batch_majorizes(core.PopVector([0.4, 0.25, 0.33, 0.02]), ent, ctx2q(0.0))
+        assert len(ent) > 40_000 and not ok.any()
 
     @pytest.mark.parametrize("set_id, origin, beta, hits", [
         ("E", None, 0.0, (23349, 23499)),
@@ -299,6 +316,61 @@ class TestVolumes:
     def test_infinite_beta_tne_is_negligible(self):
         est = geo.volume_of("TNE", ctx2q(math.inf), None, 2_000, seed=2)
         assert est.fraction == 0.0
+
+
+class TestEmptyConeCertificate:
+    """``entangle._cone_misses_entanglement``, with which an ENT_CONE volume
+    returns zero hits without drawing its samples."""
+
+    @staticmethod
+    def origins(beta, rng):
+        """Uniform states, states near gamma (non-entanglable at every
+        beta) and the inner points of the boundary cloud."""
+        ctx = ctx2q(beta)
+        near = ctx.gamma + 0.1 * (random_states(rng, 40) - ctx.gamma)
+        return np.concatenate([random_states(rng, 40), near,
+                               geo.tne_boundary(ctx, 6, 30).inner_points])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+    def test_certified_origins_have_empty_cones(self, monkeypatch, beta):
+        ctx, rng = ctx2q(beta), np.random.default_rng(int(10 * beta) + 7)
+        certified = [p for p in map(core.PopVector, self.origins(beta, rng))
+                     if en._cone_misses_entanglement(p, ctx)]
+        assert certified
+        monkeypatch.setattr(geo, "_cone_misses_entanglement", lambda p, ctx: False)
+        for p in certified:
+            assert not en.is_thermally_entanglable(p, ctx).in_TE
+            for seed in (3, 2**64 - 1):
+                assert geo.volume_of("ENT_CONE", ctx, p, 2 * geo.BLOCK, seed).fraction == 0.0
+
+    @pytest.mark.parametrize("beta, origin", [
+        (0.0, (0.25, 0.25, 0.25, 0.25)),  # gamma: its cone is the point itself, Delta = 0
+        (1.0, None),  # gamma
+        (1.0, (0, 0, 0, 1)),  # reaches every entangled state
+        (1.0, BOUNDARY_ORIGIN),  # non-entanglable, but mu is too small
+        (0.0, (0.4625, 0.3, 0.1625, 0.075)),  # on the boundary: f* = 0 in reals
+    ])
+    def test_declines(self, beta, origin):
+        ctx = ctx2q(beta)
+        p = core.PopVector(ctx.gamma if origin is None else origin)
+        assert not en._cone_misses_entanglement(p, ctx)
+
+    def test_declines_at_infinite_beta_before_the_cone(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the cone was built")
+
+        monkeypatch.setattr(en, "all_extreme_points", fail)
+        for origin in ((0.4, 0.25, 0.33, 0.02), (1, 0, 0, 0), (0, 0, 0, 1)):
+            assert not en._cone_misses_entanglement(core.PopVector(origin), ctx2q(math.inf))
+
+    def test_volume_matches_the_stream(self, monkeypatch):
+        # the estimate without a draw is the one the stream gives, at any
+        # thread count
+        ctx, p = ctx2q(0.0), core.PopVector([0.4, 0.25, 0.33, 0.02])
+        assert en._cone_misses_entanglement(p, ctx)
+        fast = [geo.volume_of("ENT_CONE", ctx, p, 70_000, 5, threads=t) for t in (1, 2)]
+        monkeypatch.setattr(geo, "_cone_misses_entanglement", lambda p, ctx: False)
+        assert fast == [geo.volume_of("ENT_CONE", ctx, p, 70_000, 5)] * 2
 
 
 class TestTneVolumeAtZero:
