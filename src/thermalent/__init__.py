@@ -12,7 +12,6 @@ from .core import (
     BetaOrdering,
     GibbsContext,
     PopVector,
-    beta_order,
     make_context,
     pop_vector,
     two_qubit_context,

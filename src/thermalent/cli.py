@@ -36,7 +36,7 @@ from .entangle import (
     critical_temps_thermal,
     is_thermally_entanglable,
 )
-from .geometry import MAX_ITERS, convex_hull_export, tne_boundary, volume_of
+from .geometry import MAX_ITERS, MAX_THREADS, convex_hull_export, tne_boundary, volume_of
 from .majorization import curve, future_cone
 
 SEED_ENV = "THERMALENT_SEED"
@@ -44,6 +44,9 @@ SEED_ENV = "THERMALENT_SEED"
 #: most extra sample points of ``curve --points``: about 2 MB of output at the
 #: cap; the curve is read at them CHUNK at a time
 MAX_POINTS = 100_000
+
+#: most levels of a ``curve --state``: its ordering compares every pair
+MAX_CURVE_LEVELS = 256
 
 #: most points of a ``jc --betaE-range`` sweep: each runs the protocol once,
 #: a few ms at beta*E >= 0.2
@@ -173,6 +176,8 @@ def _run_cone(args):
 
 def _run_curve(args):
     p = _parse_state(args.state, args.renorm)
+    if p.dim > MAX_CURVE_LEVELS:
+        raise ValueError(f"--state may have at most {MAX_CURVE_LEVELS} levels, got {p.dim}")
     ctx = _context(args, p.dim)
     if not 0 <= args.points <= MAX_POINTS:
         raise ValueError(f"--points must lie in 0..{MAX_POINTS}, got {args.points}")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads, at least 1 (default: all cores; result unchanged)")
+                    help=f"worker threads, at least 1; {MAX_THREADS} run at most (default: cores)")
 
     sp = _add_subcommand(sub, "boundary", _run_boundary,
                          "TNE boundary cloud, one closed-form root per ray",

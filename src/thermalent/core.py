@@ -272,14 +272,14 @@ def _pair_bits(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
     """For each pair of levels i < j, in the order of ``_pairs``, whether
     level i goes before level j in each column of the level-major (d, n) tile
     P: a (d(d-1)/2, n) bool array of ``ws``.  ``gammas`` is one (d,) Gibbs
-    vector shared by every column, or a (d, n) tile of one per column.
+    vector shared by every column, or a positive (d, n) tile, one per column.
 
     Level i goes first when its population-to-Gibbs ratio is >= level j's,
-    so ties go to the lower index.  A zero Gibbs weight (infinite beta) has
-    no finite ratio: a populated zero-weight level has ratio +inf and an
-    unpopulated one -inf, and two zero-weight levels of equal ratio compare
-    by population, the larger first.  With a shared vector these rules come
-    to one comparison per pair: of the ratios when both weights are positive,
+    so ties go to the lower index.  A zero weight of a shared vector
+    (infinite beta) has no finite ratio: a populated zero-weight level goes
+    before every weighted one and an unpopulated one after, and two
+    zero-weight levels compare by population, the larger first.  So each
+    pair takes one comparison: of the ratios when both weights are positive,
     of the populations when both are zero, and otherwise whether the
     zero-weight level is populated.
     """
@@ -288,37 +288,23 @@ def _pair_bits(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
     # the ratios go in the array that ``_take_levels`` fills with the sorted
     # populations once the comparisons are done
     R, B = ws.array("sorted", (d, n)), ws.array("bits", (len(I), n), bool)
-    if gammas.ndim == 1:
-        weighted = (gammas > 0).tolist()
-        if all(weighted):
-            np.divide(P, gammas[:, None], out=R)
-        else:
-            for i in np.flatnonzero(gammas):
-                np.divide(P[i], gammas[i], out=R[i])
-        for k, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
-            if weighted[i] and weighted[j]:
-                np.greater_equal(R[i], R[j], out=B[k])
-            elif not (weighted[i] or weighted[j]):
-                np.greater_equal(P[i], P[j], out=B[k])
-            elif weighted[j]:
-                np.greater(P[i], 0.0, out=B[k])
-            else:
-                np.less_equal(P[j], 0.0, out=B[k])
-        return B
-    if gammas.all():
-        np.divide(P, gammas, out=R)
-        for k, (i, j) in enumerate(zip(I, J)):
+    weighted = (gammas > 0).tolist() if gammas.ndim == 1 else [bool((gammas > 0).all())] * d
+    if all(weighted):
+        np.divide(P, gammas if gammas.ndim == 2 else gammas[:, None], out=R)
+    elif gammas.ndim == 2:
+        raise ValueError("per-row Gibbs weights must be positive; share one vector at beta = inf")
+    else:
+        for i in np.flatnonzero(gammas):
+            np.divide(P[i], gammas[i], out=R[i])
+    for k, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
+        if weighted[i] and weighted[j]:
             np.greater_equal(R[i], R[j], out=B[k])
-        return B
-    zero = gammas == 0
-    R.fill(-np.inf)
-    np.copyto(R, np.inf, where=P > 0)
-    np.divide(P, gammas, out=R, where=~zero)
-    S = ws.array("zero_weight_pops", (d, n))
-    S.fill(0.0)
-    np.copyto(S, P, where=zero)
-    for k, (i, j) in enumerate(zip(I, J)):
-        np.logical_or(R[i] > R[j], (R[i] == R[j]) & (S[i] >= S[j]), out=B[k])
+        elif not (weighted[i] or weighted[j]):
+            np.greater_equal(P[i], P[j], out=B[k])
+        elif weighted[j]:
+            np.greater(P[i], 0.0, out=B[k])
+        else:
+            np.less_equal(P[j], 0.0, out=B[k])
     return B
 
 
@@ -391,15 +377,16 @@ def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Zero-based level orderings, one row per state, by non-increasing
     population-to-Gibbs ratio.
 
-    ``gammas`` is a matching (n, d) array or one shared (d,) Gibbs vector.
-    Each row is fixed by the d(d-1)/2 pairwise comparisons of ``_pair_bits``:
-    ties break by ascending level index; populated zero-weight levels
-    (infinite beta) rank first, among themselves by descending population,
-    and unpopulated ones rank last.  Up to MAX_DENSE_DIM levels the
-    comparisons are packed into a code that indexes ``code_orders``; above,
-    each level's rank is counted from them.  Rows go in level-major tiles of
-    CHUNK (``_tile_levels``), so the (d(d-1)/2, rows) comparisons do not grow
-    with the batch.
+    ``gammas`` is one shared (d,) Gibbs vector, or a matching (n, d) array
+    of positive weights (ValueError on a zero).  Each row is fixed by the
+    d(d-1)/2 pairwise comparisons of ``_pair_bits``: ties break by ascending
+    level index; the zero weights of a shared vector (infinite beta) put
+    populated levels first, among themselves by descending population, and
+    unpopulated ones last.  Up to MAX_DENSE_DIM levels the comparisons are
+    packed into a code that indexes ``code_orders``; above, each level's
+    rank is counted from them.  Rows go in level-major tiles of CHUNK
+    (``_tile_levels``), so the (d(d-1)/2, rows) comparisons do not grow with
+    the batch.
     """
     P = np.asarray(P, dtype=float)
     G = np.asarray(gammas, dtype=float)
@@ -408,13 +395,3 @@ def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         Gt = G if G.ndim == 1 else ws.level_major("gammas", G[lo:lo + CHUNK])
         order[lo:lo + CHUNK] = _tile_levels(ws.level_major("rows", P[lo:lo + CHUNK]), Gt, ws)[0].T
     return order
-
-
-def beta_order(p: PopVector, ctx: GibbsContext) -> BetaOrdering:
-    """Order levels by non-increasing population-to-Gibbs ratio (``batch_order``
-    on one row)."""
-    if p.dim != ctx.dim:
-        raise ValueError(f"dimension mismatch: state {p.dim}, context {ctx.dim}")
-    order = batch_order(p.probs[None, :], ctx.checked_gamma())[0]
-    return BetaOrdering(tuple(int(i) + 1 for i in order))
-

@@ -168,7 +168,8 @@ def _cone_misses_entanglement(p: PopVector, ctx: GibbsContext) -> bool:
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Witness at the (2,1,3,4) extreme point for every row, at any beta."""
+    """Witness at the (2,1,3,4) extreme point for every row: ``gammas`` is one
+    shared Gibbs vector, at any beta, or one per row with positive weights."""
     return witness_batch(batch_tight_points(P, gammas, PI_STAR))
 
 

@@ -26,6 +26,9 @@ BLOCK = 65536
 
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
 
+#: most worker threads of a volume; the result does not depend on the count
+MAX_THREADS = 64
+
 #: largest facet grid resolution: the grid holds 2 m^2 + 2 points, about
 #: 130k at the cap
 MAX_GRID = 256
@@ -177,7 +180,7 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     # blocks are drawn lazily, so the set-up does not grow with n; worker w
     # takes blocks w, w + workers, ...
     blocks = -(-n // BLOCK)
-    workers = min(threads, blocks)
+    workers = min(threads, blocks, MAX_THREADS)
     if workers == 1:
         return VolumeEstimate.from_counts(count(range(blocks)), n, seed)
     with ThreadPoolExecutor(max_workers=workers) as pool:

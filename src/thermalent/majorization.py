@@ -19,8 +19,8 @@ populations, so a tight point is a linear map of the sorted populations,
 q = M_sigma p (``_tight_maps``): the beta-permutations of de Oliveira
 Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109 (2022).
 Every tight point goes through these maps: ``tight_point_tiles`` builds
-them once per stream for each ordering seen when the rows share gamma, and
-one per row when each row has its own (the critical-temperature scan),
+them once per stream for each ordering seen when rows of up to six levels
+share gamma, and one per row otherwise (the critical-temperature scan),
 ``all_extreme_points`` builds those of all d! targets for one state, and
 ``geometry.tne_boundary`` reads from the stream the tight point of each
 ray's far end (its near end, gamma, is its own tight point).  One applier,
@@ -46,7 +46,6 @@ import numpy as np
 
 from .core import (
     CHUNK,
-    MAX_DENSE_DIM,
     BetaOrdering,
     GibbsContext,
     PopVector,
@@ -267,12 +266,12 @@ def _grouped_tiles(tiles, gammas: np.ndarray, build, ws: _Workspace):
     every column's k-th population in its level ordering, ``build(orderings,
     gammas)`` of the orderings seen so far, and each column's index into
     them.  ``gammas`` is one (d,) Gibbs vector shared by the stream, or an
-    (N, d) array of one per row of the stream; then every column is its own
-    class, built with the (d, n) tile of its vectors, and ``cls`` is None.
-    With a shared vector, up to MAX_DENSE_DIM levels a column's pair code
-    names its ordering, and ``build`` runs again on every ordering seen when
-    a tile brings codes that no earlier tile had; above, each tile groups
-    its orderings with ``np.unique`` and builds its own table.
+    (N, d) array of one per row of the stream.  With a shared vector and
+    pair codes (``core._tile_levels``), a column's code names its ordering,
+    and ``build`` runs again on every ordering seen when a tile brings codes
+    that no earlier tile had.  Otherwise every column is its own class,
+    built with the tile's (d, n) Gibbs vectors or the shared one, and
+    ``cls`` is None.
     """
     lo, n, table = 0, 0, None
     for P in tiles:
@@ -281,11 +280,8 @@ def _grouped_tiles(tiles, gammas: np.ndarray, build, ws: _Workspace):
             continue
         G = gammas if gammas.ndim == 1 else ws.level_major("gammas", gammas[lo:lo + n])
         levels, code = _tile_levels(P, G, ws)
-        if gammas.ndim == 2:
+        if code is None or gammas.ndim == 2:
             table, cls = build(levels.T, G), None
-        elif d > MAX_DENSE_DIM:
-            classes, cls = np.unique(levels, axis=1, return_inverse=True)
-            table, cls = build(classes.T, G), cls.ravel()
         else:
             orders = code_orders(d)
             if table is None:
@@ -366,14 +362,6 @@ def _map_plan(maps: np.ndarray, levels=None) -> list:
     return terms
 
 
-def _level_plan(orders: np.ndarray, gammas: np.ndarray, target: BetaOrdering,
-                ws: _Workspace | None = None) -> list:
-    """``_map_plan`` of the ``_tight_maps`` for one shared target ordering,
-    with the tight point in level order."""
-    t0 = target.zero_based()
-    return _map_plan(_tight_maps(orders, gammas, t0[None, :], ws), t0)
-
-
 def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None = None,
            ws: _Workspace | None = None) -> np.ndarray:
     """Tight points, a level-major (d, n) array (``tight`` of ``ws``), of the
@@ -410,13 +398,15 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Work
 
     Each column's sorted populations go through the map of its ordering
     (``_tight_maps``, applied by ``_tight``): with one shared (d,) Gibbs
-    vector, built once per stream for each ordering seen; with an (N, d)
-    array of one Gibbs vector per row of the stream, one per column.
-    Swapping the populations of two levels of equal weight swaps the tight
-    point exactly.
+    vector, built once per stream for each ordering seen (once per column
+    above MAX_DENSE_DIM levels); with an (N, d) array of one Gibbs vector
+    per row of the stream, all weights positive, one per column.  Swapping
+    the populations of two levels of equal weight swaps the tight point
+    exactly.
     """
+    t = target.zero_based()
     plans = _grouped_tiles(tiles, np.asarray(gammas, dtype=float),
-                           lambda orders, G: _level_plan(orders, G, target, ws), ws)
+                           lambda orders, G: _map_plan(_tight_maps(orders, G, t[None], ws), t), ws)
     for lo, sorted_p, plan, cls in plans:
         yield lo, _tight(plan, sorted_p, cls, ws)
 
@@ -439,10 +429,11 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext, ws: _Workspac
 
     By concavity it suffices to test at each row's own elbows, which depend
     only on the row's ordering: the origin's curve is read once per stream
-    for each ordering seen, with ``batch_eval`` (at x=0, at the top of its
-    jump), and a height that is the same for every ordering seen is one
-    number.  Each tile's cumulative sums replace its sorted populations,
-    level by level, which adds in the same order as ``np.cumsum``.
+    for each ordering seen (per column above MAX_DENSE_DIM levels), with
+    ``batch_eval`` (at x=0, at the top of its jump), and a height that is the
+    same for every ordering seen is one number.  Each tile's cumulative sums
+    replace its sorted populations, level by level, which adds in the same
+    order as ``np.cumsum``.
     """
     _check_dims(ctx, origin)
     gamma = ctx.checked_gamma()
@@ -453,7 +444,7 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext, ws: _Workspac
         return [h[0] if h.min() == h.max() else h for h in heights]
 
     for lo, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of, ws):
-        n = (len(cls),)
+        n = sorted_q.shape[1:]
         ok, above = ws.array("dominated", n, bool), ws.array("above", n, bool)
         top = ws.array("top", n)
         for k in range(1, len(sorted_q)):
@@ -461,7 +452,7 @@ def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext, ws: _Workspac
         least = np.subtract(sorted_q, TAU_CMP, out=sorted_q)
         ok.fill(True)
         for h, y in zip(heights, least):  # level-major: each level one contiguous row
-            if isinstance(h, np.ndarray):
+            if isinstance(h, np.ndarray) and cls is not None:
                 h = np.take(h, cls, out=top, mode="clip")
             ok &= np.greater_equal(h, y, out=above)
         yield lo, ok

@@ -154,6 +154,8 @@ class TestSizeCaps:
         # a list of 1e9 Gibbs contexts
         (("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:2",
           "--scan", "1000000000"), "2..100000,"),
+        # an ordering of 257 levels, whose pairwise comparisons grow as the square
+        (("curve", "--state", ",".join(["1"] + ["0"] * 256)), "at most 256 levels,"),
     ])
     def test_sizes_named_in_the_error(self, capsys, argv, limit):
         code, _, err = run(capsys, *argv)
@@ -168,6 +170,9 @@ class TestCriticalTempInputs:
         (("--range", "0:2", "--gap", "-1"), "gap must be positive"),
         (("--range", "0:2", "--gap", "0"), "gap must be positive"),
         (("--range", "0:inf"), "must be finite"),
+        # exp(-710) is below the smallest normal double: the scan's top end
+        # is checked, so no row reaches the kernel with a zero weight
+        (("--range", "350:355"), "underflow"),
     ])
     def test_rejected(self, capsys, extra, message):
         code, out, err = run(capsys, "critical-temp", "--state", "0.12,0.38,0.12,0.38", *extra)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from thermalent import core
+from thermalent import core, majorization as mj
 from tests.conftest import random_states, ref_order
+
+
+def one_row_order(p, ctx):
+    """The 1-based level ordering of one state: a one-row ``batch_order``."""
+    return tuple((core.batch_order(p.probs[None, :], ctx.checked_gamma())[0] + 1).tolist())
 
 
 def probs_strategy(d=4):
@@ -71,7 +76,7 @@ class TestMakeContext:
         with pytest.raises(ValueError, match="inf"):
             ctx.checked_gamma()
         with pytest.raises(ValueError, match="inf"):
-            core.beta_order(core.PopVector([0.5, 0.5]), ctx)
+            mj.curve(core.PopVector([0.5, 0.5]), ctx)
         assert np.array_equal(core.make_context((0.0, 1.0), math.inf).checked_gamma(), [1, 0])
         assert core.make_context((0.0, 1.0), 300.0).checked_gamma()[1] > 0
 
@@ -160,17 +165,17 @@ class TestBetaOrdering:
     def test_descending_sort_at_beta_zero(self):
         ctx = core.make_context((0, 1, 1, 2), 0.0)
         p = core.PopVector([0.1, 0.5, 0.2, 0.2])
-        assert core.beta_order(p, ctx).perm == (2, 3, 4, 1)
+        assert one_row_order(p, ctx) == (2, 3, 4, 1)
 
     def test_gibbs_state_is_identity(self):
         ctx = core.make_context((0, 1, 1, 2), 1.0)
-        assert core.beta_order(core.PopVector(ctx.gamma), ctx).perm == (1, 2, 3, 4)
+        assert one_row_order(core.PopVector(ctx.gamma), ctx) == (1, 2, 3, 4)
 
     def test_counterexample_ordering(self):
         # epsilon well below e^{-2 beta E} puts level 4 above level 3
         ctx = core.make_context((0, 1, 1, 2), 1.0)
         p = core.PopVector([0.01, 0.9899, 0, 0.0001])
-        assert core.beta_order(p, ctx).perm == (2, 1, 4, 3)
+        assert one_row_order(p, ctx) == (2, 1, 4, 3)
 
     def test_nonincreasing_ratio_property(self, rng):
         # bulk version of the defining property
@@ -188,38 +193,43 @@ class TestBetaOrdering:
     def test_scale_invariance(self, probs, beta, scale):
         # only the product beta*E matters
         p = core.PopVector(probs)
-        a = core.beta_order(p, core.make_context((0, 1, 1, 2), beta))
-        b = core.beta_order(p, core.make_context((0, 1 / scale, 1 / scale, 2 / scale),
-                                                 beta * scale))
-        assert a.perm == b.perm
+        a = one_row_order(p, core.make_context((0, 1, 1, 2), beta))
+        b = one_row_order(p, core.make_context((0, 1 / scale, 1 / scale, 2 / scale), beta * scale))
+        assert a == b
 
     def test_stable_tie_break(self):
         ctx = core.make_context((0, 1, 1, 2), 1.0)
         p = core.PopVector([0.4, 0.25, 0.25, 0.1])
-        assert core.beta_order(p, ctx).perm[1:3] == (2, 3)
+        assert one_row_order(p, ctx)[1:3] == (2, 3)
 
     def test_per_row_gammas_with_and_without_zero_weights(self, rng):
+        # zero weights (beta = inf) only in a shared vector; one vector per
+        # row is drawn at finite beta
         P = random_states(rng, 60)
         P[:10, 0] = 0.0
         P[10:20, 3] = 0.0
         P[20:30, 2] = P[20:30, 1]
         P /= P.sum(axis=1, keepdims=True)
+        for beta in (0.0, 1.0, math.inf, 3.0):
+            gamma = core.two_qubit_context(beta).gamma
+            for p, o in zip(P, core.batch_order(P, gamma)):
+                assert o.tolist() == ref_order(p, gamma)
         G = np.array([core.two_qubit_context(b).gamma
-                      for b in np.resize([0.0, 1.0, math.inf, 3.0], 60)])
+                      for b in np.resize([0.0, 1.0, 20.0, 3.0], 60)])
         order = core.batch_order(P, G)
         for p, g, o in zip(P, G, order):
             assert o.tolist() == ref_order(p, g)
 
     @given(degenerate_ground_rows())
     def test_shared_and_per_row_gammas_on_degenerate_spectra(self, case):
-        # one comparison per level pair with a shared Gibbs vector, and the
-        # general rules with one per row, both against the reference
+        # the same comparisons with a shared Gibbs vector, zero weights
+        # included, and with one per row at finite beta, against the reference
         energies, P = case
         gammas = [core.make_context(energies, b).gamma for b in (0.0, 1.0, 3.0, math.inf)]
         for gamma in gammas:
             for p, o in zip(P, core.batch_order(P, gamma)):
                 assert o.tolist() == ref_order(p, gamma)
-        G = np.array([gammas[r % len(gammas)] for r in range(len(P))])
+        G = np.array([gammas[r % 3] for r in range(len(P))])
         for p, g, o in zip(P, G, core.batch_order(P, G)):
             assert o.tolist() == ref_order(p, g)
 
@@ -256,19 +266,20 @@ class TestBetaOrdering:
             assert all(order[r].tolist() == ref_order(P[r], G_rows[r]) for r in range(0, n, 97))
 
     def test_one_row_is_one_tile(self, compared_rows):
-        core.beta_order(core.PopVector([0.1, 0.2, 0.3, 0.4]), core.two_qubit_context(1.0))
+        one_row_order(core.PopVector([0.1, 0.2, 0.3, 0.4]), core.two_qubit_context(1.0))
         assert compared_rows == [1]
 
     def test_dimension_mismatch(self):
         ctx = core.make_context((0, 1), 1.0)
-        with pytest.raises(ValueError):
-            core.beta_order(core.PopVector([0.5, 0.3, 0.2]), ctx)
+        # one state's ordering is read through its curve, which checks
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mj.curve(core.PopVector([0.5, 0.3, 0.2]), ctx)
 
     def test_infinite_beta_conventions(self):
         ctx = core.make_context((0, 1, 1, 2), math.inf)
         # populated zero-weight levels first by descending population,
         # unpopulated zero-weight levels last
         p = core.PopVector([0.2, 0.3, 0.5, 0.0])
-        assert core.beta_order(p, ctx).perm == (3, 2, 1, 4)
+        assert one_row_order(p, ctx) == (3, 2, 1, 4)
         q = core.PopVector([1.0, 0.0, 0.0, 0.0])
-        assert core.beta_order(q, ctx).perm == (1, 2, 3, 4)
+        assert one_row_order(q, ctx) == (1, 2, 3, 4)

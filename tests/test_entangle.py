@@ -158,7 +158,7 @@ class TestThermallyEntanglable:
         eps = 0.01
         p = core.PopVector([eps, 1 - eps - eps**2, 0, eps**2])
         ctx = ctx2q(1.0)
-        assert core.beta_order(p, ctx).perm == (2, 1, 4, 3)
+        assert (core.batch_order(p.probs[None, :], ctx.gamma)[0] + 1).tolist() == [2, 1, 4, 3]
         rep = en.is_thermally_entanglable(p, ctx)
         assert en.witness_f(p) < rep.f_star
 

@@ -191,6 +191,29 @@ class TestVolumes:
         with pytest.raises(ValueError, match="at least 1"):
             geo.volume_of("E", ctx2q(0.0), None, 10, seed=0, threads=threads)
 
+    def test_thread_count_clamped(self, monkeypatch):
+        # a fake pool records its worker count and the workers' shares, and
+        # runs nothing, so no thread starts
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, shares):
+                seen.append(len(list(shares)))
+                return []
+
+        monkeypatch.setattr(geo, "ThreadPoolExecutor", Pool)
+        geo.volume_of("E", ctx2q(0.0), None, 10**10, seed=0, threads=10**6)
+        assert seen == [geo.MAX_THREADS, geo.MAX_THREADS]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_setup_memory_does_not_grow_with_n(self, monkeypatch, threads):
         # the first block raises, so only the set-up before it is measured;

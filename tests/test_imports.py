@@ -136,8 +136,12 @@ def test_public_names_are_read():
 
 #: the tight-point map format: how the maps are built, planned and applied,
 #: and the tile walk that feeds them; only ``majorization`` reads these
-MAP_INTERNALS = ("_tight_maps", "_map_plan", "_level_plan", "_tight", "_take_levels",
-                 "_grouped_tiles", "_covered", "_row_tiles")
+MAP_INTERNALS = ("_tight_maps", "_map_plan", "_tight", "_take_levels", "_grouped_tiles",
+                 "_covered", "_row_tiles")
+
+#: the level-ordering rules, zero weights included, and their encodings;
+#: only ``core`` reads these
+ORDERING_INTERNALS = ("_pair_bits", "_orders_from_bits", "ordering_codes")
 
 
 def foreign_reads(sources: dict, owner: str, names) -> list:
@@ -164,3 +168,10 @@ def test_map_internals_stay_in_majorization():
     ``batch_tight_points`` and ``all_extreme_points``."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert foreign_reads(sources, "majorization.py", MAP_INTERNALS) == []
+
+
+def test_ordering_rules_stay_in_core():
+    """Only ``core`` compares levels; the other modules read orderings
+    through ``batch_order``, ``_tile_levels`` and ``code_orders``."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_reads(sources, "core.py", ORDERING_INTERNALS) == []

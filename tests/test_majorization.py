@@ -150,7 +150,7 @@ class TestExtremePoint:
         ctx = ctx2q(0.9)
         for row in random_states(rng, 25):
             p = core.PopVector(row)
-            own = core.beta_order(p, ctx)
+            own = core.BetaOrdering(core.batch_order(row[None, :], ctx.gamma)[0] + 1)
             assert np.allclose(mj.extreme_point(p, ctx, own).probs, p.probs, atol=1e-12)
 
     def test_thermal_state_population_exchange(self):
@@ -316,7 +316,8 @@ class TestAgainstReference:
     def test_order_curve_and_fstar(self, probs, beta):
         ctx = ctx2q(beta)
         p = core.PopVector(probs)
-        assert [i - 1 for i in core.beta_order(p, ctx).perm] == ref_order(probs, ctx.gamma)
+        order = core.batch_order(probs[None, :], ctx.gamma)[0]
+        assert order.tolist() == ref_order(probs, ctx.gamma)
         c, ref = mj.curve(p, ctx), ref_curve(probs, ctx.gamma)
         assert np.array_equal(c.xs, ref[0]) and np.array_equal(c.ys, ref[1])
         got = en.fstar_batch(probs[None, :], ctx.gamma)[0]
@@ -408,7 +409,7 @@ class TestPerOrderingMaps:
 
     @pytest.mark.parametrize("beta", [0.0, 0.8, math.inf])
     def test_first_size_above_dense_limit(self, rng, beta):
-        d = mj.MAX_DENSE_DIM + 1
+        d = core.MAX_DENSE_DIM + 1
         ctx = core.make_context((0, 1, 1, 2, 2, 2, 3), beta)
         P = random_states(rng, 5, d=d)
         P[0, [0, 4]] = 0.0  # a face state, and a tie of equal weights
@@ -443,7 +444,7 @@ class TestPerOrderingMaps:
 def ordering_batches(draw):
     """States of d levels in a spectrum with degenerate levels: face states,
     tied populations, and one inverse temperature per row."""
-    d = draw(st.sampled_from([2, 3, 4, mj.MAX_DENSE_DIM, mj.MAX_DENSE_DIM + 1, 17]))
+    d = draw(st.sampled_from([2, 3, 4, core.MAX_DENSE_DIM, core.MAX_DENSE_DIM + 1, 17]))
     energies = sorted(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
     value = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
     rows = draw(st.lists(st.lists(value, min_size=d, max_size=d).filter(lambda r: sum(r) > 0),
@@ -464,25 +465,44 @@ class TestPairCodes:
         gamma = core.make_context(energies, betas[0]).gamma
         for p, o in zip(P, core.batch_order(P, gamma)):
             assert o.tolist() == ref_order(p, gamma)
-        G = np.array([core.make_context(energies, b).gamma for b in betas])
+        # one Gibbs vector per row only at finite beta
+        G = np.array([core.make_context(energies, min(b, 50.0)).gamma for b in betas])
         for p, g, o in zip(P, G, core.batch_order(P, G)):
             assert o.tolist() == ref_order(p, g)
+
+    @pytest.mark.parametrize("energies", [(0, 1, 1, 2), tuple(range(7))])
+    def test_per_row_zero_weight_rejected(self, rng, energies):
+        # a zero weight means beta = inf only in one shared Gibbs vector
+        d = len(energies)
+        P = random_states(rng, 3, d=d)
+        G = np.array([core.make_context(energies, b).gamma for b in (1.0, math.inf, 0.0)])
+        with pytest.raises(ValueError, match="must be positive"):
+            core.batch_order(P, G)
+        with pytest.raises(ValueError, match="must be positive"):
+            mj.batch_tight_points(P, G, core.BetaOrdering(range(d, 0, -1)))
+        if d == 4:
+            with pytest.raises(ValueError, match="must be positive"):
+                en.fstar_batch(P, G)
 
     @given(ordering_batches(), st.integers(1, 4))
     def test_classes_across_tiles(self, batch, chunk):
         energies, P, betas = batch
         gamma = core.make_context(energies, betas[0]).gamma
         ws = core._Workspace(len(P))
+        dense = P.shape[1] <= core.MAX_DENSE_DIM
         with mock.patch.object(mj, "CHUNK", chunk):
             # each tile's arrays are views of the stream's reused buffers, so copy them
-            tiles = [(lo, s.copy(), table, cls.copy()) for lo, s, table, cls in mj._grouped_tiles(
-                mj._row_tiles(P, ws), gamma, lambda orders, G: orders, ws)]
+            tiles = [(lo, s.copy(), table, cls if cls is None else cls.copy())
+                     for lo, s, table, cls in mj._grouped_tiles(
+                         mj._row_tiles(P, ws), gamma, lambda orders, G: orders.copy(), ws)]
         assert [lo for lo, *_ in tiles] == list(range(0, len(P), chunk))
         for lo, sorted_p, table, cls in tiles:
-            for p, s, o in zip(P[lo:lo + chunk], sorted_p.T, table[cls]):
+            # above the dense table every column is its own class
+            assert (cls is None) != dense
+            for p, s, o in zip(P[lo:lo + chunk], sorted_p.T, table if cls is None else table[cls]):
                 assert o.tolist() == ref_order(p, gamma)
                 assert np.array_equal(s, p[o])
-        if P.shape[1] <= mj.MAX_DENSE_DIM:
+        if dense:
             # one class per ordering seen in the whole call
             table = tiles[-1][2]
             assert len(np.unique(table, axis=0)) == len(table)
@@ -566,7 +586,7 @@ class TestOneTightPointArithmetic:
         # f* with one Gibbs vector per row; each row gives the bits of a
         # one-row call with its vector shared
         energies, P, betas = batch
-        G = np.array([core.make_context(energies, b).gamma for b in betas])
+        G = np.array([core.make_context(energies, min(b, 50.0)).gamma for b in betas])
         d = P.shape[1]
         with mock.patch.object(mj, "CHUNK", chunk):
             for t in (core.BetaOrdering(range(1, d + 1)), core.BetaOrdering(range(d, 0, -1))):
@@ -651,7 +671,8 @@ class TestMapApplier:
         orders = core.code_orders(4)[np.unique(core.ordering_codes(random_states(
             np.random.default_rng(1), 4000).T, gamma, core._Workspace(4000)))]
         # every term a population with no scale and no varying entries
-        terms = mj._level_plan(orders, gamma, core.PI_STAR)
+        t = core.PI_STAR.zero_based()
+        terms = mj._map_plan(mj._tight_maps(orders, gamma, t[None, :]), t)
         assert terms == [[(1, None, None)], [(0, None, None)], [(2, None, None)], [(3, None, None)]]
 
 
