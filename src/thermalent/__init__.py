@@ -3,6 +3,11 @@
 Decide whether populations can be entangled by thermal processes, construct
 and measure the relevant convex sets, and simulate the dynamical protocols
 (cavity preconditioning, partial thermalizations, catalytic activation).
+
+The ``dynamics`` submodule and the names it exports here load on their
+first access (a module ``__getattr__``), so that importing the package, and
+its CLI, does not pay for the protocols or for ``fractions``; ``__all__``
+lists them all the same.
 """
 
 __version__ = "0.1.0"
@@ -43,17 +48,32 @@ from .geometry import (
     tne_boundary,
     volume_of,
 )
-from .dynamics import (
-    DensityMatrix,
-    JCConfig,
-    JCResult,
-    MtpSearchResult,
-    ThermalizationSchedule,
-    apply_schedule,
-    apply_subspace_rotation,
-    jc_protocol,
-    mtp_entangle_search,
-    verify_catalysis,
+
+#: the names of ``dynamics`` exported here, loaded with it on first access
+_DYNAMICS = (
+    "DensityMatrix",
+    "JCConfig",
+    "JCResult",
+    "MtpSearchResult",
+    "ThermalizationSchedule",
+    "apply_schedule",
+    "apply_subspace_rotation",
+    "jc_protocol",
+    "mtp_entangle_search",
+    "verify_catalysis",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_DYNAMICS, "dynamics"])
+
+
+def __getattr__(name):
+    if name == "dynamics" or name in _DYNAMICS:
+        import importlib
+
+        dynamics = importlib.import_module(".dynamics", __name__)
+        return dynamics if name == "dynamics" else getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,24 +12,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import numbers
 import os
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .core import PopVector, make_context, pop_vector, two_qubit_context
-from .dynamics import (
-    MIN_BETA_E,
-    JCConfig,
-    jc_protocol,
-    mtp_entangle_search,
-    suggest_n_max,
-    verify_catalysis,
-)
 from .entangle import (
     MAX_SCAN,
     critical_temps_general,
@@ -87,16 +79,19 @@ def _nest(shape: tuple, indent) -> str:
 def _json(obj, indent="  ") -> str:
     """JSON text of a result in one walk, laid out as ``json.dumps(obj, indent=indent)``:
     floats (numpy's too) at 12 significant digits, a ``PopVector`` as its
-    populations, a ``Fraction`` as its str, a dataclass as its fields, an
-    array as nested lists; dict keys must be str."""
-    if isinstance(obj, (str, Fraction)):
-        return encode_basestring_ascii(str(obj))
+    populations, a ``Fraction`` (any ``numbers.Rational`` that is not an
+    integer, so that ``fractions`` need not be imported) as its str, a
+    dataclass as its fields, an array as nested lists; dict keys must be str."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return {None: "null", True: "true", False: "false"}[obj]
     if isinstance(obj, (float, np.floating)):
         return _items([float(obj)], None)[0]
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
+    if isinstance(obj, numbers.Rational) and not isinstance(obj, numbers.Integral):
+        return encode_basestring_ascii(str(obj))
     if isinstance(obj, PopVector):
         obj = obj.probs
     elif dataclasses.is_dataclass(obj):
@@ -221,6 +216,8 @@ def _run_critical_temp(args):
 
 
 def _run_jc(args):
+    from .dynamics import MIN_BETA_E, JCConfig, jc_protocol, suggest_n_max
+
     if args.betaE_range:
         a, b, n = _parse_range(args.betaE_range, 3)
         a, b, n = float(a), float(b), int(n)
@@ -246,6 +243,8 @@ def _run_jc(args):
 
 
 def _run_mtp(args):
+    from .dynamics import mtp_entangle_search
+
     p = _parse_state(args.state, args.renorm)
     ctx = two_qubit_context(args.beta, args.gap)
     res = mtp_entangle_search(p, ctx, args.strategy, args.budget)
@@ -260,6 +259,8 @@ def _run_mtp(args):
 
 
 def _run_catalysis_demo(args):
+    from .dynamics import verify_catalysis
+
     checks = _fields(verify_catalysis(strict=False))
     return {"status": "PASS" if checks.pop("passed") else "FAIL", **checks}, None
 

@@ -373,23 +373,31 @@ def _tile_levels(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> tuple:
     return np.take(code_orders(d).T, code, axis=1, out=levels, mode="clip"), code
 
 
+def _check_gammas(P: np.ndarray, G: np.ndarray) -> None:
+    """ValueError unless G is one (d,) Gibbs vector for the (n, d) rows of
+    P, or an (n, d) array of one per row."""
+    if P.ndim != 2 or G.shape not in (P.shape[1:], P.shape):
+        raise ValueError("dimension mismatch")
+
+
 def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Zero-based level orderings, one row per state, by non-increasing
     population-to-Gibbs ratio.
 
     ``gammas`` is one shared (d,) Gibbs vector, or a matching (n, d) array
-    of positive weights (ValueError on a zero).  Each row is fixed by the
-    d(d-1)/2 pairwise comparisons of ``_pair_bits``: ties break by ascending
-    level index; the zero weights of a shared vector (infinite beta) put
-    populated levels first, among themselves by descending population, and
-    unpopulated ones last.  Up to MAX_DENSE_DIM levels the comparisons are
-    packed into a code that indexes ``code_orders``; above, each level's
-    rank is counted from them.  Rows go in level-major tiles of CHUNK
-    (``_tile_levels``), so the (d(d-1)/2, rows) comparisons do not grow with
-    the batch.
+    of positive weights (ValueError on a zero, and on any other shape, before
+    the first tile).  Each row is fixed by the d(d-1)/2 pairwise comparisons
+    of ``_pair_bits``: ties break by ascending level index; the zero weights
+    of a shared vector (infinite beta) put populated levels first, among
+    themselves by descending population, and unpopulated ones last.  Up to
+    MAX_DENSE_DIM levels the comparisons are packed into a code that indexes
+    ``code_orders``; above, each level's rank is counted from them.  Rows go
+    in level-major tiles of CHUNK (``_tile_levels``), so the (d(d-1)/2, rows)
+    comparisons do not grow with the batch.
     """
     P = np.asarray(P, dtype=float)
     G = np.asarray(gammas, dtype=float)
+    _check_gammas(P, G)
     order, ws = np.empty(P.shape, dtype=np.intp), _Workspace(len(P))
     for lo in range(0, len(P), CHUNK):
         Gt = G if G.ndim == 1 else ws.level_major("gammas", G[lo:lo + CHUNK])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,15 @@ MAX_GRID = 256
 MAX_ITERS = 52
 
 
+def ThreadPoolExecutor(max_workers: int):
+    """A ``concurrent.futures.ThreadPoolExecutor``, imported on the first
+    call: only a volume of more than one worker starts a pool, and the
+    import (``logging`` with it) is dear on a cold start."""
+    from concurrent.futures import ThreadPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
+
+
 def _check_seed(seed: int) -> None:
     """Reject a seed that is not a Philox key word, rather than alias it."""
     if not 0 <= operator.index(seed) < 2**64:
@@ -61,10 +69,10 @@ def _normalized(e: np.ndarray, ws: _Workspace) -> np.ndarray:
     one tile frees the draws before the tile's next steps)."""
     s = ws.array("sums", e.shape[:1])
     # numpy sums a row of fewer than 8 entries left to right, as these column
-    # adds do, and pairwise from 8 on
+    # adds do (d >= 2), and pairwise from 8 on
     if e.shape[1] < 8:
-        np.copyto(s, e[:, 0])
-        for k in range(1, e.shape[1]):
+        np.add(e[:, 0], e[:, 1], out=s)
+        for k in range(2, e.shape[1]):
             s += e[:, k]
     else:
         e.sum(axis=1, out=s)
@@ -141,7 +149,9 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     an ENT_CONE origin whose cone provably holds no counted sample
     (``entangle._cone_misses_entanglement``) returns the estimate of zero
     hits without drawing: the result of the stream, with ``n_samples`` and
-    ``std_error`` as if sampled.
+    ``std_error`` as if sampled.  ``threads`` workers split the blocks, at
+    most MAX_THREADS and one per block; a single worker runs in this thread,
+    and only more than one start a pool (``ThreadPoolExecutor``).
     """
     if set_id not in SET_IDS:
         raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")

@@ -49,6 +49,7 @@ from .core import (
     BetaOrdering,
     GibbsContext,
     PopVector,
+    _check_gammas,
     _readonly,
     _tile_levels,
     _Workspace,
@@ -413,10 +414,12 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Work
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
     """Extreme point of every row's cone for one shared target ordering
-    (``tight_point_tiles`` gathered into one (n, d) array)."""
-    P = np.asarray(P, dtype=float)
+    (``tight_point_tiles`` gathered into one (n, d) array); ``gammas`` as
+    for ``batch_order``."""
+    P, G = np.asarray(P, dtype=float), np.asarray(gammas, dtype=float)
+    _check_gammas(P, G)
     out, ws = np.empty_like(P), _Workspace(len(P))
-    for lo, q in tight_point_tiles(_row_tiles(P, ws), gammas, target, ws):
+    for lo, q in tight_point_tiles(_row_tiles(P, ws), G, target, ws):
         out[lo:lo + q.shape[1]] = q.T
     return out
 

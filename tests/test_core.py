@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from thermalent import core, majorization as mj
+from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import random_states, ref_order
 
 
@@ -274,6 +274,24 @@ class TestBetaOrdering:
         # one state's ordering is read through its curve, which checks
         with pytest.raises(ValueError, match="dimension mismatch"):
             mj.curve(core.PopVector([0.5, 0.3, 0.2]), ctx)
+
+    @pytest.mark.parametrize("gammas", [
+        np.array([0.6, 0.4]),           # shared, positive weights
+        np.array([1.0, 0.0]),           # shared, a zero weight
+        np.full((5, 2), 0.5),           # per row, too few levels
+        np.full((4, 3), 1 / 3),         # per row, too few rows
+        np.full((1, 3), 1 / 3),         # one row for five
+    ], ids=["shared", "shared-zero-weight", "rows-levels", "rows-count", "one-row"])
+    @pytest.mark.parametrize("batch", [
+        core.batch_order,
+        lambda P, G: mj.batch_tight_points(P, G, core.BetaOrdering((2, 1, 3))),
+        en.fstar_batch,
+    ], ids=["batch_order", "batch_tight_points", "fstar_batch"])
+    def test_batch_dimension_mismatch(self, batch, gammas):
+        # the batch calls check their Gibbs weights against the rows before
+        # the first tile, rather than fail inside the comparisons
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            batch(np.full((5, 3), 1 / 3), gammas)
 
     def test_infinite_beta_conventions(self):
         ctx = core.make_context((0, 1, 1, 2), math.inf)

@@ -8,10 +8,18 @@ class or constant whose name starts with an underscore that no module reads
 outside its own definition, and on a public one that only tests name.
 ``__init__.py`` is skipped by the import check, and is no reader of public
 names: its imports are the public re-exports.
+
+It also pins the cold path: what a fresh ``import thermalent.cli`` leaves
+out, and the package's public names, of which ``dynamics``'s load on first
+access.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,3 +183,56 @@ def test_ordering_rules_stay_in_core():
     through ``batch_order``, ``_tile_levels`` and ``code_orders``."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert foreign_reads(sources, "core.py", ORDERING_INTERNALS) == []
+
+
+#: modules that only ``jc``, ``mtp``, ``catalysis-demo``, a volume of more
+#: than one worker or a hull export run, so a cold ``import thermalent.cli``
+#: must not load them
+NOT_ON_THE_COLD_PATH = ("thermalent.dynamics", "fractions", "decimal", "concurrent.futures",
+                        "logging", "scipy")
+
+#: the package's public names, in the order of ``thermalent.__all__``
+PUBLIC = [
+    "BetaOrdering", "BoundaryCloud", "CriticalTemps", "DensityMatrix", "GibbsContext",
+    "HullMesh", "JCConfig", "JCResult", "MtpSearchResult", "PI_STAR", "PopVector",
+    "ThermalCone", "ThermalizationSchedule", "ThermoCurve", "VolumeEstimate", "WitnessReport",
+    "apply_schedule", "apply_subspace_rotation", "convex_hull_export", "core",
+    "critical_temps_general", "critical_temps_thermal", "curve", "dynamics", "entangle",
+    "extreme_point", "future_cone", "geometry", "is_thermally_entanglable", "jc_protocol",
+    "majorization", "make_context", "max_negativity", "mtp_entangle_search", "pop_vector",
+    "sample_simplex_array", "thermo_majorizes", "tne_boundary", "tne_bruteforce",
+    "two_qubit_context", "verify_catalysis", "volume_of", "witness_f",
+]
+
+
+def fresh_python(code: str):
+    """What ``code`` prints as JSON on its last line, run in a fresh
+    interpreter that imports the package from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_cli_import_leaves_out_what_it_does_not_run():
+    loaded = fresh_python("import json, sys, thermalent.cli\n"
+                          f"print(json.dumps([m for m in {NOT_ON_THE_COLD_PATH!r} "
+                          "if m in sys.modules]))")
+    assert loaded == []
+
+
+def test_public_names():
+    import thermalent
+
+    assert thermalent.__all__ == PUBLIC
+    assert all(getattr(thermalent, name) is not None for name in thermalent.__all__)
+    assert set(PUBLIC) <= set(dir(thermalent))
+    assert thermalent.jc_protocol is thermalent.dynamics.jc_protocol
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        thermalent.nope
+    assert fresh_python("from thermalent import dynamics\n"
+                        "import json\nprint(json.dumps(dynamics.__name__))") == "thermalent.dynamics"
+    star = fresh_python("from thermalent import *\nimport json\n"
+                        "print(json.dumps(sorted(k for k in dir() if not k.startswith('_'))))")
+    assert star == sorted(PUBLIC + ["json"])
