@@ -202,11 +202,8 @@ PI_STAR = BetaOrdering((2, 1, 3, 4))
 #: into its stream's ``_Workspace`` (a few levels x CHUNK arrays, 256 KB each
 #: at four levels), so it stays resident from its draw to its hit count and,
 #: past a stream's first tile, allocates nothing.  A tile also costs some 50
-#: numpy calls whatever its size, so larger tiles run faster: in 12
-#: interleaved in-process rounds on a 2-core host the five ``mc-finite``
-#: volumes took a median 0.91 of their 4,096-row time at 8,192 rows and 0.94
-#: at 6,144, with the same hit counts.  At 8,192 the workspace of a volume
-#: stream stays under 2 MB
+#: numpy calls whatever its size, so larger tiles run faster, while the
+#: workspace of a volume stream stays under 2 MB
 CHUNK = 8192
 
 

@@ -141,16 +141,22 @@ def _cone_misses_entanglement(p: PopVector, ctx: GibbsContext) -> bool:
        state Q' of the cone has M(Q') <= -mu.  With s = q1 + q4 and h =
        hypot(q1 - q4, q2 - q3), that is s >= h + 2 mu, so the witness
        w(Q') = (s - h)(s + h) >= 4 mu^2.
-    2. Take a sample Q that passes ``_majorizes_stream``: at each of Q's
-       elbows x, its cumulative sum y is at most L(x) + TAU_CMP.  Then Q' =
-       (1 - lam) Q + lam gamma, with lam = eps / (Delta + eps), lies in the
-       cone.  Every ratio q'_i / gamma_i is (1 - lam) q_i / gamma_i + lam,
-       so Q' keeps Q's ordering and elbows, and its heights are (1 - lam) y
-       + lam x.  Q's interior elbows lie in [g, 1 - g], where the concave L
-       - x is at least Delta, so (1 - lam) (L(x) + eps) + lam x <= L(x); at
-       x = 1 both heights are 1.  On a segment of L of slope s, s x <= L(x)
-       <= 1, so the rounding of a computed elbow moves L by a few ulp;
-       eps - TAU_CMP absorbs it, with the rounding of the sample's sums.
+    2. Take a sample Q that passes the hinge test of
+       ``majorization._hinge_plan``: h_Q(t) <= h_p(t) + TAU_CMP at each of
+       p's kinks t, for the hinge sums h_r(t) = sum_j max(0, r_j - t
+       gamma_j), up to rounding.  The rounding is a few ulp: the test adds
+       at most d terms of at most 1, and a computed kink is an ulp of t off,
+       which moves each term that counts (t gamma_j < r_j <= 1) by at most
+       an ulp.  h_Q - h_p is convex between two kinks, so the bound holds at
+       every t >= 0, and as L_Q(x) = min over t >= 0 of t x + h_Q(t), L_Q <=
+       L + TAU_CMP plus the rounding, which eps - TAU_CMP absorbs: at each
+       of Q's elbows x, its cumulative sum y is at most L(x) + eps.  Then Q'
+       = (1 - lam) Q + lam gamma, with lam = eps / (Delta + eps), lies in
+       the cone.  Every ratio q'_i / gamma_i is (1 - lam) q_i / gamma_i +
+       lam, so Q' keeps Q's ordering and elbows, and its heights are (1 -
+       lam) y + lam x.  Q's interior elbows lie in [g, 1 - g], where the
+       concave L - x is at least Delta, so (1 - lam) (L(x) + eps) + lam x
+       <= L(x); at x = 1 both heights are 1.
     3. On the simplex |w(Q) - w(Q')| <= 4 ||Q - Q'||_1 = 4 lam ||Q -
        gamma||_1 <= 8 lam < 8 eps / Delta < 4 mu^2, so w(Q) > 0, while a
        counted sample needs w < -TAU_F <= 0.  The bound holds for the exact

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context
 from .entangle import TAU_F, _cone_misses_entanglement, fstar_batch, witness_batch
-from .majorization import _majorizes_stream, batch_tight_points, tight_point_tiles
+from .majorization import _hinge_plan, _within_cone, batch_tight_points, tight_point_tiles
 
 #: samples per RNG block; one Philox key per block
 BLOCK = 65536
@@ -98,32 +98,6 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _refilled(tiles, ws: _Workspace):
-    """The kept columns of a stream of ``(tile, keep)`` pairs, a level-major
-    (4, n) tile and a bool per column, in contiguous tiles of CHUNK columns
-    (the last one shorter): views of the array ``refill`` of ``ws``,
-    refilled per tile."""
-    buf, fill = ws.array("refill", (4, CHUNK)), 0
-    for T, keep in tiles:
-        idx = np.flatnonzero(keep)
-        while len(idx):
-            m = min(CHUNK - fill, len(idx))
-            for row, dest in zip(T, buf):
-                np.take(row, idx[:m], out=dest[fill:fill + m], mode="clip")
-            fill, idx = fill + m, idx[m:]
-            if fill == CHUNK:
-                yield buf
-                fill = 0
-    if fill:
-        # the last tile, made contiguous so that np.take need not copy it:
-        # row k moves left, from k * CHUNK to k * fill, past the end of every
-        # row moved before it, so nothing is overwritten before it is read
-        tail = buf.reshape(-1)[:4 * fill].reshape(4, fill)
-        for k in range(1, 4):
-            tail[k] = buf[k, :fill]
-        yield tail
-
-
 @dataclass(frozen=True)
 class VolumeEstimate:
     """Monte Carlo volume fraction with its binomial standard error."""
@@ -149,9 +123,11 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     an ENT_CONE origin whose cone provably holds no counted sample
     (``entangle._cone_misses_entanglement``) returns the estimate of zero
     hits without drawing: the result of the stream, with ``n_samples`` and
-    ``std_error`` as if sampled.  ``threads`` workers split the blocks, at
-    most MAX_THREADS and one per block; a single worker runs in this thread,
-    and only more than one start a pool (``ThreadPoolExecutor``).
+    ``std_error`` as if sampled.  Otherwise every tile ANDs the origin's
+    hinge test (``majorization._hinge_plan``) into its witness mask.
+    ``threads`` workers split the blocks, at most MAX_THREADS and one per
+    block; a single worker runs in this thread, and only more than one start
+    a pool (``ThreadPoolExecutor``).
     """
     if set_id not in SET_IDS:
         raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")
@@ -164,8 +140,11 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     _check_seed(seed)
     if not is_two_qubit_context(ctx):
         raise ValueError("volume predicates are defined for two-qubit (0, E, E, 2E) spectra")
-    if set_id == "ENT_CONE" and _cone_misses_entanglement(origin, ctx):
-        return VolumeEstimate.from_counts(0, n, seed)
+    plan = []  # the dominance test of the origin; E has none
+    if set_id == "ENT_CONE":
+        if _cone_misses_entanglement(origin, ctx):
+            return VolumeEstimate.from_counts(0, n, seed)
+        plan = _hinge_plan(origin, ctx)
 
     def count(blocks):
         # one stream of tiles, in one workspace, for all of a worker's blocks
@@ -180,12 +159,8 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
 
         if set_id in ("NE", "TNE"):
             return sum(int(np.count_nonzero(witness(Q, np.greater_equal))) for Q in Qs)
-        if set_id == "E":
-            return sum(int(np.count_nonzero(witness(Q, np.less))) for Q in Qs)
-        # dominance costs far more than the witness: read it only where needed,
-        # on the entangled samples of the stream gathered into full tiles
-        ent = _refilled(((Q, witness(Q, np.less)) for Q in Qs), ws)
-        return sum(int(np.count_nonzero(ok)) for _, ok in _majorizes_stream(origin, ent, ctx, ws))
+        return sum(int(np.count_nonzero(_within_cone(plan, Q, witness(Q, np.less), ws)))
+                   for Q in Qs)
 
     # blocks are drawn lazily, so the set-up does not grow with n; worker w
     # takes blocks w, w + workers, ...

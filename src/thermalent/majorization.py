@@ -5,7 +5,10 @@ A curve is the concave piecewise-linear function through the cumulative
 (Horodecki & Oppenheim, Nat. Commun. 4, 2059, 2013).  State ``p`` can reach
 ``q`` by a thermal process iff p's curve dominates q's everywhere; the
 reachable set is a polytope whose extreme points are the tight-majorized
-states, one per level ordering.
+states, one per level ordering.  Dominance has one test, read from p's
+hinge sums at p's kinks (``_hinge_plan``; ``_within_cone`` applies it to a
+level-major tile).  It orders no tested state, and ``thermo_majorizes``,
+``batch_majorizes`` and the ENT_CONE volume all use it.
 
 One batch kernel (``batch_curves``, ``batch_eval``) serves every beta, and
 ``batch_eval`` is the only curve evaluator.  Zero Gibbs weights (infinite
@@ -57,7 +60,7 @@ from .core import (
     code_orders,
 )
 
-#: comparison tolerance for curve dominance and extreme-point dedup
+#: absolute tolerance of dominance (on hinge sums) and of extreme-point dedup
 TAU_CMP = 1e-10
 
 #: largest dimension for which all d! orderings are enumerated
@@ -107,7 +110,7 @@ def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
 
 
 def thermo_majorizes(p: PopVector, q: PopVector, ctx: GibbsContext) -> bool:
-    """True iff p's curve dominates q's everywhere (``batch_majorizes`` on one row)."""
+    """True iff p's curve dominates q's within TAU_CMP (``batch_majorizes`` on one row)."""
     _check_dims(ctx, p, q)
     return bool(batch_majorizes(p, q.probs[None, :], ctx)[0])
 
@@ -258,48 +261,6 @@ def _row_tiles(P: np.ndarray, ws: _Workspace):
     return (ws.level_major("rows", P[lo:lo + CHUNK]) for lo in range(0, len(P), CHUNK))
 
 
-def _grouped_tiles(tiles, gammas: np.ndarray, build, ws: _Workspace):
-    """Walk a stream of level-major (d, n) tiles (``_row_tiles(P, ws)`` for
-    an array), grouped by level ordering.
-
-    Yields ``(lo, sorted_p, table, cls)`` per non-empty tile: the stream
-    offset of its first column, a (d, n) array of ``ws`` whose row k holds
-    every column's k-th population in its level ordering, ``build(orderings,
-    gammas)`` of the orderings seen so far, and each column's index into
-    them.  ``gammas`` is one (d,) Gibbs vector shared by the stream, or an
-    (N, d) array of one per row of the stream.  With a shared vector and
-    pair codes (``core._tile_levels``), a column's code names its ordering,
-    and ``build`` runs again on every ordering seen when a tile brings codes
-    that no earlier tile had.  Otherwise every column is its own class,
-    built with the tile's (d, n) Gibbs vectors or the shared one, and
-    ``cls`` is None.
-    """
-    lo, n, table = 0, 0, None
-    for P in tiles:
-        lo, (d, n) = lo + n, P.shape
-        if not n:
-            continue
-        G = gammas if gammas.ndim == 1 else ws.level_major("gammas", gammas[lo:lo + n])
-        levels, code = _tile_levels(P, G, ws)
-        if code is None or gammas.ndim == 2:
-            table, cls = build(levels.T, G), None
-        else:
-            orders = code_orders(d)
-            if table is None:
-                cls_of = np.full(len(orders), -1)  # each code's row of the table, -1 until seen
-                seen = np.zeros(0, dtype=int)
-            cls = np.take(cls_of, code, out=ws.array("classes", (n,), np.intp), mode="clip")
-            if cls.min() < 0:
-                fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
-                cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
-                seen = np.concatenate([seen, fresh])
-                table = build(orders[seen], G)
-                np.take(cls_of, code, out=cls, mode="clip")
-        sorted_p = _take_levels(P, levels, ws)
-        del levels, code  # in a stream of one tile, freed before the tile's next steps
-        yield lo, sorted_p, table, cls
-
-
 def _cumulative_weights(gammas: np.ndarray, orders: np.ndarray, ws: _Workspace,
                         name: str) -> np.ndarray:
     """The elbow positions of each row's ordering, ``np.cumsum`` of its Gibbs
@@ -394,21 +355,48 @@ def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None = None,
 def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Workspace):
     """Extreme point of every row's cone for one shared target ordering, for
     a stream of level-major (d, n) tiles (``_row_tiles(P, ws)`` for an
-    array): yields ``(lo, q)`` per tile, ``lo`` the offset of its first
-    column in the stream and ``q`` a level-major (d, n) array of ``ws``.
+    array): yields ``(lo, q)`` per non-empty tile, ``lo`` the offset of its
+    first column in the stream and ``q`` a level-major (d, n) array of
+    ``ws``.
 
     Each column's sorted populations go through the map of its ordering
-    (``_tight_maps``, applied by ``_tight``): with one shared (d,) Gibbs
-    vector, built once per stream for each ordering seen (once per column
-    above MAX_DENSE_DIM levels); with an (N, d) array of one Gibbs vector
-    per row of the stream, all weights positive, one per column.  Swapping
-    the populations of two levels of equal weight swaps the tight point
-    exactly.
+    (``_tight_maps``, applied by ``_tight``).  ``gammas`` is one (d,) Gibbs
+    vector shared by the stream, or an (N, d) array of one per row of the
+    stream, all weights positive.  With a shared vector and pair codes
+    (``core._tile_levels``), a column's code names its ordering, and the
+    maps are built once per stream for each ordering seen, again for all of
+    them when a tile brings codes that no earlier tile had.  Otherwise each
+    column gets its own map.  Swapping the populations of two levels of
+    equal weight swaps the tight point exactly.
     """
-    t = target.zero_based()
-    plans = _grouped_tiles(tiles, np.asarray(gammas, dtype=float),
-                           lambda orders, G: _map_plan(_tight_maps(orders, G, t[None], ws), t), ws)
-    for lo, sorted_p, plan, cls in plans:
+    t, gammas = target.zero_based(), np.asarray(gammas, dtype=float)
+
+    def plan_of(orders, G):
+        return _map_plan(_tight_maps(orders, G, t[None], ws), t)
+
+    lo, n, plan = 0, 0, None
+    for P in tiles:
+        lo, (d, n) = lo + n, P.shape
+        if not n:
+            continue
+        G = gammas if gammas.ndim == 1 else ws.level_major("gammas", gammas[lo:lo + n])
+        levels, code = _tile_levels(P, G, ws)
+        if code is None or gammas.ndim == 2:
+            plan, cls = plan_of(levels.T, G), None
+        else:
+            orders = code_orders(d)
+            if plan is None:
+                cls_of = np.full(len(orders), -1)  # each code's class, -1 until seen
+                seen = np.zeros(0, dtype=int)
+            cls = np.take(cls_of, code, out=ws.array("classes", (n,), np.intp), mode="clip")
+            if cls.min() < 0:
+                fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
+                cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
+                seen = np.concatenate([seen, fresh])
+                plan = plan_of(orders[seen], G)
+                np.take(cls_of, code, out=cls, mode="clip")
+        sorted_p = _take_levels(P, levels, ws)
+        del levels, code  # in a stream of one tile, freed before the tile's next steps
         yield lo, _tight(plan, sorted_p, cls, ws)
 
 
@@ -424,48 +412,59 @@ def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) 
     return out
 
 
-def _majorizes_stream(origin: PopVector, tiles, ctx: GibbsContext, ws: _Workspace):
-    """Dominance of a fixed origin's curve over each column of a stream of
-    level-major (d, n) tiles, within TAU_CMP: yields ``(lo, ok)`` per
-    non-empty tile, ``lo`` the offset of its first column and ``ok`` its
-    verdicts, a bool array of ``ws``.
+def _hinge_plan(origin: PopVector, ctx: GibbsContext) -> list:
+    """Origin p's dominance test, built once per call: ``(terms, bound)``
+    per kink, ``terms`` its (level j, constant c_j) pairs; a state q passes
+    a kink iff sum_j max(q_j, c_j) <= bound.
 
-    By concavity it suffices to test at each row's own elbows, which depend
-    only on the row's ordering: the origin's curve is read once per stream
-    for each ordering seen (per column above MAX_DENSE_DIM levels), with
-    ``batch_eval`` (at x=0, at the top of its jump), and a height that is the
-    same for every ordering seen is one number.  Each tile's cumulative sums
-    replace its sorted populations, level by level, which adds in the same
-    order as ``np.cumsum``.
+    With the hinge sums h_r(lam) = sum_j max(0, r_j - lam gamma_j), dual to
+    the curves (L_r(x) = min over lam >= 0 of lam x + h_r(lam)), p
+    thermomajorizes q iff h_q <= h_p at p's kinks lam_i = p_i/gamma_i (p_i,
+    gamma_i > 0): h_q - h_p is convex between kinks, both are 1 at lam = 0,
+    and past the last kink h_p is constant (p's mass on zero weights) while
+    h_q does not rise, so infinite beta needs no test of its own (Veinott's
+    d-majorization, Management Sci. 17, 1971; Ruch, Schranner & Seligman,
+    J. Chem. Phys. 69, 386, 1978).  A kink tests h_q(lam_i) <= h_p(lam_i) +
+    TAU_CMP, with c_ij = lam_i gamma_j (p_j at the kink's own levels).  A
+    term of c_ij >= 1 is 0 for a state, so it is left out, and so is a kink
+    with no terms left: every kink of the top state.
     """
     _check_dims(ctx, origin)
-    gamma = ctx.checked_gamma()
-    _, X, Y = batch_curves(origin.probs[None, :], gamma)
+    p, gamma = origin.probs, ctx.checked_gamma()
+    live = (p > 0.0) & (gamma > 0.0)
+    ratios = np.divide(p, gamma, out=np.full(len(p), -1.0), where=live)
+    plan = []
+    for lam in sorted(set(ratios[live].tolist())):
+        c = np.where(ratios == lam, p, lam * gamma)
+        levels = np.flatnonzero(c < 1.0)
+        if levels.size:
+            plan.append((list(zip(levels.tolist(), c[levels].tolist())),
+                         np.maximum(p - c, 0.0).sum() + TAU_CMP + c[levels].sum()))
+    return plan
 
-    def heights_of(orders, _):
-        heights = np.ascontiguousarray(batch_eval(X, Y, np.cumsum(gamma[orders], axis=1)).T)
-        return [h[0] if h.min() == h.max() else h for h in heights]
 
-    for lo, sorted_q, heights, cls in _grouped_tiles(tiles, gamma, heights_of, ws):
-        n = sorted_q.shape[1:]
-        ok, above = ws.array("dominated", n, bool), ws.array("above", n, bool)
-        top = ws.array("top", n)
-        for k in range(1, len(sorted_q)):
-            sorted_q[k] += sorted_q[k - 1]
-        least = np.subtract(sorted_q, TAU_CMP, out=sorted_q)
-        ok.fill(True)
-        for h, y in zip(heights, least):  # level-major: each level one contiguous row
-            if isinstance(h, np.ndarray) and cls is not None:
-                h = np.take(h, cls, out=top, mode="clip")
-            ok &= np.greater_equal(h, y, out=above)
-        yield lo, ok
+def _within_cone(plan: list, Q: np.ndarray, ok: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """``ok``, a bool per column of the level-major (d, n) tile ``Q``, ANDed
+    with each column's verdict under ``plan`` (``_hinge_plan``), in place:
+    two passes per term, into arrays of ``ws`` (none for an empty plan)."""
+    n = Q.shape[1:]
+    for terms, bound in plan:
+        acc, term = ws.array("hinges", n), ws.array("hinge", n)
+        (j, c), *rest = terms
+        np.maximum(Q[j], c, out=acc)
+        for j, c in rest:
+            acc += np.maximum(Q[j], c, out=term)
+        ok &= np.less_equal(acc, bound, out=ws.array("held", n, bool))
+    return ok
 
 
 def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext) -> np.ndarray:
-    """Dominance of a fixed origin's curve over each row of ``Q``
-    (``_majorizes_stream`` over tiles of CHUNK rows, gathered)."""
+    """Dominance of a fixed origin over each row of ``Q``, a state: the test
+    of ``_hinge_plan``, on tiles of CHUNK rows."""
     Q = np.asarray(Q, dtype=float)
-    out, ws = np.empty(len(Q), dtype=bool), _Workspace(len(Q))
-    for lo, ok in _majorizes_stream(origin, _row_tiles(Q, ws), ctx, ws):
-        out[lo:lo + len(ok)] = ok
+    if Q.shape[1:] != (ctx.dim,):
+        raise ValueError("dimension mismatch")
+    plan, out, ws = _hinge_plan(origin, ctx), np.ones(len(Q), dtype=bool), _Workspace(len(Q))
+    for lo, T in zip(range(0, len(Q), CHUNK), _row_tiles(Q, ws)):
+        _within_cone(plan, T, out[lo:lo + T.shape[1]], ws)
     return out

@@ -84,6 +84,39 @@ def ref_margin(p, q, gamma):
     return float(np.min(ref_upper(cp, xs) - ref_upper(cq, xs)))
 
 
+# ---------------------------------------------------------------------------
+# Reference: dominance and the curve from the hinge sums h_r(lam) = sum_j
+# max(0, r_j - lam gamma_j), with no ordering of the levels and no package
+# code.  The package's dominance test and its cone vertices are checked
+# against it.
+# ---------------------------------------------------------------------------
+
+def ref_hinge(r, gamma, lam):
+    """h_r(lam), in the arithmetic of its arguments."""
+    return sum(max(0, rj - lam * gj) for rj, gj in zip(r, gamma))
+
+
+def ref_hinge_excess(p, q, gamma):
+    """Largest h_q - h_p over p's kinks p_i/gamma_i (p_i, gamma_i > 0) and,
+    with zero weights, the limit lam -> oo (q's mass on those levels less
+    p's), exactly: a ``Fraction`` of the input doubles.  p thermomajorizes q
+    within tol iff it is at most tol."""
+    p, q, g = ([Fraction(float(v)) for v in r] for r in (p, q, gamma))
+    kinks = {pi / gi for pi, gi in zip(p, g) if pi > 0 and gi > 0}
+    gaps = [ref_hinge(q, g, lam) - ref_hinge(p, g, lam) for lam in kinks]
+    zero = [j for j, gj in enumerate(g) if gj == 0]
+    if zero:
+        gaps.append(sum(q[j] for j in zero) - sum(p[j] for j in zero))
+    return max(gaps)
+
+
+def ref_dual_curve(p, gamma, x):
+    """p's curve at x > 0 at finite beta, from its hinge sums: min(1, min_i
+    lam_i x + h_p(lam_i)) over p's kinks lam_i = p_i/gamma_i."""
+    kinks = [float(pi) / float(gi) for pi, gi in zip(p, gamma) if pi > 0]
+    return min([1.0] + [lam * x + ref_hinge(p, gamma, lam) for lam in kinks])
+
+
 def face_or_tied(draw_probs, zeros, tie):
     """Put states on simplex faces and give levels 2 and 3 (equal Gibbs
     weights) equal populations."""

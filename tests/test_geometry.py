@@ -142,22 +142,16 @@ class TestVolumes:
         assert len(fractions) == 1
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
-    def test_refilled_dominance_verdicts(self, beta):
-        # the entangled rows of a block, regrouped into full tiles, get the
-        # verdicts they get in the tiles they were drawn in
-        # (tiles are level-major views of reused buffers, so copy them)
+    def test_stream_dominance_verdicts(self, beta):
+        # the hinge test that every tile ANDs into its witness mask counts the
+        # entangled samples that batch_majorizes keeps, over two whole blocks
+        # and a ragged third
         ctx, origin = ctx2q(beta), core.PopVector([0.1, 0.1, 0.2, 0.6])
-        ws = core._Workspace(geo.BLOCK - 100)
-        tiles = [Q.copy() for Q in geo._simplex_tiles(4, geo.BLOCK - 100, seed=5, block=2, ws=ws)]
-        keep = [en.witness_batch(Q.T) < -en.TAU_F for Q in tiles]
-        ent = [Q[:, k] for Q, k in zip(tiles, keep)]
-        refilled = [Q.copy() for Q in geo._refilled(zip(tiles, keep), ws)]
-        assert [Q.shape[1] for Q in refilled[:-1]] == [core.CHUNK] * (len(refilled) - 1)
-        assert np.array_equal(np.concatenate(refilled, axis=1), np.concatenate(ent, axis=1))
-        drawn, full = (np.concatenate([ok.copy() for _, ok in mj._majorizes_stream(
-            origin, iter(stream), ctx, ws)]) for stream in (ent, refilled))
-        assert np.array_equal(drawn, full)
-        assert 0 < np.count_nonzero(full) < len(full)
+        n = 2 * geo.BLOCK + 4097
+        S = geo.sample_simplex_array(4, n, 5)
+        ok = mj.batch_majorizes(origin, S[en.witness_batch(S) < -en.TAU_F], ctx)
+        assert 0 < np.count_nonzero(ok) < len(ok)
+        assert geo.volume_of("ENT_CONE", ctx, origin, n, 5).fraction == np.count_nonzero(ok) / n
 
     def test_validation(self):
         with pytest.raises(ValueError):

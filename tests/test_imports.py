@@ -144,8 +144,11 @@ def test_public_names_are_read():
 
 #: the tight-point map format: how the maps are built, planned and applied,
 #: and the tile walk that feeds them; only ``majorization`` reads these
-MAP_INTERNALS = ("_tight_maps", "_map_plan", "_tight", "_take_levels", "_grouped_tiles",
-                 "_covered", "_row_tiles")
+MAP_INTERNALS = ("_tight_maps", "_map_plan", "_tight", "_take_levels", "_covered", "_row_tiles")
+
+#: the one dominance test: an origin's hinge plan and the tile test that
+#: reads it; only ``majorization`` and ``geometry``'s volume stream read these
+HINGE_INTERNALS = ("_hinge_plan", "_within_cone")
 
 #: the level-ordering rules, zero weights included, and their encodings;
 #: only ``core`` reads these
@@ -176,6 +179,20 @@ def test_map_internals_stay_in_majorization():
     ``batch_tight_points`` and ``all_extreme_points``."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert foreign_reads(sources, "majorization.py", MAP_INTERNALS) == []
+
+
+def test_one_dominance_test():
+    """Outside ``majorization`` only ``geometry.volume_of`` (and the import
+    that brings them) reads the hinge plan and its tile test; every other
+    dominance question goes through ``batch_majorizes`` or
+    ``thermo_majorizes``, and a new reader of the plan fails here."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    allowed = {("geometry.py", stmt.lineno) for stmt in ast.parse(sources["geometry.py"]).body
+               if isinstance(stmt, ast.ImportFrom) and stmt.module == "majorization"
+               or isinstance(stmt, ast.FunctionDef) and stmt.name == "volume_of"}
+    reads = foreign_reads(sources, "majorization.py", HINGE_INTERNALS)
+    assert {(module, line) for module, line, _ in reads} == allowed
+    assert {name for *_, name in reads} == set(HINGE_INTERNALS)
 
 
 def test_ordering_rules_stay_in_core():

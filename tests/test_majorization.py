@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
-    qutrit_strategy, random_states, ref_curve, ref_extreme_point, ref_margin, ref_order,
-    ref_tight, ref_upper, state_strategy)
+    qutrit_strategy, random_states, ref_curve, ref_dual_curve, ref_extreme_point,
+    ref_hinge_excess, ref_margin, ref_order, ref_tight, ref_upper, state_strategy)
 
 
 def ctx2q(beta):
@@ -354,6 +355,52 @@ class TestAgainstReference:
                 assert mj.thermo_majorizes(core.PopVector(origin), core.PopVector(q), ctx) == g
 
 
+class TestHingeDominance:
+    """The dominance test from the origin's hinge sums against the curve walk
+    (``ref_margin``) and the exact hinge sums (``ref_hinge_excess``)."""
+
+    @given(state_strategy, st.lists(state_strategy, min_size=1, max_size=8),
+           st.sampled_from([0.0, 1.0, 5.0, 30.0, math.inf]))
+    def test_against_both_oracles(self, origin, rows, beta):
+        ctx = ctx2q(beta)
+        # the origin, and the origin with its two equal-weight levels swapped,
+        # lie in its cone on its boundary
+        Q = np.array(rows + [origin, origin[[0, 2, 1, 3]]])
+        got = mj.batch_majorizes(core.PopVector(origin), Q, ctx)
+        assert got[-2:].all()
+        for q, g in zip(Q, got):
+            excess = ref_hinge_excess(origin, q, ctx.gamma)
+            if abs(excess - Fraction(mj.TAU_CMP)) > 1e-9:
+                assert g == (ref_margin(origin, q, ctx.gamma) >= -mj.TAU_CMP)
+                assert g == (excess <= mj.TAU_CMP)
+                assert mj.thermo_majorizes(core.PopVector(origin), core.PopVector(q), ctx) == g
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 30.0, math.inf])
+    def test_plan(self, beta):
+        # the top state reaches every state: no kink keeps a term at finite
+        # beta, and at infinite beta it has no kink
+        assert mj._hinge_plan(core.PopVector([0, 0, 0, 1]), ctx2q(beta)) == []
+        # levels 2 and 3 share a weight, so equal populations share a kink;
+        # at infinite beta only the ground level has one
+        kinks = mj._hinge_plan(core.PopVector([0.1, 0.2, 0.2, 0.5]), ctx2q(beta))
+        assert len(kinks) == (3 if math.isfinite(beta) else 1)
+
+    def test_rejects_rows_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mj.batch_majorizes(core.PopVector([0.1, 0.2, 0.3, 0.4]), np.ones((2, 3)) / 3, ctx2q(1.0))
+
+    @given(st.data(), st.floats(0.0, 50.0))
+    def test_vertices_meet_the_dual_curve(self, data, beta):
+        # each vertex is tight: its cumulative sums at its own elbows lie on
+        # p's curve, read here from p's hinge sums, with no ordering
+        energies, probs = data.draw(spectrum_states())
+        ctx = core.make_context(energies, beta)
+        targets, points = mj.all_extreme_points(core.PopVector(probs), ctx)
+        for t, v in every_nth(list(zip(targets, points))):
+            for x, y in zip(np.cumsum(ctx.gamma[t]), np.cumsum(v[t])):
+                assert abs(y - ref_dual_curve(probs, ctx.gamma, x)) <= 1e-12
+
+
 class TestPerOrderingMaps:
     """The per-ordering maps of a shared Gibbs vector against the per-row
     reference, for every target ordering."""
@@ -386,7 +433,7 @@ class TestPerOrderingMaps:
         self.assert_matches_reference(P, ctx2q(beta).gamma)
 
     @given(st.lists(qutrit_strategy, min_size=1, max_size=6), qutrit_strategy,
-           beta_strategy, st.sampled_from([(0, 1, 2), (0, 1, 1), (0, 0.5, 3)]))
+           beta_strategy, st.sampled_from([(0, 1, 2), (0, 1, 1), (0, 0.5, 3), (0, 0, 1)]))
     def test_qutrit(self, rows, origin, beta, energies):
         ctx = core.make_context(energies, beta)
         P = np.array(rows + [r[::-1] for r in rows])
@@ -488,15 +535,27 @@ class TestPairCodes:
     def test_classes_across_tiles(self, batch, chunk):
         energies, P, betas = batch
         gamma = core.make_context(energies, betas[0]).gamma
-        ws = core._Workspace(len(P))
+        target = core.BetaOrdering(range(P.shape[1], 0, -1))
         dense = P.shape[1] <= core.MAX_DENSE_DIM
-        with mock.patch.object(mj, "CHUNK", chunk):
-            # each tile's arrays are views of the stream's reused buffers, so copy them
-            tiles = [(lo, s.copy(), table, cls if cls is None else cls.copy())
-                     for lo, s, table, cls in mj._grouped_tiles(
-                         mj._row_tiles(P, ws), gamma, lambda orders, G: orders.copy(), ws)]
-        assert [lo for lo, *_ in tiles] == list(range(0, len(P), chunk))
-        for lo, sorted_p, table, cls in tiles:
+        built, applied = [], []
+        tight_maps, tight = mj._tight_maps, mj._tight
+
+        # each tile's arrays are views of the stream's reused buffers, so copy them
+        def spy_maps(orders, *args):
+            built.append(orders.copy())
+            return tight_maps(orders, *args)
+
+        def spy_tight(plan, R, cls, ws):
+            applied.append((R.copy(), built[-1], cls if cls is None else cls.copy()))
+            return tight(plan, R, cls, ws)
+
+        ws = core._Workspace(len(P))
+        with mock.patch.object(mj, "CHUNK", chunk), \
+                mock.patch.object(mj, "_tight_maps", spy_maps), \
+                mock.patch.object(mj, "_tight", spy_tight):
+            los = [lo for lo, _ in mj.tight_point_tiles(mj._row_tiles(P, ws), gamma, target, ws)]
+        assert los == list(range(0, len(P), chunk)) and len(applied) == len(los)
+        for lo, (sorted_p, table, cls) in zip(los, applied):
             # above the dense table every column is its own class
             assert (cls is None) != dense
             for p, s, o in zip(P[lo:lo + chunk], sorted_p.T, table if cls is None else table[cls]):
@@ -504,8 +563,7 @@ class TestPairCodes:
                 assert np.array_equal(s, p[o])
         if dense:
             # one class per ordering seen in the whole call
-            table = tiles[-1][2]
-            assert len(np.unique(table, axis=0)) == len(table)
+            assert len(np.unique(built[-1], axis=0)) == len(built[-1])
 
     @given(ordering_batches(), st.integers(1, 4))
     def test_outputs_do_not_depend_on_tile_size(self, batch, chunk):
