@@ -11,6 +11,7 @@ Everything is evolved exactly inside the excitation-conserving 2x2 blocks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +25,14 @@ from .majorization import thermo_majorizes
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 POS_TOL = 1e-10
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError for any float, so none is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -116,7 +125,7 @@ class JCConfig:
             raise ValueError(f"beta_E must be positive, got {self.beta_E}")
         if self.beta_E == math.inf:
             raise ValueError("beta_E must be finite, got inf")
-        if not 1 <= self.n_max <= MAX_N_MAX:
+        if not 1 <= _integer(self.n_max, "n_max") <= MAX_N_MAX:
             raise ValueError(f"n_max must lie in 1..{MAX_N_MAX}, got {self.n_max}; the "
                              f"default truncation passes the cap for beta_E below about "
                              f"{-math.log(TAIL_TOL) / MAX_N_MAX:.2g}")
@@ -137,7 +146,7 @@ def suggest_n_max(beta_E: float) -> int:
 
 def thermal_mode_weights(beta_E: float, n_max: int) -> np.ndarray:
     """Truncated geometric photon-number distribution of the thermal mode."""
-    delta = math.exp(-beta_E)
+    n_max, delta = _integer(n_max, "n_max"), math.exp(-beta_E)
     tail = delta ** (n_max + 1)
     if tail >= TAIL_TOL:
         raise ValueError(
@@ -227,7 +236,7 @@ class ThermalizationSchedule:
     def __init__(self, steps):
         norm = []
         for pair, lam in steps:
-            i, j = int(pair[0]), int(pair[1])
+            i, j = (_integer(v, "level index") for v in pair)
             lam = float(lam)
             if i == j:
                 raise ValueError(f"pair ({i}, {j}) must couple two distinct levels")

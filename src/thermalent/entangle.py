@@ -30,7 +30,7 @@ from .core import (
     is_two_qubit_context,
     two_qubit_context,
 )
-from .majorization import TAU_CMP, all_extreme_points, batch_curves, batch_eval, batch_tight_points
+from .majorization import TAU_CMP, all_extreme_points, batch_tight_points, curve
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -167,8 +167,7 @@ def _cone_misses_entanglement(p: PopVector, ctx: GibbsContext) -> bool:
         return False
     mu = -_negativity(all_extreme_points(p, ctx)[1]).max() - _VERTEX_SLACK
     x = np.array([g, 1.0 - g])
-    _, X, Y = batch_curves(p.probs[None, :], ctx.gamma)
-    delta = (batch_eval(X, Y, x[None, :])[0] - x).min()
+    delta = (curve(p, ctx).evaluate(x) - x).min()
     eps = 2.0 * TAU_CMP
     return bool(mu > 0.0 and delta > 0.0 and 4.0 * mu * mu > 8.0 * eps / delta)
 

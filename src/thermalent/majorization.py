@@ -10,11 +10,10 @@ hinge sums at p's kinks (``_hinge_plan``; ``_within_cone`` applies it to a
 level-major tile).  It orders no tested state, and ``thermo_majorizes``,
 ``batch_majorizes`` and the ENT_CONE volume all use it.
 
-One batch kernel (``batch_curves``, ``batch_eval``) serves every beta, and
-``batch_eval`` is the only curve evaluator.  Zero Gibbs weights (infinite
-beta) produce zero-width curve segments; the kernel evaluates each as a step
-at its left edge, so the vertical jump at x=0 stays exact and a target at
-x=0 reads the top of the jump.
+``curve`` builds every curve from cumulative sums (``_cumulative_weights``),
+and ``ThermoCurve.evaluate`` is the one evaluator.  Zero Gibbs weights
+(infinite beta) give zero-width segments; ``_covered`` makes each a step at
+its left edge, so the jump at x=0 stays exact and x=0 reads the jump's top.
 
 For a Gibbs vector gamma, a curve's elbow positions depend on the state only
 through its level ordering sigma, and its heights are linear in the
@@ -85,9 +84,11 @@ class ThermoCurve:
         inside = (x >= -1e-12) & (x <= 1 + 1e-12)
         if not inside.all():
             raise ValueError(f"x={x[~inside].flat[0]} outside [0, 1]")
-        X, Y, flat = self.xs[None, 1:], self.ys[None, 1:], np.clip(x, 0.0, 1.0).reshape(1, -1)
-        upper = np.concatenate([batch_eval(X, Y, flat[:, lo:lo + CHUNK])
-                                for lo in range(0, max(x.size, 1), CHUNK)], axis=1)
+        X, flat, ws = self.xs[None, 1:], np.clip(x, 0.0, 1.0).reshape(1, -1), _Workspace(0)
+        rises = np.diff(self.ys)[None, :]
+        # the sum over segments of each rise times its covered fraction
+        upper = np.concatenate([np.einsum("nts,ns->nt", _covered(X, flat[:, lo:lo + CHUNK], ws),
+                                          rises) for lo in range(0, max(x.size, 1), CHUNK)], axis=1)
         y = np.where(x <= 0.0, 0.0, upper.reshape(x.shape))
         return float(y) if y.ndim == 0 else y
 
@@ -100,9 +101,10 @@ def _check_dims(ctx: GibbsContext, *objs) -> None:
 def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
     """Thermomajorization curve of ``p`` in the context ``ctx``."""
     _check_dims(ctx, p)
-    _, X, Y = batch_curves(p.probs[None, :], ctx.checked_gamma())
-    xs = np.concatenate([[0.0], X[0]])
-    ys = np.concatenate([[0.0], Y[0]])
+    gamma, ws = ctx.checked_gamma(), _Workspace(0)
+    order = batch_order(p.probs[None, :], gamma)
+    xs = np.concatenate([[0.0], _cumulative_weights(gamma, order, ws, "elbows")[:, 0]])
+    ys = np.concatenate([[0.0], _cumulative_weights(p.probs[:, None], order, ws, "heights")[:, 0]])
     # a zero-width run keeps only its top point; the origin always stays
     keep = np.append(xs[:-1] != xs[1:], True)
     keep[0] = True
@@ -173,14 +175,15 @@ def all_extreme_points(p: PopVector, ctx: GibbsContext):
     _check_dims(ctx, p)
     if d > MAX_ENUM_DIM:
         raise ValueError(f"dimension {d} too large for {d}! enumeration")
-    gamma = ctx.checked_gamma()
+    gamma, ws = ctx.checked_gamma(), _Workspace(0)
     order = batch_order(p.probs[None, :], gamma)
-    sorted_p = _take_levels(p.probs, order.T)
+    sorted_p = _take_levels(p.probs, order.T, ws)
     targets = _targets(d)
     points = np.empty(targets.shape)
     for lo in range(0, len(targets), CHUNK):
         t = targets[lo:lo + CHUNK]
-        q = _tight(_map_plan(_tight_maps(order, gamma, t)), np.repeat(sorted_p, len(t), axis=1))
+        R = np.repeat(sorted_p, len(t), axis=1)
+        q = _tight(_map_plan(_tight_maps(order, gamma, t, ws)), R, None, ws)
         points[lo + np.arange(len(t))[:, None], t] = q.T
     return targets, points
 
@@ -200,40 +203,26 @@ def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
 # weight means infinite beta.
 # ---------------------------------------------------------------------------
 
-def _take_levels(A: np.ndarray, levels: np.ndarray, ws: _Workspace | None = None,
+def _take_levels(A: np.ndarray, levels: np.ndarray, ws: _Workspace,
                  name: str = "sorted") -> np.ndarray:
-    """``A[levels[k, r], r]`` at [k, r] of a contiguous (d, n) array: row k
-    holds the k-th entry of every column's ordering, for a level-major (d, n)
-    array ``A``, or ``A[levels[k, r]]`` for one (d,) vector shared by all
-    columns; columns of ``A`` and ``levels`` broadcast.  The flat indices
-    are laid out as the result, which ``np.take`` reads several times
-    faster.  With a workspace the indices overwrite ``levels`` and the
-    result is its array ``name``."""
-    if A.ndim == 2 and ws is None:
-        levels = levels * A.shape[1] + np.arange(A.shape[1])
-    elif A.ndim == 2:
+    """``A[levels[k, r], r]`` at [k, r] of a contiguous (d, n) array ``name``
+    of ``ws``: row k holds the k-th entry of every column's ordering, for a
+    level-major (d, n) array ``A``, or ``A[levels[k, r]]`` for one (d,)
+    vector shared by all columns; columns of ``A`` and ``levels`` broadcast.
+    For a 2-D ``A`` the flat indices overwrite ``levels``, laid out as the
+    result, which ``np.take`` reads several times faster."""
+    if A.ndim == 2:
         np.add(np.multiply(levels, A.shape[1], out=levels), ws.columns(A.shape[1]), out=levels)
-    out = None if ws is None else ws.array(name, levels.shape)
-    return np.take(A, levels, out=out, mode="clip")
+    return np.take(A, levels, out=ws.array(name, levels.shape), mode="clip")
 
 
-def batch_curves(P: np.ndarray, gammas: np.ndarray):
-    """Per-row ordering and cumulative-sum elbows for a batch of states."""
-    P, G = np.asarray(P, dtype=float), np.asarray(gammas, dtype=float)
-    order = batch_order(P, G)
-    X = np.cumsum(_take_levels(G if G.ndim == 1 else G.T, order.T), axis=0).T
-    Y = np.cumsum(_take_levels(P.T, order.T), axis=0).T
-    return order, X, Y
-
-
-def _covered(X: np.ndarray, T: np.ndarray, F: np.ndarray | None = None,
-             ws: _Workspace | None = None) -> np.ndarray:
+def _covered(X: np.ndarray, T: np.ndarray, ws: _Workspace,
+             F: np.ndarray | None = None) -> np.ndarray:
     """Covered fraction F[n, t, s] of segment s of row n's curve, whose
     elbows are X, at the row's target T[n, t]; rows of X and T broadcast.
     A zero-width segment is a step at its left edge: a target at or right of
     that edge covers all of it.  Written into ``F`` when it is given, in any
     layout, with the segments' edges and widths in arrays of ``ws``."""
-    ws = _Workspace(0) if ws is None else ws
     X0 = ws.array("left_edges", X.shape[::-1]).T
     X0[:, 0] = 0.0
     X0[:, 1:] = X[:, :-1]
@@ -246,15 +235,6 @@ def _covered(X: np.ndarray, T: np.ndarray, F: np.ndarray | None = None,
     return np.clip(F, 0.0, 1.0, out=F)
 
 
-def batch_eval(X: np.ndarray, Y: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Evaluate each row's piecewise-linear curve at that row's targets: the
-    sum over segments of each rise times its covered fraction, which avoids
-    a per-row searchsorted."""
-    rises = np.array(Y, dtype=float)  # a copy: Y may be a read-only ThermoCurve.ys
-    rises[:, 1:] -= Y[:, :-1]
-    return np.einsum("nts,ns->nt", _covered(X, T), rises)
-
-
 def _row_tiles(P: np.ndarray, ws: _Workspace):
     """The rows of P as level-major (d, n) tiles of CHUNK columns, each the
     array ``rows`` of ``ws``, refilled per tile."""
@@ -263,10 +243,10 @@ def _row_tiles(P: np.ndarray, ws: _Workspace):
 
 def _cumulative_weights(gammas: np.ndarray, orders: np.ndarray, ws: _Workspace,
                         name: str) -> np.ndarray:
-    """The elbow positions of each row's ordering, ``np.cumsum`` of its Gibbs
-    weights in that order: a level-major (d, rows) array ``name`` of ``ws``.
-    Rows of ``orders`` broadcast with the columns of ``gammas``, a (d, n)
-    tile or one shared (d,) vector."""
+    """The elbow positions (heights, for populations) of each row's ordering,
+    ``np.cumsum`` of its weights in that order: a level-major (d, rows) array
+    ``name`` of ``ws``.  Rows of ``orders`` broadcast with the columns of
+    ``gammas``, a (d, n) tile or one shared (d,) vector."""
     rows = max(len(orders), gammas.shape[1] if gammas.ndim == 2 else 1)
     levels = ws.array("index", (orders.shape[1], rows), np.intp)
     np.copyto(levels, orders.T)
@@ -277,22 +257,21 @@ def _cumulative_weights(gammas: np.ndarray, orders: np.ndarray, ws: _Workspace,
 
 
 def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray,
-                ws: _Workspace | None = None) -> np.ndarray:
+                ws: _Workspace) -> np.ndarray:
     """Linear maps from a state's sorted populations r = p[orders[c]] to its
     tight point for the target ordering t: q[t[j]] = sum_k maps[c, k, j] r[k],
-    the covered fractions of ``batch_eval`` at the target elbows
+    the covered fractions (``_covered``) at the target elbows
     cumsum(gamma[t]), differenced.  Rows of ``orders`` and ``targets``
     broadcast with the columns of ``gammas``, a level-major (d, n) tile, or
     one shared (d,) vector.  Every entry is >= 0, a difference of
     non-decreasing covered fractions.  The maps are a view of the (d, d,
-    classes) array ``maps`` of ``ws`` (new without one), so that each entry
-    is one contiguous row over the classes.
+    classes) array ``maps`` of ``ws``, so that each entry is one contiguous
+    row over the classes.
     """
-    ws = _Workspace(0) if ws is None else ws
     X = _cumulative_weights(gammas, orders, ws, "elbows")
     T = _cumulative_weights(gammas, targets, ws, "target_elbows")
     d, rows = len(X), max(X.shape[1], T.shape[1])
-    F = _covered(X.T, T.T, ws.array("maps", (d, d, rows)).transpose(2, 0, 1), ws)
+    F = _covered(X.T, T.T, ws, ws.array("maps", (d, d, rows)).transpose(2, 0, 1))
     for j in range(d - 1, 0, -1):  # np.diff(F, prepend=0.0, axis=1), in place
         F[:, j] -= F[:, j - 1]
     return F.transpose(0, 2, 1)
@@ -324,8 +303,7 @@ def _map_plan(maps: np.ndarray, levels=None) -> list:
     return terms
 
 
-def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None = None,
-           ws: _Workspace | None = None) -> np.ndarray:
+def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None, ws: _Workspace) -> np.ndarray:
     """Tight points, a level-major (d, n) array (``tight`` of ``ws``), of the
     sorted populations R, a (d, n) array with one column per row: each
     column goes through the map of its class ``cls``, or column j through
@@ -335,9 +313,7 @@ def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None = None,
     whose entry varies between classes gathers each column's entry into one
     row, ``scaled`` of ``ws``, which then takes its product with the
     populations."""
-    d, n = R.shape
-    ws = _Workspace(n) if ws is None else ws
-    Q, tmp = ws.array("tight", (d, n)), ws.array("scaled", (n,))
+    Q, tmp = ws.array("tight", R.shape), ws.array("scaled", R.shape[1:])
     Q.fill(0.0)
     for q, col in zip(Q, plan):
         for k, scale, entries in col:

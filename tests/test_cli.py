@@ -1,15 +1,20 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
 import shlex
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thermalent import cli
+from thermalent import cli, dynamics, entangle, geometry
 from thermalent.cli import dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -305,6 +310,118 @@ class TestInputSweep:
         assert failed == []
         assert non_finite == []
         assert time.perf_counter() - t0 < 10.0
+
+
+#: the edge doubles of the fuzzer, as typed on a command line, drawn as often
+#: as the ordinary ones
+EDGE_FLOATS = ("0", "-0", "5e-324", "1e-320", "1e-300", "1e-17", "1e308", "inf", "-inf", "nan",
+               "-1", "709.8", "745")
+ORDINARY_FLOATS = ("0.5", "1", "2")
+
+#: the fuzzer's integers: small and negative ones for every size, and for a
+#: capped size also its cap, one past it, and values past 64 bits; an uncapped
+#: one (``volume --samples``, ``mtp --budget``) takes only the small ones, as
+#: ``volume --samples`` runs for as long as it is asked to
+SMALL_INTS = (-1, 0, 1, 2, 3)
+SIZE_CAPS = {"points": cli.MAX_POINTS, "scan": entangle.MAX_SCAN, "grid": geometry.MAX_GRID,
+             "iters": geometry.MAX_ITERS, "threads": geometry.MAX_THREADS,
+             "nmax": dynamics.MAX_N_MAX, "seed": 2**64 - 1}
+
+#: text fields (states, energies, ranges) are lists of these tokens, so they
+#: come with wrong arity, faces, ties and sums other than 1; lists of the
+#: populations alone are states, of 4 levels or of 2 to 5, most of them
+#: valid once renormalized, and the states are normalized ones, faces and
+#: ties among them
+POPULATIONS = ("0", "0.02", "0.1", "0.25", "0.33", "0.4", "0.5", "1", "5e-324", "1e-320")
+TEXT_TOKENS = EDGE_FLOATS + ORDINARY_FLOATS + POPULATIONS + ("1000", "1001", "x", "")
+STATES = ("0.4,0.25,0.33,0.02", "0,0,0,1", "0.25,0.25,0.25,0.25", "0.5,0,0.5,0", "0.7,0.2,0.1")
+
+#: stands for the example's scratch directory in a file option's value
+SCRATCH = "<scratch>"
+
+#: each subcommand's parser, by name
+SUBPARSERS, = (a.choices for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+
+def option_values(action: argparse.Action):
+    """Values, as typed, for one option of ``build_parser()``, from its type,
+    choices and destination alone."""
+    if action.dest.endswith("out"):
+        return st.just(f"{SCRATCH}/{action.dest}")
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is float:
+        return st.one_of(st.sampled_from(EDGE_FLOATS), st.sampled_from(ORDINARY_FLOATS))
+    if action.type is int:
+        cap = SIZE_CAPS.get(action.dest)
+        big = (cap, cap + 1, -(2**63), 2**64) if cap else ()
+        return st.sampled_from(SMALL_INTS + big).map(str)
+    tokens = st.lists(st.sampled_from(TEXT_TOKENS), min_size=1, max_size=6)
+    states = [st.lists(st.sampled_from(POPULATIONS), min_size=k, max_size=n).map(",".join)
+              for k, n in ((4, 4), (2, 5))]
+    return st.one_of(st.builds(str.join, st.sampled_from([",", ":"]), tokens), *states,
+                     st.sampled_from(STATES))
+
+
+@st.composite
+def cli_argvs(draw, name: str):
+    """``(argv, format)``: the subcommand ``name`` and some of its options
+    (each required one), each with a drawn value or, for a flag, alone, and
+    the output format that the arguments ask for."""
+    argv, fmt = [name], SUBPARSERS[name].get_default("format")
+    for action in SUBPARSERS[name]._actions:
+        if isinstance(action, argparse._HelpAction) or not (
+                action.required or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[-1])
+            continue
+        value = draw(option_values(action))
+        fmt = value if action.dest == "format" else fmt
+        # --option=value, so that argparse reads "-inf" as a value
+        argv.append(f"{action.option_strings[-1]}={value}")
+    return argv, fmt
+
+
+def parses(text: str, fmt: str) -> bool:
+    """Whether ``text`` is a run's output in the format ``fmt``: JSON with a
+    manifest and a result, or CSV under a manifest comment and a header,
+    every row as wide as the header and every cell a number."""
+    if fmt == "json":
+        return set(json.loads(text)) == {"manifest", "result"}
+    first, header, *rows = text.split("\n")
+    if not first.startswith("# manifest: ") or rows.pop() != "":
+        return False
+    json.loads(first.removeprefix("# manifest: "))
+    cells = [row.split(",") for row in rows]
+    [float(v) for row in cells for v in row]  # ValueError on a cell that is not a number
+    return all(len(row) == len(header.split(",")) for row in cells)
+
+
+@pytest.mark.parametrize("name", sorted(SUBPARSERS))
+@settings(max_examples=15, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_exits_0_or_2_and_output_parses(name, data):
+    """Arguments drawn from ``build_parser()``'s own actions, so that a new
+    subcommand or option is covered without editing this test, run
+    in-process with every warning an error: each exits 0 with output that
+    parses in its format, or 2 with no output."""
+    argv, fmt = data.draw(cli_argvs(name))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = [a.replace(SCRATCH, tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        text = out.getvalue()
+        outfile = [a.split("=", 1)[1] for a in argv if a.startswith("--out=")]
+        if code == 0 and outfile:
+            assert text == ""
+            text = Path(outfile[0]).read_text(encoding="utf-8")
+    assert code in (0, 2), (argv, err.getvalue())
+    assert (text == "") if code == 2 else parses(text, fmt), (argv, text[:200])
 
 
 class TestNegativeSizes:

@@ -160,6 +160,16 @@ class TestJcProtocol:
                 dy.JCConfig("00", 1e-6, n_max=n_max)
         dy.JCConfig("00", 1e-6, n_max=8191)
 
+    @pytest.mark.parametrize("n_max", [20.7, 20.0, "20"])
+    def test_fractional_truncation_rejected(self, n_max):
+        # 20.7 was once read as 21 levels (22 weights); a truncation must be
+        # an integer, so none is silently rounded
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            dy.JCConfig("00", 2.0, n_max=n_max)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            dy.thermal_mode_weights(2.0, n_max)
+        assert len(dy.thermal_mode_weights(2.0, np.int64(20))) == 21
+
 
 class TestJointEvolution:
     def test_population_matches_block_formula(self):
@@ -248,6 +258,11 @@ class TestSchedules:
             dy.ThermalizationSchedule((((1, 1), 0.5),))
         with pytest.raises(ValueError):
             dy.ThermalizationSchedule((((1, 2), 1.5),))
+        # (1.5, 2.5) was once run as the pair (1, 2)
+        for pair in ((1.5, 2.5), (1.0, 2.0), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                dy.ThermalizationSchedule(((pair, 0.5),))
+        assert dy.ThermalizationSchedule(((np.array([1, 2]), 0.5),)).steps == (((1, 2), 0.5),)
         ctx = ctx2q(1.0)
         with pytest.raises(ValueError):
             dy.apply_schedule(core.PopVector([1, 0, 0, 0]), ctx,

@@ -380,6 +380,18 @@ class TestEmptyConeCertificate:
         for origin in ((0.4, 0.25, 0.33, 0.02), (1, 0, 0, 0), (0, 0, 0, 1)):
             assert not en._cone_misses_entanglement(core.PopVector(origin), ctx2q(math.inf))
 
+    #: origins certified of 400 uniform ones (``default_rng(2027)``) per beta,
+    #: recorded while Delta was read from the kernel's own cumulative sums
+    #: rather than from ``curve``
+    CERTIFIED = {0.0: 124, 0.5: 90, 1.0: 51, 3.0: 0, 10.0: 0}
+
+    @pytest.mark.parametrize("beta", list(CERTIFIED))
+    def test_decisions_pinned(self, beta):
+        ctx = ctx2q(beta)
+        P = np.random.default_rng(2027).dirichlet(np.ones(4), 400)
+        certified = sum(en._cone_misses_entanglement(core.PopVector(p), ctx) for p in P)
+        assert certified == self.CERTIFIED[beta]
+
     def test_volume_matches_the_stream(self, monkeypatch):
         # the estimate without a draw is the one the stream gives, at any
         # thread count

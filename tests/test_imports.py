@@ -142,9 +142,11 @@ def test_public_names_are_read():
     assert unread_public_names(modules, readers) == []
 
 
-#: the tight-point map format: how the maps are built, planned and applied,
-#: and the tile walk that feeds them; only ``majorization`` reads these
-MAP_INTERNALS = ("_tight_maps", "_map_plan", "_tight", "_take_levels", "_covered", "_row_tiles")
+#: the curve and tight-point map format: the cumulative sums, how the maps
+#: are built, planned and applied, and the tile walk that feeds them; only
+#: ``majorization`` reads these
+MAP_INTERNALS = ("_cumulative_weights", "_tight_maps", "_map_plan", "_tight", "_take_levels",
+                 "_covered", "_row_tiles")
 
 #: the one dominance test: an origin's hinge plan and the tile test that
 #: reads it; only ``majorization`` and ``geometry``'s volume stream read these
@@ -174,9 +176,10 @@ def test_finds_foreign_reads():
 
 
 def test_map_internals_stay_in_majorization():
-    """Only ``majorization`` knows the tight-point map format; the other
-    modules read tight points through ``tight_point_tiles``,
-    ``batch_tight_points`` and ``all_extreme_points``."""
+    """Only ``majorization`` builds cumulative sums and knows the tight-point
+    map format; the other modules read a curve through ``curve`` and tight
+    points through ``tight_point_tiles``, ``batch_tight_points`` and
+    ``all_extreme_points``."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert foreign_reads(sources, "majorization.py", MAP_INTERNALS) == []
 

@@ -66,7 +66,9 @@ class TestCurve:
         logw = -betas[:, None] * E[None, :]
         G = np.exp(logw - logw.max(axis=1, keepdims=True))
         G /= G.sum(axis=1, keepdims=True)
-        order, X, Y = mj.batch_curves(P, G)
+        order, ws = core.batch_order(P, G), core._Workspace(0)
+        X = mj._cumulative_weights(G.T, order, ws, "elbows").T
+        Y = mj._cumulative_weights(P.T, order, ws, "heights").T
         widths = np.diff(np.concatenate([np.zeros((n, 1)), X], axis=1), axis=1)
         assert widths.min() > 0
         slopes = np.diff(np.concatenate([np.zeros((n, 1)), Y], axis=1), axis=1) / widths
@@ -80,7 +82,8 @@ class TestCurve:
         c = mj.curve(core.PopVector([0.2, 0.5, 0.3, 0.0]), ctx)
         assert c.evaluate(0.0) == 0.0
         assert c.xs[1] == 0.0 and c.ys[1] == pytest.approx(0.8)
-        assert mj.batch_eval(c.xs[None, 1:], c.ys[None, 1:], np.zeros((1, 1)))[0, 0] == c.ys[1]
+        # the least positive x reads the top of the jump
+        assert c.evaluate(5e-324) == c.ys[1]
         assert c.evaluate(0.5) == pytest.approx(0.9)
 
 
@@ -703,16 +706,17 @@ class TestMapApplier:
     def test_matches_einsum_reference(self, rng, d, beta):
         gamma = core.make_context(degenerate_energies(d), beta).gamma
         P = faces_and_ties(rng, 6000, d)
-        order = core.batch_order(P, gamma)
-        sorted_p = mj._take_levels(P.T, order.T)
+        order, ws = core.batch_order(P, gamma), core._Workspace(0)
+        sorted_p = mj._take_levels(P.T, order.T.copy(), ws)
         t0 = rng.permutation(d)
-        expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :]), sorted_p.T)
+        expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :], ws), sorted_p.T)
 
         # one map per row, and one per ordering with each row's class
-        per_row = mj._tight(mj._map_plan(mj._tight_maps(order, gamma, t0[None, :])), sorted_p)
+        per_row = mj._tight(mj._map_plan(mj._tight_maps(order, gamma, t0[None, :], ws)),
+                            sorted_p, None, ws)
         classes, cls = np.unique(order, axis=0, return_inverse=True)
-        plan = mj._map_plan(mj._tight_maps(classes, gamma, t0[None, :]))
-        per_class = mj._tight(plan, sorted_p, cls.ravel())
+        plan = mj._map_plan(mj._tight_maps(classes, gamma, t0[None, :], ws))
+        per_class = mj._tight(plan, sorted_p, cls.ravel(), ws)
         for q in (per_row, per_class):
             assert np.array_equal(q.T.view(np.int64), expected.view(np.int64))
 
@@ -730,7 +734,7 @@ class TestMapApplier:
             np.random.default_rng(1), 4000).T, gamma, core._Workspace(4000)))]
         # every term a population with no scale and no varying entries
         t = core.PI_STAR.zero_based()
-        terms = mj._map_plan(mj._tight_maps(orders, gamma, t[None, :]), t)
+        terms = mj._map_plan(mj._tight_maps(orders, gamma, t[None, :], core._Workspace(0)), t)
         assert terms == [[(1, None, None)], [(0, None, None)], [(2, None, None)], [(3, None, None)]]
 
 
