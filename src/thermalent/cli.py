@@ -122,9 +122,8 @@ def _parse_range(text: str, parts: int):
 
 
 def _context(args, dim_hint: int = 4):
-    if args.energies:
-        energies = [float(x) for x in args.energies.split(",")]
-        return make_context(energies, args.beta)
+    if args.energies is not None:
+        return make_context([float(x) for x in args.energies.split(",")], args.beta)
     if dim_hint != 4:
         raise ValueError("--energies is required for non-4-level states")
     return two_qubit_context(args.beta, args.gap)
@@ -139,7 +138,7 @@ def _emit(args, manifest: dict, result, table) -> None:
         text += (",".join(cells) + "\n") * len(rows) % tuple(v for row in rows for v in row)
     else:
         text = _json({"manifest": manifest, "result": result}) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -188,7 +187,9 @@ def _run_volume(args):
     if args.seed is None:
         args.seed = int(os.environ.get(SEED_ENV) or 0)
     ctx = two_qubit_context(args.beta, args.gap)
-    origin = _parse_state(args.state, args.renorm) if args.state else None
+    if args.renorm and args.state is None:
+        raise ValueError("--renorm renormalizes --state, which is not given")
+    origin = _parse_state(args.state, args.renorm) if args.state is not None else None
     threads = args.threads if args.threads is not None else os.cpu_count() or 1
     est = volume_of(args.set, ctx, origin, args.samples, args.seed, threads=threads)
     return {"set": args.set, **_fields(est)}, None
@@ -197,7 +198,7 @@ def _run_volume(args):
 def _run_boundary(args):
     ctx = two_qubit_context(args.beta, args.gap)
     cloud = tne_boundary(ctx, args.grid, args.iters)
-    if args.mesh_out:
+    if args.mesh_out is not None:
         mesh = convex_hull_export(cloud)
         with open(args.mesh_out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_obj())
@@ -206,10 +207,13 @@ def _run_boundary(args):
 
 
 def _run_critical_temp(args):
-    if (args.beta_s is None) == (args.state is None):
-        raise ValueError("give exactly one of --beta-s or --state")
     if args.beta_s is not None:
+        if args.renorm or args.range is not None or args.scan is not None:
+            raise ValueError("--renorm, --range and --scan go with --state, not --beta-s")
         return critical_temps_thermal(args.beta_s, args.gap), None
+    # the defaults of the scan, written back so that the manifest shows them
+    args.range = "0:5" if args.range is None else args.range
+    args.scan = 400 if args.scan is None else args.scan
     lo, hi = (float(x) for x in _parse_range(args.range, 2))
     p = _parse_state(args.state, args.renorm)
     return {"crossings": critical_temps_general(p, args.gap, (lo, hi), args.scan)}, None
@@ -218,7 +222,7 @@ def _run_critical_temp(args):
 def _run_jc(args):
     from .dynamics import MIN_BETA_E, JCConfig, jc_protocol, suggest_n_max
 
-    if args.betaE_range:
+    if args.betaE_range is not None:
         a, b, n = _parse_range(args.betaE_range, 3)
         a, b, n = float(a), float(b), int(n)
         if not 1 <= n <= MAX_SWEEP:
@@ -226,10 +230,8 @@ def _run_jc(args):
         if not np.isfinite(b - a):
             raise ValueError(f"sweep ends and their spread must be finite, got {a:g}:{b:g}")
         grid = np.linspace(a, b, n)
-    elif args.betaE is not None:
-        grid = np.array([args.betaE])
     else:
-        raise ValueError("give --betaE or --betaE-range a:b:n")
+        grid = np.array([args.betaE])
     if grid.min() < MIN_BETA_E and not args.allow_low_betae:
         raise ValueError(f"beta*E below {MIN_BETA_E:g} needs a very deep Fock truncation; "
                          "pass --allow-low-betae to override")
@@ -287,10 +289,19 @@ def _add_subcommand(sub, name, run, help, formats=("json",), beta=True, gap=True
 
 
 def _add_state(sp, required=True,
-               help="comma-separated populations, e.g. 0.4,0.25,0.33,0.02"):
-    sp.add_argument("--state", required=required, help=help)
+               help="comma-separated populations, e.g. 0.4,0.25,0.33,0.02", group=None):
+    """--state, in ``group`` when one is given, then --renorm."""
+    (group or sp).add_argument("--state", required=required, help=help)
     sp.add_argument("--renorm", action="store_true",
                     help="renormalize --state instead of rejecting it")
+
+
+def _add_levels(sp):
+    """--gap, --state and --renorm, then --energies, which replaces --gap."""
+    levels = sp.add_mutually_exclusive_group()
+    levels.add_argument("--gap", type=float, default=1.0, help="qubit energy gap E")
+    _add_state(sp)
+    levels.add_argument("--energies", default=None, help="comma-separated level energies")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,14 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state(sp)
 
     sp = _add_subcommand(sub, "cone", _run_cone, "extreme points of the future thermal cone",
-                         formats=("json", "csv"))
-    _add_state(sp)
-    sp.add_argument("--energies", default=None, help="comma-separated level energies")
+                         formats=("json", "csv"), gap=False)
+    _add_levels(sp)
 
     sp = _add_subcommand(sub, "curve", _run_curve, "thermomajorization curve samples",
-                         formats=("csv", "json"))
-    _add_state(sp)
-    sp.add_argument("--energies", default=None, help="comma-separated level energies")
+                         formats=("csv", "json"), gap=False)
+    _add_levels(sp)
     sp.add_argument("--points", type=int, default=0,
                     help=f"extra uniform sample points, at most {MAX_POINTS}")
 
@@ -333,19 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _add_subcommand(sub, "critical-temp", _run_critical_temp,
                          "critical ambient temperatures", beta=False)
-    sp.add_argument("--beta-s", type=float, default=None,
-                    help="inverse temperature of a thermal initial state")
-    _add_state(sp, required=False, help="general initial state to scan")
-    sp.add_argument("--range", default="0:5", help="beta scan range a:b")
-    sp.add_argument("--scan", type=int, default=400,
-                    help=f"scan grid size, 2..{MAX_SCAN}")
+    initial = sp.add_mutually_exclusive_group(required=True)
+    initial.add_argument("--beta-s", type=float, default=None,
+                         help="inverse temperature of a thermal initial state")
+    _add_state(sp, required=False, help="general initial state to scan", group=initial)
+    sp.add_argument("--range", default=None, help="beta scan range a:b (default 0:5)")
+    sp.add_argument("--scan", type=int, default=None,
+                    help=f"scan grid size, 2..{MAX_SCAN} (default 400)")
 
     sp = _add_subcommand(sub, "jc", _run_jc, "cavity preconditioning protocol",
                          formats=("csv", "json"), beta=False, gap=False)
     sp.add_argument("--initial", choices=("00", "11"), required=True)
-    sp.add_argument("--betaE", type=float, default=None)
-    sp.add_argument("--betaE-range", default=None,
-                    help=f"sweep a:b:n with n at most {MAX_SWEEP}")
+    beta_e = sp.add_mutually_exclusive_group(required=True)
+    beta_e.add_argument("--betaE", type=float, default=None)
+    beta_e.add_argument("--betaE-range", default=None,
+                        help=f"sweep a:b:n with n at most {MAX_SWEEP}")
     sp.add_argument("--nmax", type=int, default=None,
                     help="Fock truncation (default: from the tail bound)")
     sp.add_argument("--allow-low-betae", action="store_true")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,12 +35,12 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive."""
 
     dim: int
-    entries: np.ndarray = field(compare=False)
+    entries: np.ndarray
 
     def __init__(self, entries):
         m = np.array(entries, dtype=complex)

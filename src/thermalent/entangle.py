@@ -181,8 +181,10 @@ def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
 def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
     """Independent oracle: non-entanglable iff the witness is non-negative at
     all 24 cone extreme points (all 24 permutations of ``p`` when beta is 0)."""
-    if p.dim != 4 or ctx.dim != 4:
+    if p.dim != 4:
         raise ValueError("brute-force check requires d = 4")
+    if not is_two_qubit_context(ctx):
+        raise ValueError("context is not a two-qubit (0, E, E, 2E) spectrum")
     if ctx.beta == 0.0:
         points = p.probs[list(itertools.permutations(range(4)))]
     else:
@@ -287,8 +289,6 @@ def critical_temps_general(p: PopVector, gap: float, beta_range, n_scan: int) ->
     refines the brackets."""
     if p.dim != 4:
         raise ValueError("requires a 4-level state")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
     lo, hi = float(beta_range[0]), float(beta_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"scan range must be finite, got {lo:g}:{hi:g}")

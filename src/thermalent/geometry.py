@@ -20,10 +20,13 @@ from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qu
 from .entangle import TAU_F, _cone_misses_entanglement, fstar_batch, witness_batch
 from .majorization import _hinge_plan, _within_cone, batch_tight_points, tight_point_tiles
 
-#: samples per RNG block; one Philox key per block
+#: samples per RNG block, a multiple of CHUNK; one Philox key per block
 BLOCK = 65536
 
 SET_IDS = ("E", "NE", "TNE", "ENT_CONE")
+
+#: most samples of a volume: minutes of work on one thread
+MAX_SAMPLES = 10**10
 
 #: most worker threads of a volume; the result does not depend on the count
 MAX_THREADS = 64
@@ -53,14 +56,17 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
 
 
-def _simplex_tiles(d: int, rows: int, seed: int, block: int, ws: _Workspace):
-    """The first ``rows`` uniform simplex points of the Philox key (seed,
-    block), as level-major (d, n) tiles of up to CHUNK columns, each the
-    array ``tile`` of ``ws``, refilled per tile."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    for lo in range(0, rows, CHUNK):
-        yield _normalized(gen.standard_exponential(
-            out=ws.array("draws", (min(CHUNK, rows - lo), d))), ws)
+def _simplex_tiles(d: int, n: int, seed: int, blocks, ws: _Workspace):
+    """The uniform simplex points of the given ``blocks`` of an ``n``-sample
+    stream, as level-major (d, m) tiles of up to CHUNK columns, each the
+    array ``tile`` of ``ws``, refilled per tile.  Block b holds the samples
+    b BLOCK to min(n, (b + 1) BLOCK), drawn from the Philox key (seed, b);
+    as BLOCK is a multiple of CHUNK, only a tile that ends at n is short."""
+    for b in blocks:
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        for lo in range(b * BLOCK, min(n, (b + 1) * BLOCK), CHUNK):
+            yield _normalized(gen.standard_exponential(
+                out=ws.array("draws", (min(CHUNK, n - lo), d))), ws)
 
 
 def _normalized(e: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -91,10 +97,9 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be non-negative")
     _check_seed(seed)
     out, ws = np.empty((n, d)), _Workspace(n)
-    for block, start in enumerate(range(0, n, BLOCK)):
-        tiles = _simplex_tiles(d, min(BLOCK, n - start), seed, block, ws)
-        for lo, tile in zip(range(start, n, CHUNK), tiles):
-            out[lo:lo + tile.shape[1]] = tile.T
+    tiles = _simplex_tiles(d, n, seed, range(-(-n // BLOCK)), ws)
+    for lo, tile in zip(range(0, n, CHUNK), tiles):
+        out[lo:lo + tile.shape[1]] = tile.T
     return out
 
 
@@ -116,11 +121,12 @@ class VolumeEstimate:
 
 def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
               n: int, seed: int, threads: int = 1) -> VolumeEstimate:
-    """Monte Carlo volume fraction of one of the entanglability sets.
+    """Monte Carlo volume fraction of one of the entanglability sets, from
+    at most MAX_SAMPLES samples.
 
     ``origin`` is required for ENT_CONE (the future thermal cone of
-    entanglement of that state); it is ignored otherwise.  At finite beta,
-    an ENT_CONE origin whose cone provably holds no counted sample
+    entanglement of that state), and rejected for any other set.  At finite
+    beta, an ENT_CONE origin whose cone provably holds no counted sample
     (``entangle._cone_misses_entanglement``) returns the estimate of zero
     hits without drawing: the result of the stream, with ``n_samples`` and
     ``std_error`` as if sampled.  Otherwise every tile ANDs the origin's
@@ -131,36 +137,32 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     """
     if set_id not in SET_IDS:
         raise ValueError(f"unknown set id {set_id!r}; expected one of {SET_IDS}")
-    if set_id == "ENT_CONE" and origin is None:
-        raise ValueError("ENT_CONE volume requires an origin state")
-    if n <= 0:
-        raise ValueError("sample count must be positive")
+    if (set_id == "ENT_CONE") != (origin is not None):
+        raise ValueError("ENT_CONE volume requires an origin state, and no other set takes one")
+    if not 0 < n <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {n}")
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads}")
     _check_seed(seed)
     if not is_two_qubit_context(ctx):
         raise ValueError("volume predicates are defined for two-qubit (0, E, E, 2E) spectra")
-    plan = []  # the dominance test of the origin; E has none
+    plan = []  # the dominance test of the origin; only ENT_CONE has one
     if set_id == "ENT_CONE":
         if _cone_misses_entanglement(origin, ctx):
             return VolumeEstimate.from_counts(0, n, seed)
         plan = _hinge_plan(origin, ctx)
+    # the non-entanglable sets count a witness >= -TAU_F, the others one below
+    compare = np.greater_equal if set_id in ("NE", "TNE") else np.less
 
     def count(blocks):
         # one stream of tiles, in one workspace, for all of a worker's blocks
         ws = _Workspace(n)
-        Qs = (Q for b in blocks for Q in _simplex_tiles(4, min(BLOCK, n - b * BLOCK), seed, b, ws))
+        Qs = _simplex_tiles(4, n, seed, blocks, ws)
         if set_id == "TNE":
-            Qs = (q for _, q in tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR, ws))
-
-        def witness(Q, compare):
-            mask = ws.array("mask", Q.shape[1:], bool)
-            return compare(witness_batch(Q.T, ws), -TAU_F, out=mask)
-
-        if set_id in ("NE", "TNE"):
-            return sum(int(np.count_nonzero(witness(Q, np.greater_equal))) for Q in Qs)
-        return sum(int(np.count_nonzero(_within_cone(plan, Q, witness(Q, np.less), ws)))
-                   for Q in Qs)
+            Qs = tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR, ws)
+        return sum(int(np.count_nonzero(_within_cone(plan, Q, compare(
+            witness_batch(Q.T, ws), -TAU_F, out=ws.array("mask", Q.shape[1:], bool)), ws)))
+            for Q in Qs)
 
     # blocks are drawn lazily, so the set-up does not grow with n; worker w
     # takes blocks w, w + workers, ...
@@ -173,7 +175,7 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     return VolumeEstimate.from_counts(hits, n, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCloud:
     """Points on the thermally non-entanglable boundary, one per ray from a
     facet grid point to the Gibbs state, each between a confirmed
@@ -236,18 +238,18 @@ def _ray_roots(O: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return np.where(in1, r1, r2)
 
 
-def _confirmed_ends(O: np.ndarray, gamma: np.ndarray, t: np.ndarray, step: float,
-                    in_tne: bool) -> np.ndarray:
+def _confirmed_ends(O: np.ndarray, gamma: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
     """Ray points at t + step, clamped to [0, 1], whose ``fstar_batch``
-    verdict is non-entanglable (``in_tne``) or entanglable.  A row whose
-    verdict differs doubles its step until it agrees; at a step of 1 the
-    points are gamma and o themselves."""
+    verdict is non-entanglable for a step toward gamma (step < 0), and
+    entanglable for one toward o.  A row whose verdict differs doubles its
+    step until it agrees; at a step of 1 the points are gamma and o
+    themselves."""
     steps = np.full(len(t), step)
     todo = np.arange(len(t))
     ends = np.empty_like(O)
     for _ in range(MAX_ITERS + 2):
         ends[todo] = _ray_points(O[todo], gamma, np.clip(t[todo] + steps[todo], 0.0, 1.0))
-        todo = todo[(fstar_batch(ends[todo], gamma) >= -TAU_F) != in_tne]
+        todo = todo[(fstar_batch(ends[todo], gamma) >= -TAU_F) != (step < 0)]
         if not todo.size:
             return ends
         steps[todo] *= 2.0
@@ -284,8 +286,8 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
     t = _ray_roots(O, gamma)
     half = 2.0 ** -(iters + 1)
     return BoundaryCloud(points=_ray_points(O, gamma, t),
-                         inner_points=_confirmed_ends(O, gamma, t, -half, True),
-                         outer_points=_confirmed_ends(O, gamma, t, half, False))
+                         inner_points=_confirmed_ends(O, gamma, t, -half),
+                         outer_points=_confirmed_ends(O, gamma, t, half))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ def embed_simplex(points: np.ndarray) -> np.ndarray:
     return (np.asarray(points) - 0.25) @ _EMBED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HullMesh:
     """Triangulated convex hull of a point cloud inside the simplex."""
 

@@ -20,22 +20,11 @@ through its level ordering sigma, and its heights are linear in the
 populations, so a tight point is a linear map of the sorted populations,
 q = M_sigma p (``_tight_maps``): the beta-permutations of de Oliveira
 Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109 (2022).
-Every tight point goes through these maps: ``tight_point_tiles`` builds
-them once per stream for each ordering seen when rows of up to six levels
-share gamma, and one per row otherwise (the critical-temperature scan),
-``all_extreme_points`` builds those of all d! targets for one state, and
-``geometry.tne_boundary`` reads from the stream the tight point of each
-ray's far end (its near end, gamma, is its own tight point).  One applier,
-``_tight``, reads the maps through their nonzero entries only, and gathers
-per row only the entries that differ between orderings (none at beta = 0,
-where every map is the same permutation), one entry at a time into one
-row, so no table of products grows with the tile.  The orderings come from
-packed pairwise comparisons (``core.ordering_codes``).  The kernel walks
-streams of level-major (d, n) tiles, of CHUNK rows of an array (``volume``
-streams its samples), one contiguous row per level or rank.  Each step of a
-tile, the building of per-row maps included, writes into the stream's one
-``core._Workspace``, so no temporary grows with the batch and no tile after
-a stream's first allocates.
+Every tight point goes through these maps and one applier, ``_tight``: for
+the d! targets of one state (``all_extreme_points``), or for one target over
+a stream of level-major (d, n) tiles (``tight_point_tiles``: the rows of an
+array, or the samples of a volume), each step of which writes into the
+stream's one ``core._Workspace``.
 """
 
 from __future__ import annotations
@@ -66,7 +55,7 @@ TAU_CMP = 1e-10
 MAX_ENUM_DIM = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoCurve:
     """Piecewise-linear majorization curve stored as elbow points.
 
@@ -74,8 +63,8 @@ class ThermoCurve:
     vertical jump contributed by populated levels of zero Gibbs weight.
     """
 
-    xs: np.ndarray = field(compare=False)
-    ys: np.ndarray = field(compare=False)
+    xs: np.ndarray
+    ys: np.ndarray
 
     def evaluate(self, x):
         """Curve value at ``x`` in [0, 1], a number or an array; exactly 0 at
@@ -100,7 +89,6 @@ def _check_dims(ctx: GibbsContext, *objs) -> None:
 
 def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
     """Thermomajorization curve of ``p`` in the context ``ctx``."""
-    _check_dims(ctx, p)
     gamma, ws = ctx.checked_gamma(), _Workspace(0)
     order = batch_order(p.probs[None, :], gamma)
     xs = np.concatenate([[0.0], _cumulative_weights(gamma, order, ws, "elbows")[:, 0]])
@@ -113,7 +101,6 @@ def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
 
 def thermo_majorizes(p: PopVector, q: PopVector, ctx: GibbsContext) -> bool:
     """True iff p's curve dominates q's within TAU_CMP (``batch_majorizes`` on one row)."""
-    _check_dims(ctx, p, q)
     return bool(batch_majorizes(p, q.probs[None, :], ctx)[0])
 
 
@@ -331,8 +318,7 @@ def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None, ws: _Workspace) ->
 def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Workspace):
     """Extreme point of every row's cone for one shared target ordering, for
     a stream of level-major (d, n) tiles (``_row_tiles(P, ws)`` for an
-    array): yields ``(lo, q)`` per non-empty tile, ``lo`` the offset of its
-    first column in the stream and ``q`` a level-major (d, n) array of
+    array): yields each tile's tight points, a level-major (d, n) array of
     ``ws``.
 
     Each column's sorted populations go through the map of its ordering
@@ -353,8 +339,6 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Work
     lo, n, plan = 0, 0, None
     for P in tiles:
         lo, (d, n) = lo + n, P.shape
-        if not n:
-            continue
         G = gammas if gammas.ndim == 1 else ws.level_major("gammas", gammas[lo:lo + n])
         levels, code = _tile_levels(P, G, ws)
         if code is None or gammas.ndim == 2:
@@ -373,7 +357,7 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Work
                 np.take(cls_of, code, out=cls, mode="clip")
         sorted_p = _take_levels(P, levels, ws)
         del levels, code  # in a stream of one tile, freed before the tile's next steps
-        yield lo, _tight(plan, sorted_p, cls, ws)
+        yield _tight(plan, sorted_p, cls, ws)
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
@@ -383,7 +367,7 @@ def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) 
     P, G = np.asarray(P, dtype=float), np.asarray(gammas, dtype=float)
     _check_gammas(P, G)
     out, ws = np.empty_like(P), _Workspace(len(P))
-    for lo, q in tight_point_tiles(_row_tiles(P, ws), G, target, ws):
+    for lo, q in zip(range(0, len(P), CHUNK), tight_point_tiles(_row_tiles(P, ws), G, target, ws)):
         out[lo:lo + q.shape[1]] = q.T
     return out
 

@@ -108,6 +108,25 @@ class TestValidationExits:
         assert code == 2 and "unrecognized arguments" in err
 
     @pytest.mark.parametrize("argv", [
+        ("critical-temp", "--beta-s", "5", "--scan", "-5", "--renorm", "--range", "nonsense"),
+        ("critical-temp", "--beta-s", "5", "--scan", "100"),
+        ("critical-temp", "--beta-s", "5", "--range", "0:1"),
+        ("critical-temp", "--beta-s", "5", "--renorm"),
+        ("volume", "--set", "E", "--state", "0.4,0.25,0.33,0.02"),
+        ("volume", "--set", "E", "--renorm"),
+        ("jc", "--initial", "00", "--betaE", "1", "--betaE-range", "1:2:2"),
+        ("cone", "--state", "0.7,0.2,0.1", "--energies", "0,1,2", "--gap", "5"),
+        ("curve", "--state", "0.7,0.2,0.1", "--energies", "0,1,2", "--gap", "5"),
+        # an empty value names no energies, and no file
+        ("cone", "--state", "0.4,0.25,0.33,0.02", "--energies="),
+        ("classify", "--state", "0.4,0.25,0.33,0.02", "--out="),
+        ("boundary", "--grid", "2", "--mesh-out="),
+    ])
+    def test_options_a_run_would_ignore(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
         ("classify", "--state", "1,0,0,0"),
         ("volume", "--set", "E", "--samples", "100"),
         ("critical-temp", "--beta-s", "5"),
@@ -319,13 +338,13 @@ EDGE_FLOATS = ("0", "-0", "5e-324", "1e-320", "1e-300", "1e-17", "1e308", "inf",
 ORDINARY_FLOATS = ("0.5", "1", "2")
 
 #: the fuzzer's integers: small and negative ones for every size, and for a
-#: capped size also its cap, one past it, and values past 64 bits; an uncapped
-#: one (``volume --samples``, ``mtp --budget``) takes only the small ones, as
-#: ``volume --samples`` runs for as long as it is asked to
+#: capped size also its cap, one past it, and values past 64 bits; the
+#: uncapped ``mtp --budget`` takes only the small ones, and ``volume
+#: --samples`` not its cap, which is minutes of work
 SMALL_INTS = (-1, 0, 1, 2, 3)
 SIZE_CAPS = {"points": cli.MAX_POINTS, "scan": entangle.MAX_SCAN, "grid": geometry.MAX_GRID,
              "iters": geometry.MAX_ITERS, "threads": geometry.MAX_THREADS,
-             "nmax": dynamics.MAX_N_MAX, "seed": 2**64 - 1}
+             "nmax": dynamics.MAX_N_MAX, "seed": 2**64 - 1, "samples": geometry.MAX_SAMPLES}
 
 #: text fields (states, energies, ranges) are lists of these tokens, so they
 #: come with wrong arity, faces, ties and sums other than 1; lists of the
@@ -356,6 +375,7 @@ def option_values(action: argparse.Action):
     if action.type is int:
         cap = SIZE_CAPS.get(action.dest)
         big = (cap, cap + 1, -(2**63), 2**64) if cap else ()
+        big = big[1:] if action.dest == "samples" else big
         return st.sampled_from(SMALL_INTS + big).map(str)
     tokens = st.lists(st.sampled_from(TEXT_TOKENS), min_size=1, max_size=6)
     states = [st.lists(st.sampled_from(POPULATIONS), min_size=k, max_size=n).map(",".join)
@@ -748,8 +768,11 @@ class TestManifest:
         (("boundary", "--grid", "2", "--iters", "3", "--format", "json"),
          {"beta": 0.0, "gap": 1.0, "grid": 2, "iters": 3, "mesh_out": None}),
         (("critical-temp", "--beta-s", "5"),
-         {"gap": 1.0, "beta_s": 5.0, "state": None, "renorm": False, "range": "0:5",
-          "scan": 400}),
+         {"gap": 1.0, "beta_s": 5.0, "state": None, "renorm": False, "range": None,
+          "scan": None}),
+        (("critical-temp", "--state", "0.12,0.38,0.12,0.38"),
+         {"gap": 1.0, "beta_s": None, "state": "0.12,0.38,0.12,0.38", "renorm": False,
+          "range": "0:5", "scan": 400}),
         (("jc", "--initial", "11", "--betaE", "10", "--nmax", "20", "--format", "json"),
          {"initial": "11", "betaE": 10.0, "betaE_range": None, "nmax": 20,
           "allow_low_betae": False}),

@@ -301,3 +301,21 @@ class TestBetaOrdering:
         assert one_row_order(p, ctx) == (3, 2, 1, 4)
         q = core.PopVector([1.0, 0.0, 0.0, 0.0])
         assert one_row_order(q, ctx) == (1, 2, 3, 4)
+
+
+def test_array_dataclasses_compare_by_identity():
+    """A result type that holds arrays compares and hashes by identity: its
+    fields' ``==`` would skip the arrays, or raise on them."""
+    from thermalent import dynamics, geometry as geo
+
+    ctx, pts = core.two_qubit_context(1.0), np.eye(4)
+    ground, top = core.PopVector([1, 0, 0, 0]), core.PopVector([0, 0, 0, 1])
+    pairs = [
+        (mj.curve(ground, ctx), mj.curve(top, ctx)),
+        (mj.curve(ground, ctx), mj.curve(ground, ctx)),
+        (dynamics.DensityMatrix(np.diag([1, 0])), dynamics.DensityMatrix(np.diag([0, 1]))),
+        (geo.BoundaryCloud(pts, pts, pts), geo.BoundaryCloud(pts, pts, pts)),
+        (geo.convex_hull_export(pts), geo.convex_hull_export(pts)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and len({a, b}) == 2

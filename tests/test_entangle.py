@@ -175,6 +175,15 @@ class TestBruteforceOracle:
     def test_catalysis_initial_agrees(self):
         assert en.tne_bruteforce(core.PopVector([0.4, 0.25, 0.33, 0.02]), ctx2q(0.0))
 
+    def test_domain_is_the_verdict_domain(self):
+        # four levels, but not the (0, E, E, 2E) spectrum the witness reads
+        p, ladder = core.PopVector([0.4, 0.25, 0.33, 0.02]), core.make_context((0, 1, 2, 3), 1.0)
+        for decide in (en.tne_bruteforce, en.is_thermally_entanglable):
+            with pytest.raises(ValueError, match="not a two-qubit"):
+                decide(p, ladder)
+        with pytest.raises(ValueError, match="d = 4"):
+            en.tne_bruteforce(core.PopVector([0.5, 0.3, 0.2]), ctx2q(1.0))
+
     @given(state_strategy)
     def test_verdict_against_bruteforce_at_beta_zero(self, probs):
         # at beta = 0 the oracle permutes p directly and never calls the kernel

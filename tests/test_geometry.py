@@ -73,7 +73,7 @@ class TestSampling:
                 for b, want in enumerate(blocks):
                     # each tile is a level-major view of one reused buffer, so copy its rows
                     ws = core._Workspace(len(want))
-                    tiles = [t.T.copy() for t in geo._simplex_tiles(d, len(want), seed, b, ws)]
+                    tiles = [t.T.copy() for t in geo._simplex_tiles(d, n, seed, [b], ws)]
                     assert max(map(len, tiles)) <= core.CHUNK
                     assert np.array_equal(np.concatenate(tiles), want)
 
@@ -179,6 +179,16 @@ class TestVolumes:
         for seed in (0, 2**64 - 1):
             assert geo.volume_of("E", ctx2q(0.0), None, 10, seed=seed).seed == seed
             assert geo.sample_simplex_array(4, 10, seed).shape == (10, 4)
+
+    @pytest.mark.parametrize("n", [geo.MAX_SAMPLES + 1, 2**64])
+    def test_sample_count_capped(self, n):
+        with pytest.raises(ValueError, match=f"1..{geo.MAX_SAMPLES}, got {n}"):
+            geo.volume_of("E", ctx2q(0.0), None, n, seed=0)
+
+    @pytest.mark.parametrize("set_id", ["E", "NE", "TNE"])
+    def test_origin_only_for_ent_cone(self, set_id):
+        with pytest.raises(ValueError, match="no other set"):
+            geo.volume_of(set_id, ctx2q(0.0), core.PopVector([0, 0, 0, 1]), 10, seed=0)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one(self, threads):

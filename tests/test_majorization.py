@@ -392,6 +392,15 @@ class TestHingeDominance:
         with pytest.raises(ValueError, match="dimension mismatch"):
             mj.batch_majorizes(core.PopVector([0.1, 0.2, 0.3, 0.4]), np.ones((2, 3)) / 3, ctx2q(1.0))
 
+    def test_one_state_calls_reject_another_dimension(self):
+        # the batch calls under them check the dimensions
+        three, four = core.PopVector([0.5, 0.3, 0.2]), core.PopVector([0.1, 0.2, 0.3, 0.4])
+        for call in (lambda: mj.curve(three, ctx2q(1.0)),
+                     lambda: mj.thermo_majorizes(three, four, ctx2q(1.0)),
+                     lambda: mj.thermo_majorizes(four, three, ctx2q(1.0))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                call()
+
     @given(st.data(), st.floats(0.0, 50.0))
     def test_vertices_meet_the_dual_curve(self, data, beta):
         # each vertex is tight: its cumulative sums at its own elbows lie on
@@ -556,8 +565,10 @@ class TestPairCodes:
         with mock.patch.object(mj, "CHUNK", chunk), \
                 mock.patch.object(mj, "_tight_maps", spy_maps), \
                 mock.patch.object(mj, "_tight", spy_tight):
-            los = [lo for lo, _ in mj.tight_point_tiles(mj._row_tiles(P, ws), gamma, target, ws)]
-        assert los == list(range(0, len(P), chunk)) and len(applied) == len(los)
+            widths = [q.shape[1] for q in mj.tight_point_tiles(mj._row_tiles(P, ws), gamma,
+                                                                target, ws)]
+        los = range(0, len(P), chunk)
+        assert widths == [min(chunk, len(P) - lo) for lo in los] and len(applied) == len(los)
         for lo, (sorted_p, table, cls) in zip(los, applied):
             # above the dense table every column is its own class
             assert (cls is None) != dense

@@ -9,14 +9,21 @@ relative, so that the manifest that names it does not vary); the manifest's
 wall time is blanked and the sha256 of each file compared with the hash the
 same invocation gave before the result writer was rewritten.  A change to
 any printed digit, separator or indent fails here.
+
+The benchmark's invocations (``benchmark/workloads.py``) are pinned too:
+each workload runs in-process at seeds 0 and 1, and its exit codes and
+files, with the wall time and the scratch directory blanked, are hashed
+into one sha256 per (workload, seed).
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,7 +83,7 @@ PINNED = {
     ),
     "critical-thermal": (
         ("critical-temp", "--beta-s", "5"),
-        {"out": "88e15fdf007a7b53451ade0b99dac48c18f3165b4074caa4a8bed1bf7916b7f9"},
+        {"out": "d65eeebb1e345bcb57cf62b9b98c828dc83bec6d7579de480774e1dc426c52c9"},
     ),
     "critical-state": (
         ("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:2", "--scan", "50"),
@@ -121,6 +128,35 @@ def run_pinned(argv, tmp_path, monkeypatch) -> dict:
 def test_result_bytes(label, tmp_path, monkeypatch):
     argv, hashes = PINNED[label]
     assert run_pinned(argv, tmp_path, monkeypatch) == hashes
+
+
+#: (workload, seed) -> sha256 of the pass's exit codes and files, in order
+WORKLOAD_PINNED = {
+    ("mc-finite", 0): "f5c31c179c35c4fd8040ef5581faab528f5f695fdd7eccee60683a4e58365cb2",
+    ("mc-finite", 1): "d46e4f41bd7dda91d9726c70082c5aa21caf5014cc848af135e550fe2e640d72",
+    ("mc-zero-temp", 0): "e8871f05abdc57cd15b16985a0d0f48524a99cc5ecb092bc2c13f865eb670f81",
+    ("mc-zero-temp", 1): "84ada4473c66763dd543e97e01cd0c84b81c076eaa0fe8c5f64f581324298cb8",
+    ("cli-queries", 0): "a0e7d4c1a49e2fcc553e3e535467feabbd6f9c150223111cc25e00b187a70281",
+    ("cli-queries", 1): "61818f7322c6b7c5b7026a4bed7843676149e5f21f11328b286512b247ce4ed4",
+}
+
+
+@pytest.mark.parametrize("name, seed", WORKLOAD_PINNED)
+def test_workload_bytes(name, seed, tmp_path, monkeypatch):
+    """A full-size pass of one workload; on a mismatch the message lists the
+    hash of each invocation, to compare with a run of the parent commit."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    workload = importlib.import_module("workloads").Workload(name, seed, "full", tmp_path)
+    each = []
+    for op in workload.ops:
+        h = hashlib.sha256(str(dispatch(list(op.argv))).encode())
+        for path in (op.out, op.mesh):
+            if path is not None and path.exists():
+                h.update(_WALL_TIME.sub(b'"wall_time_s": 0', path.read_bytes())
+                         .replace(bytes(tmp_path), b"<scratch>"))
+        each.append(f"{op.label} {h.hexdigest()}")
+    total = hashlib.sha256("\n".join(each).encode()).hexdigest()
+    assert total == WORKLOAD_PINNED[name, seed], "\n".join(each)
 
 
 # ---------------------------------------------------------------------------
