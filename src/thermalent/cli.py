@@ -22,12 +22,8 @@ import numpy as np
 
 from . import __version__
 from .core import PopVector, make_context, pop_vector, two_qubit_context
-from .entangle import (
-    MAX_SCAN,
-    critical_temps_general,
-    critical_temps_thermal,
-    is_thermally_entanglable,
-)
+from .entangle import (MAX_SCAN, _margin, critical_temps_general, critical_temps_thermal,
+                       is_thermally_entanglable)
 from .geometry import MAX_ITERS, MAX_THREADS, convex_hull_export, tne_boundary, volume_of
 from .majorization import curve, future_cone
 
@@ -252,7 +248,7 @@ def _run_mtp(args):
     res = mtp_entangle_search(p, ctx, args.strategy, args.budget)
     result = {
         "best_f": res.best_f,
-        "entangling": bool(res.best_f < 0),
+        "entangling": bool(_margin(res.best_f) < 0.0),
         "schedule": [{"pair": list(pair), "lam": lam} for pair, lam in res.schedule.steps],
         "best_state": res.best_state,
         "evaluations": res.evaluations,

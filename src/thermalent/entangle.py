@@ -44,6 +44,13 @@ PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_SCAN = 100_000
 
 
+def _margin(w, out=None):
+    """The verdict rule: ``w + TAU_F``, negative exactly where a witness w is
+    below -TAU_F (entanglable), as a sum of two doubles rounds to a value with
+    the sign of the exact sum.  Every entanglability verdict reads it."""
+    return np.add(w, TAU_F, out=out)
+
+
 def _as_probs(q) -> np.ndarray:
     a = q.probs if isinstance(q, PopVector) else np.asarray(q, dtype=float)
     if a.shape != (4,):
@@ -111,9 +118,9 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
         raise ValueError("context is not a two-qubit (0, E, E, 2E) spectrum")
     targets, points = all_extreme_points(p, ctx)
     star = int((targets == PI_STAR.zero_based()).all(axis=1).argmax())
-    f_value, f_star = witness_batch(np.stack([p.probs, points[star]])).tolist()
-    return WitnessReport(f_value=f_value, f_star=f_star, in_E=f_value < -TAU_F,
-                         in_TE=f_star < -TAU_F,
+    w = witness_batch(np.stack([p.probs, points[star]]))
+    (f_value, f_star), (in_E, in_TE) = w.tolist(), (_margin(w) < 0.0).tolist()
+    return WitnessReport(f_value=f_value, f_star=f_star, in_E=in_E, in_TE=in_TE,
                          max_negativity=float(max_negativity(points).max()),
                          optimal_theta=math.pi / 4.0, pi_star_point=PopVector(points[star]))
 
@@ -189,7 +196,7 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
         points = p.probs[list(itertools.permutations(range(4)))]
     else:
         points = all_extreme_points(p, ctx)[1]
-    return bool((witness_batch(points) >= -TAU_F).all())
+    return bool((_margin(witness_batch(points)) >= 0.0).all())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context
-from .entangle import TAU_F, _cone_misses_entanglement, fstar_batch, witness_batch
+from .entangle import _cone_misses_entanglement, _margin, fstar_batch, witness_batch
 from .majorization import _hinge_plan, _within_cone, batch_tight_points, tight_point_tiles
 
 #: samples per RNG block, a multiple of CHUNK; one Philox key per block
@@ -151,7 +151,7 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
         if _cone_misses_entanglement(origin, ctx):
             return VolumeEstimate.from_counts(0, n, seed)
         plan = _hinge_plan(origin, ctx)
-    # the non-entanglable sets count a witness >= -TAU_F, the others one below
+    # the non-entanglable sets count a verdict margin >= 0, the others one below
     compare = np.greater_equal if set_id in ("NE", "TNE") else np.less
 
     def count(blocks):
@@ -161,8 +161,8 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
         if set_id == "TNE":
             Qs = tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR, ws)
         return sum(int(np.count_nonzero(_within_cone(plan, Q, compare(
-            witness_batch(Q.T, ws), -TAU_F, out=ws.array("mask", Q.shape[1:], bool)), ws)))
-            for Q in Qs)
+            _margin(w := witness_batch(Q.T, ws), out=w), 0.0,
+            out=ws.array("mask", Q.shape[1:], bool)), ws))) for Q in Qs)
 
     # blocks are drawn lazily, so the set-up does not grow with n; worker w
     # takes blocks w, w + workers, ...
@@ -212,20 +212,20 @@ def _ray_points(O: np.ndarray, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (1.0 - t)[:, None] * gamma + t[:, None] * O
 
 
-def _ray_roots(O: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The root t* in (0, 1] of f* = -TAU_F along each ray from gamma (t = 0)
-    to a row o of O (t = 1), where f* < -TAU_F.
+def _ray_roots(dq: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The root t* in (0, 1] of the verdict margin of f* along each ray from
+    gamma (t = 0) to a row o of an entanglable O (t = 1), given the rows dq =
+    q(o) - gamma of o's (2,1,3,4) tight points q(o).
 
     Along the ray every ratio p_i/gamma_i - 1 is t (o_i/gamma_i - 1), so o's
     level ordering, and with it the map of the (2,1,3,4) tight point, holds
     for all t > 0.  That map sends gamma, whose curve is the diagonal, to
-    itself, so the tight point is gamma + t (q(o) - gamma) and f* is the
-    quadratic a t^2 + b t + f*(gamma), solved in the stable form of the
-    formula; the temporaries are (n, 4), with n <= 2 MAX_GRID^2 + 2.  Raises
-    RuntimeError unless each ray has exactly one root in (0, 1].
+    itself, so the tight point is gamma + t dq and the margin is the
+    quadratic a t^2 + b t + margin(f*(gamma)), solved in the stable form of
+    the formula; the temporaries are (n, 4), with n <= 2 MAX_GRID^2 + 2.
+    Raises RuntimeError unless each ray has exactly one root in (0, 1].
     """
-    dq = batch_tight_points(O, gamma, PI_STAR) - gamma
-    a, c = witness_batch(dq), witness_batch(gamma[None, :])[0] + TAU_F
+    a, c = witness_batch(dq), _margin(witness_batch(gamma[None, :]))[0]
     b = (4.0 * (gamma[0] * dq[:, 3] + gamma[3] * dq[:, 0])
          - 2.0 * (gamma[1] - gamma[2]) * (dq[:, 1] - dq[:, 2]))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +234,7 @@ def _ray_roots(O: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     in1, in2 = (r1 > 0) & (r1 <= 1), (r2 > 0) & (r2 <= 1)
     if not (in1 != in2).all():
         raise RuntimeError(f"{int((in1 == in2).sum())} boundary rays have no "
-                           f"single root of f* = -{TAU_F:g} in (0, 1]")
+                           "single root of the verdict margin in (0, 1]")
     return np.where(in1, r1, r2)
 
 
@@ -249,7 +249,7 @@ def _confirmed_ends(O: np.ndarray, gamma: np.ndarray, t: np.ndarray, step: float
     ends = np.empty_like(O)
     for _ in range(MAX_ITERS + 2):
         ends[todo] = _ray_points(O[todo], gamma, np.clip(t[todo] + steps[todo], 0.0, 1.0))
-        todo = todo[(fstar_batch(ends[todo], gamma) >= -TAU_F) != (step < 0)]
+        todo = todo[(_margin(fstar_batch(ends[todo], gamma)) >= 0.0) != (step < 0)]
         if not todo.size:
             return ends
         steps[todo] *= 2.0
@@ -260,11 +260,11 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
     """Locate the thermally non-entanglable surface along the rays from the
     entanglable facet grid points o toward the Gibbs state gamma.
 
-    On each ray f* is a quadratic in t (``_ray_roots``); its root t* gives
-    the cloud point, and the bracket ends sit at t* -/+ 2^-(iters + 1),
-    clamped to [0, 1] and confirmed by ``fstar_batch``, so the bracket is
-    2^-iters wide along the ray (1 <= iters <= MAX_ITERS) unless a verdict
-    widened it.
+    On each ray f* is a quadratic in t (``_ray_roots``, fed by the grid's
+    one tight-point pass); its root t* gives the cloud point, and the
+    bracket ends sit at t* -/+ 2^-(iters + 1), clamped to [0, 1] and
+    confirmed by ``fstar_batch``, so the bracket is 2^-iters wide along the
+    ray (1 <= iters <= MAX_ITERS) unless a verdict widened it.
 
     Grid points that are not thermally entanglable (the lone exceptional
     boundary state, and its permutation images at beta = 0) are skipped.
@@ -281,9 +281,11 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
         return BoundaryCloud(points=ground, inner_points=ground.copy(), outer_points=ground.copy())
 
     gamma = ctx.checked_gamma()
-    grid_pts = simplex_facet_grid(grid)
-    O = grid_pts[fstar_batch(grid_pts, gamma) < -TAU_F]
-    t = _ray_roots(O, gamma)
+    O = simplex_facet_grid(grid)
+    Q = batch_tight_points(O, gamma, PI_STAR)
+    keep = _margin(witness_batch(Q)) < 0.0
+    O, Q = O[keep], Q[keep]  # the entanglable rows; the full grid's are freed
+    t = _ray_roots(np.subtract(Q, gamma, out=Q), gamma)
     half = 2.0 ** -(iters + 1)
     return BoundaryCloud(points=_ray_points(O, gamma, t),
                          inner_points=_confirmed_ends(O, gamma, t, -half),

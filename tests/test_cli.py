@@ -7,6 +7,7 @@ import re
 import shlex
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thermalent import cli, dynamics, entangle, geometry
+from thermalent import cli, core, dynamics, entangle, geometry
 from thermalent.cli import dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -387,12 +388,20 @@ def option_values(action: argparse.Action):
 @st.composite
 def cli_argvs(draw, name: str):
     """``(argv, format)``: the subcommand ``name`` and some of its options
-    (each required one), each with a drawn value or, for a flag, alone, and
-    the output format that the arguments ask for."""
-    argv, fmt = [name], SUBPARSERS[name].get_default("format")
-    for action in SUBPARSERS[name]._actions:
-        if isinstance(action, argparse._HelpAction) or not (
-                action.required or draw(st.booleans())):
+    (each required one, and exactly one member of each required mutually
+    exclusive group), each with a drawn value or, for a flag, alone, and the
+    output format that the arguments ask for."""
+    parser = SUBPARSERS[name]
+    argv, fmt = [name], parser.get_default("format")
+    chosen, left_out = set(), set()
+    for group in parser._mutually_exclusive_groups:
+        if group.required:
+            member = draw(st.sampled_from(group._group_actions))
+            chosen.add(member)
+            left_out.update(a for a in group._group_actions if a is not member)
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction) or action in left_out or not (
+                action.required or action in chosen or draw(st.booleans())):
             continue
         if action.nargs == 0:
             argv.append(action.option_strings[-1])
@@ -442,6 +451,44 @@ def test_fuzz_exits_0_or_2_and_output_parses(name, data):
             text = Path(outfile[0]).read_text(encoding="utf-8")
     assert code in (0, 2), (argv, err.getvalue())
     assert (text == "") if code == 2 else parses(text, fmt), (argv, text[:200])
+
+
+def traced_peak(run) -> tuple:
+    """What ``run()`` returns, and ``tracemalloc``'s peak over it in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The largest allowed sizes stay within a bound on the memory that
+    Python and numpy allocate (``tracemalloc``'s peak).  Each bound is the
+    peak measured at an earlier tree plus 5 %: 46.3 MB for ``boundary``,
+    whose peak is its output text, 37.82 MB for ``tne_boundary`` within it,
+    and 11.22 MB for ``critical-temp``.  A boundary that holds one more
+    (2 MAX_GRID^2 + 2, 4) array, 4.2 MB, to the end fails."""
+
+    @pytest.mark.parametrize("argv, small, peak", [
+        (("boundary", "--grid", str(geometry.MAX_GRID), "--iters", str(geometry.MAX_ITERS)),
+         ("boundary", "--grid", "2"), 46.3e6),
+        (("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:20",
+          "--scan", str(entangle.MAX_SCAN)),
+         ("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--scan", "10"), 11.22e6),
+    ], ids=["boundary", "critical-temp"])
+    def test_command(self, tmp_path, argv, small, peak):
+        out = str(tmp_path / "out")
+        # a small run first, so that one-time allocations are not counted
+        assert dispatch([*small, "--out", out]) == 0
+        code, traced = traced_peak(lambda: dispatch([*argv, "--out", out]))
+        assert code == 0 and traced <= 1.05 * peak
+
+    def test_boundary_cloud(self):
+        ctx = core.two_qubit_context(1.0)
+        geometry.tne_boundary(ctx, 2, 30)
+        run = lambda: geometry.tne_boundary(ctx, geometry.MAX_GRID, geometry.MAX_ITERS)
+        assert traced_peak(run)[1] <= 1.05 * 37.82e6
 
 
 class TestNegativeSizes:
@@ -735,8 +782,6 @@ class TestFormatting:
 
     def test_library_objects_encoded(self):
         from fractions import Fraction
-
-        from thermalent import core, geometry
 
         est = geometry.VolumeEstimate(0.1234567890123456, 0.5, 10, 3)
         assert list(json.loads(cli._json(est))) == ["fraction", "std_error", "n_samples", "seed"]

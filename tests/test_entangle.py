@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thermalent import core, entangle as en, majorization as mj
+from thermalent import core, entangle as en, geometry as geo, majorization as mj
 from tests.conftest import (
     random_states, ref_critical_roots, ref_extreme_point, ref_fstar, ref_fstar_exact,
     ref_fstar_thermal_hotter, ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses, ref_thermal_c2,
@@ -89,6 +89,56 @@ class TestSubspaceEntanglable:
             q = [0.0, a + d / 2, a - d / 2, 1 - 2 * a]
             assert en.witness_f(q) == pytest.approx(-d * d, rel=1e-6)
             assert self.in_E(q) is want
+
+
+def band_edge_doubles(steps: int = 64) -> np.ndarray:
+    """-TAU_F and ``steps`` neighbouring doubles on each side of it, signed
+    zeros, the smallest subnormals, the band's other edge and infinities."""
+    below = np.full(steps + 1, -en.TAU_F)
+    above = below.copy()
+    for k in range(1, steps + 1):
+        below[k], above[k] = np.nextafter(below[k - 1], -np.inf), np.nextafter(above[k - 1], 0.0)
+    return np.concatenate([below, above, [0.0, -0.0, 5e-324, -5e-324, en.TAU_F, np.inf, -np.inf]])
+
+
+class TestVerdictRule:
+    """``entangle._margin`` is the one verdict rule: its sign is the
+    comparison w < -TAU_F, bit for bit, for arrays, in place and for one
+    number, and the volume sets it splits add up."""
+
+    @staticmethod
+    def check(w: np.ndarray):
+        want = w < -en.TAU_F
+        assert np.array_equal(en._margin(w) < 0.0, want)
+        assert np.array_equal(en._margin(w) >= 0.0, ~want)
+        out = w.copy()
+        assert en._margin(out, out=out) is out and np.array_equal(out < 0.0, want)
+        assert [bool(en._margin(x) < 0.0) for x in w.tolist()] == want.tolist()
+
+    def test_band_edge_and_signed_zeros(self):
+        w = band_edge_doubles()
+        assert np.count_nonzero(w < -en.TAU_F) == 64 + 1  # 64 below the edge, and -inf
+        self.check(w)
+
+    def test_random_doubles(self):
+        rng = np.random.default_rng(2026)
+        scale = 10.0 ** rng.uniform(-320, 2, 20_000)
+        near = -en.TAU_F * (1.0 + rng.normal(size=20_000) * 1e-15)
+        self.check(np.concatenate([rng.normal(size=20_000) * scale, near]))
+
+    @given(st.floats(allow_nan=False))
+    def test_any_double(self, w):
+        assert bool(en._margin(w) < 0.0) == (w < -en.TAU_F)
+
+    def test_report_verdicts_are_python_bools(self):
+        rep = en.is_thermally_entanglable(core.PopVector([0, 1, 0, 0]), ctx2q(1.0))
+        assert rep.in_E is True and rep.in_TE is True
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_volume_e_and_ne_split_the_samples(self, seed):
+        n = 3 * geo.BLOCK + 1234
+        e, ne = (geo.volume_of(s, ctx2q(1.0), None, n, seed) for s in ("E", "NE"))
+        assert round(e.fraction * n) + round(ne.fraction * n) == n
 
 
 class TestThermallyEntanglable:

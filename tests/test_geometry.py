@@ -585,17 +585,24 @@ class TestBoundaryClosedForm:
         cloud = geo.tne_boundary(ctx, grid=24, iters=30)
         assert np.abs(en.fstar_batch(cloud.points, ctx.gamma) + en.TAU_F).max() <= 1e-15
 
+    @staticmethod
+    def ray_steps(O, gamma):
+        """The rows q(o) - gamma that ``_ray_roots`` takes for the rows o of O."""
+        return mj.batch_tight_points(O, gamma, core.PI_STAR) - gamma
+
     def test_one_root_per_ray_at_grid_96(self):
         for beta in self.BETAS:
             gamma = ctx2q(beta).gamma
             pts = geo.simplex_facet_grid(96)
-            t = geo._ray_roots(pts[en.fstar_batch(pts, gamma) < -en.TAU_F], gamma)
+            O = pts[en.fstar_batch(pts, gamma) < -en.TAU_F]
+            t = geo._ray_roots(self.ray_steps(O, gamma), gamma)
             assert t.size > 18_000 and np.all((t > 0) & (t <= 1))
 
     def test_ray_without_a_root_is_an_error(self):
         # a non-entanglable o: f* stays above -TAU_F along the whole ray
+        gamma = ctx2q(0.5).gamma
         with pytest.raises(RuntimeError, match="single root"):
-            geo._ray_roots(np.array([[0.5, 0.2, 0.2, 0.1]]), ctx2q(0.5).gamma)
+            geo._ray_roots(self.ray_steps(np.array([[0.5, 0.2, 0.2, 0.1]]), gamma), gamma)
 
     @pytest.mark.parametrize("beta", [5.0, 10.0, 20.0])
     def test_cold_roots_on_the_exact_surface(self, beta):
@@ -609,14 +616,18 @@ class TestBoundaryClosedForm:
 
     @pytest.fixture
     def witness_rows(self, monkeypatch):
-        """The row count of every ``fstar_batch`` call that ``geometry`` makes."""
+        """The row count of every tight-point pass that ``geometry`` makes: its
+        ``fstar_batch`` and ``batch_tight_points`` calls."""
         rows = []
 
-        def counting(P, gammas):
-            rows.append(len(P))
-            return en.fstar_batch(P, gammas)
+        def counting(kernel):
+            def call(P, *args):
+                rows.append(len(P))
+                return kernel(P, *args)
+            return call
 
-        monkeypatch.setattr(geo, "fstar_batch", counting)
+        for name in ("fstar_batch", "batch_tight_points"):
+            monkeypatch.setattr(geo, name, counting(getattr(geo, name)))
         return rows
 
     def test_three_witness_calls_when_no_end_widens(self, witness_rows):

@@ -198,6 +198,15 @@ def test_one_dominance_test():
     assert {name for *_, name in reads} == set(HINGE_INTERNALS)
 
 
+def test_one_verdict_rule():
+    """Only ``entangle`` names the strictness band TAU_F: every other yes/no
+    answer reads it through ``entangle._margin``, and a new reader of the
+    band fails here."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert foreign_reads(sources, "entangle.py", ["TAU_F"]) == []
+    assert [m for m, source in sources.items() if m != "entangle.py" and "TAU_F" in source] == []
+
+
 def test_ordering_rules_stay_in_core():
     """Only ``core`` compares levels; the other modules read orderings
     through ``batch_order``, ``_tile_levels`` and ``code_orders``."""
