@@ -198,8 +198,9 @@ def _run_boundary(args):
         mesh = convex_hull_export(cloud)
         with open(args.mesh_out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_obj())
-    result = {"n_points": len(cloud.points), "points": cloud.points}
-    return result, (["p1", "p2", "p3", "p4"], cloud.points.tolist())
+    # the table's Python floats are built only for the CSV that reads them
+    table = (["p1", "p2", "p3", "p4"], cloud.points.tolist()) if args.format == "csv" else None
+    return {"n_points": len(cloud.points), "points": cloud.points}, table
 
 
 def _run_critical_temp(args):

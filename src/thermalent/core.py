@@ -99,8 +99,10 @@ def _gibbs_rows(e: np.ndarray, betas) -> np.ndarray:
     finite beta, or one row per beta of an array; unchecked, so a weight
     whose exponent overflows is zero."""
     with np.errstate(over="ignore"):
-        w = np.exp(np.multiply.outer(-np.asarray(betas), e - e.min()))
-    return w / w.sum(axis=-1, keepdims=True)
+        w = np.multiply.outer(-np.asarray(betas), e - e.min())
+        np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def two_qubit_context(beta, gap: float = 1.0) -> GibbsContext:

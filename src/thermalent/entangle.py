@@ -30,7 +30,7 @@ from .core import (
     is_two_qubit_context,
     two_qubit_context,
 )
-from .majorization import TAU_CMP, all_extreme_points, batch_tight_points, curve
+from .majorization import all_extreme_points, batch_tight_points
 
 #: strictness band around f = 0; the boundary counts as non-entanglable
 TAU_F = 1e-12
@@ -123,60 +123,6 @@ def is_thermally_entanglable(p: PopVector, ctx: GibbsContext) -> WitnessReport:
     return WitnessReport(f_value=f_value, f_star=f_star, in_E=in_E, in_TE=in_TE,
                          max_negativity=float(max_negativity(points).max()),
                          optimal_theta=math.pi / 4.0, pi_star_point=PopVector(points[star]))
-
-
-#: bound on the rounding of ``_negativity`` at a computed cone vertex: each
-#: vertex entry is a sum of at most four map entries in [0, 1] times sorted
-#: populations that sum to 1, so it is off by a few ulp, and the negativity
-#: moves by at most the l1 change of the vertex plus its own rounding
-_VERTEX_SLACK = 1e-12
-
-
-def _cone_misses_entanglement(p: PopVector, ctx: GibbsContext) -> bool:
-    """True when no sample that an ENT_CONE volume from origin ``p`` counts
-    can exist: a certificate read from the 24 vertices of p's future cone
-    (``all_extreme_points``) and from p's curve L.  It declines (False) when
-    the smallest Gibbs weight g is not a normal double (infinite beta, or
-    weights that underflow), before any cone work.
-
-    With mu = -max M(v) - _VERTEX_SLACK over the vertices v, M the
-    negativity before its clip (``_negativity``), Delta = min(L(g) - g,
-    L(1 - g) - (1 - g)) and eps = 2 TAU_CMP, it holds iff mu > 0, Delta > 0
-    and 4 mu^2 > 8 eps / Delta.  Proof that then no sample is counted:
-
-    1. The cone is the convex hull of its vertices and M is convex, so every
-       state Q' of the cone has M(Q') <= -mu.  With s = q1 + q4 and h =
-       hypot(q1 - q4, q2 - q3), that is s >= h + 2 mu, so the witness
-       w(Q') = (s - h)(s + h) >= 4 mu^2.
-    2. Take a sample Q that passes the hinge test of
-       ``majorization._hinge_plan``: h_Q(t) <= h_p(t) + TAU_CMP at each of
-       p's kinks t, for the hinge sums h_r(t) = sum_j max(0, r_j - t
-       gamma_j), up to rounding.  The rounding is a few ulp: the test adds
-       at most d terms of at most 1, and a computed kink is an ulp of t off,
-       which moves each term that counts (t gamma_j < r_j <= 1) by at most
-       an ulp.  h_Q - h_p is convex between two kinks, so the bound holds at
-       every t >= 0, and as L_Q(x) = min over t >= 0 of t x + h_Q(t), L_Q <=
-       L + TAU_CMP plus the rounding, which eps - TAU_CMP absorbs: at each
-       of Q's elbows x, its cumulative sum y is at most L(x) + eps.  Then Q'
-       = (1 - lam) Q + lam gamma, with lam = eps / (Delta + eps), lies in
-       the cone.  Every ratio q'_i / gamma_i is (1 - lam) q_i / gamma_i +
-       lam, so Q' keeps Q's ordering and elbows, and its heights are (1 -
-       lam) y + lam x.  Q's interior elbows lie in [g, 1 - g], where the
-       concave L - x is at least Delta, so (1 - lam) (L(x) + eps) + lam x
-       <= L(x); at x = 1 both heights are 1.
-    3. On the simplex |w(Q) - w(Q')| <= 4 ||Q - Q'||_1 = 4 lam ||Q -
-       gamma||_1 <= 8 lam < 8 eps / Delta < 4 mu^2, so w(Q) > 0, while a
-       counted sample needs w < -TAU_F <= 0.  The bound holds for the exact
-       witness of Q, so it holds for an exact-sign verdict too.
-    """
-    g = ctx.gamma.min()
-    if not g >= _SMALLEST_WEIGHT:
-        return False
-    mu = -_negativity(all_extreme_points(p, ctx)[1]).max() - _VERTEX_SLACK
-    x = np.array([g, 1.0 - g])
-    delta = (curve(p, ctx).evaluate(x) - x).min()
-    eps = 2.0 * TAU_CMP
-    return bool(mu > 0.0 and delta > 0.0 and 4.0 * mu * mu > 8.0 * eps / delta)
 
 
 def fstar_batch(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context
-from .entangle import _cone_misses_entanglement, _margin, fstar_batch, witness_batch
+from .entangle import _margin, fstar_batch, is_thermally_entanglable, witness_batch
 from .majorization import _hinge_plan, _within_cone, batch_tight_points, tight_point_tiles
 
 #: samples per RNG block, a multiple of CHUNK; one Philox key per block
@@ -125,12 +125,13 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     at most MAX_SAMPLES samples.
 
     ``origin`` is required for ENT_CONE (the future thermal cone of
-    entanglement of that state), and rejected for any other set.  At finite
-    beta, an ENT_CONE origin whose cone provably holds no counted sample
-    (``entangle._cone_misses_entanglement``) returns the estimate of zero
-    hits without drawing: the result of the stream, with ``n_samples`` and
-    ``std_error`` as if sampled.  Otherwise every tile ANDs the origin's
-    hinge test (``majorization._hinge_plan``) into its witness mask.
+    entanglement of that state), and rejected for any other set.  Every tile
+    ANDs the origin's hinge test (``majorization._hinge_plan``) into its
+    witness mask.  An origin that no thermal process entangles reaches no
+    entangled state, so where the plan has a kink and the verdict
+    (``is_thermally_entanglable``) is non-entanglable, the estimate of zero
+    hits returns without drawing, with ``n_samples`` and ``std_error`` as if
+    sampled; an empty plan is a cone of the whole simplex.
     ``threads`` workers split the blocks, at most MAX_THREADS and one per
     block; a single worker runs in this thread, and only more than one start
     a pool (``ThreadPoolExecutor``).
@@ -146,11 +147,10 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     _check_seed(seed)
     if not is_two_qubit_context(ctx):
         raise ValueError("volume predicates are defined for two-qubit (0, E, E, 2E) spectra")
-    plan = []  # the dominance test of the origin; only ENT_CONE has one
-    if set_id == "ENT_CONE":
-        if _cone_misses_entanglement(origin, ctx):
-            return VolumeEstimate.from_counts(0, n, seed)
-        plan = _hinge_plan(origin, ctx)
+    # the dominance test of the origin; only ENT_CONE has one
+    plan = _hinge_plan(origin, ctx) if set_id == "ENT_CONE" else []
+    if plan and not is_thermally_entanglable(origin, ctx).in_TE:
+        return VolumeEstimate.from_counts(0, n, seed)
     # the non-entanglable sets count a verdict margin >= 0, the others one below
     compare = np.greater_equal if set_id in ("NE", "TNE") else np.less
 

@@ -359,6 +359,11 @@ STATES = ("0.4,0.25,0.33,0.02", "0,0,0,1", "0.25,0.25,0.25,0.25", "0.5,0,0.5,0",
 #: stands for the example's scratch directory in a file option's value
 SCRATCH = "<scratch>"
 
+#: options a run rejects beside a member of a required exclusive group, by
+#: the member's destination: ``critical-temp --beta-s`` reads none of the
+#: scan's options, so the fuzzer draws none of them with it
+REJECTED_WITH = {"beta_s": ("scan", "range", "renorm")}
+
 #: each subcommand's parser, by name
 SUBPARSERS, = (a.choices for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -389,8 +394,9 @@ def option_values(action: argparse.Action):
 def cli_argvs(draw, name: str):
     """``(argv, format)``: the subcommand ``name`` and some of its options
     (each required one, and exactly one member of each required mutually
-    exclusive group), each with a drawn value or, for a flag, alone, and the
-    output format that the arguments ask for."""
+    exclusive group, with none of the options ``REJECTED_WITH`` it), each
+    with a drawn value or, for a flag, alone, and the output format that the
+    arguments ask for."""
     parser = SUBPARSERS[name]
     argv, fmt = [name], parser.get_default("format")
     chosen, left_out = set(), set()
@@ -399,6 +405,8 @@ def cli_argvs(draw, name: str):
             member = draw(st.sampled_from(group._group_actions))
             chosen.add(member)
             left_out.update(a for a in group._group_actions if a is not member)
+            left_out.update(a for a in parser._actions
+                            if a.dest in REJECTED_WITH.get(member.dest, ()))
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction) or action in left_out or not (
                 action.required or action in chosen or draw(st.booleans())):
@@ -464,19 +472,22 @@ def traced_peak(run) -> tuple:
 
 class TestPeakMemory:
     """The largest allowed sizes stay within a bound on the memory that
-    Python and numpy allocate (``tracemalloc``'s peak).  Each bound is the
-    peak measured at an earlier tree plus 5 %: 46.3 MB for ``boundary``,
-    whose peak is its output text, 37.82 MB for ``tne_boundary`` within it,
-    and 11.22 MB for ``critical-temp``.  A boundary that holds one more
-    (2 MAX_GRID^2 + 2, 4) array, 4.2 MB, to the end fails."""
+    Python and numpy allocate (``tracemalloc``'s peak).  Each bound is a
+    measured peak plus 5 %: 46.3 MB for ``boundary``, whose peak is its
+    output text, 109.54 MB for its JSON, which builds no CSV table, 37.82 MB
+    for ``tne_boundary`` within them, and 11.22 MB for ``critical-temp``.  A
+    CSV boundary that holds one more (2 MAX_GRID^2 + 2, 4) array, 4.2 MB,
+    to the end fails."""
 
     @pytest.mark.parametrize("argv, small, peak", [
         (("boundary", "--grid", str(geometry.MAX_GRID), "--iters", str(geometry.MAX_ITERS)),
          ("boundary", "--grid", "2"), 46.3e6),
+        (("boundary", "--grid", str(geometry.MAX_GRID), "--iters", str(geometry.MAX_ITERS),
+          "--format", "json"), ("boundary", "--grid", "2", "--format", "json"), 109.54e6),
         (("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:20",
           "--scan", str(entangle.MAX_SCAN)),
          ("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--scan", "10"), 11.22e6),
-    ], ids=["boundary", "critical-temp"])
+    ], ids=["boundary", "boundary-json", "critical-temp"])
     def test_command(self, tmp_path, argv, small, peak):
         out = str(tmp_path / "out")
         # a small run first, so that one-time allocations are not counted

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ class TestMakeContext:
         ctx = core.GibbsContext(energies=(0.0, 1.0), beta=1.0, gamma=np.array([np.nan, 0.5]))
         with pytest.raises(ValueError, match="underflow"):
             ctx.checked_gamma()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gibbs_rows_in_place(self):
+        # the exp and the division in place give the bits of the plain
+        # formula, for a scalar beta, rows of betas and a beta whose exponent
+        # overflows; a 100,000-row call holds one (n, 4) array, 3.2 MB, and
+        # the column of betas and the row sums (4.13 MB traced, plus 5 %)
+        e = np.array([0.0, 1.0, 1.0, 2.0])
+        B = np.random.default_rng(3).uniform(0.0, 800.0, 100_000)
+        for betas in (1.0, 1e308, B):
+            with np.errstate(over="ignore"):
+                w = np.exp(np.multiply.outer(-np.asarray(betas), e))
+            assert core._gibbs_rows(e, betas).tobytes() == (w / w.sum(-1, keepdims=True)).tobytes()
+        tracemalloc.start()
+        try:
+            core._gibbs_rows(e, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 4.13e6
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ V_TNE0 = 0.32723006198927174069
 
 
 #: a non-entanglable origin at beta = 1 next to the boundary (f* = 8.6e-6):
-#: its cone comes within about 1e-5 of the entangled states, too near for
-#: the empty-cone certificate
+#: its cone comes within about 1e-5 of the entangled states
 BOUNDARY_ORIGIN = (0.3837, 0.1411, 0.1411, 0.3341)
 
 
@@ -244,8 +244,8 @@ class TestVolumes:
         ("ENT_CONE", 0.0, (0.1, 0.1, 0.2, 0.6), 2038),
         ("ENT_CONE", 1.0, (0.1, 0.1, 0.2, 0.6), 12939),
         ("ENT_CONE", math.inf, (0.1, 0.1, 0.2, 0.6), 22611),
+        # non-entanglable origins: zero hits from the verdict, without a draw
         ("ENT_CONE", 0.0, (0.4, 0.25, 0.33, 0.02), 0),
-        # the certificate declines here, so the stream counts the hits
         ("ENT_CONE", 1.0, BOUNDARY_ORIGIN, 0),
     ])
     def test_pinned_hit_counts(self, set_id, beta, origin, hits):
@@ -257,9 +257,9 @@ class TestVolumes:
         assert est.fraction == hits / n
 
     def test_dominance_at_a_non_entanglable_origin(self):
-        # the origin of the zero pin above takes the empty-cone certificate,
-        # so the dominance kernel is checked there directly: it reaches none
-        # of the entangled samples of that pin
+        # the zero pins above return without a draw, so the dominance kernel
+        # is checked at the first of them directly: it reaches none of the
+        # entangled samples of that pin
         S = geo.sample_simplex_array(4, 2 * geo.BLOCK, 11)
         ent = S[en.witness_batch(S) < -en.TAU_F]
         ok = mj.batch_majorizes(core.PopVector([0.4, 0.25, 0.33, 0.02]), ent, ctx2q(0.0))
@@ -335,9 +335,8 @@ class TestVolumes:
             tracemalloc.stop()
         # 2 MB: the stream's workspace, made by its first tiles and reused by
         # the rest, holds a few (4, 8192) arrays of 256 KB each (the draws, the
-        # tile, its orderings, its ratios and then its sorted populations, its
-        # tight points, and the refilled entangled samples) and a few rows of
-        # 64 KB
+        # tile, its orderings, its ratios and then its sorted populations, and
+        # its tight points) and a few rows of 64 KB
         assert peak <= 4 * 8 * 4096 * 4 * 4
 
     def test_infinite_beta_tne_is_negligible(self):
@@ -346,69 +345,101 @@ class TestVolumes:
 
 
 class TestEmptyConeCertificate:
-    """``entangle._cone_misses_entanglement``, with which an ENT_CONE volume
-    returns zero hits without drawing its samples."""
+    """The empty-cone certificate of ``volume_of`` is the verdict: the
+    future thermal cone of an origin that ``is_thermally_entanglable`` (as
+    ``classify`` reads it) calls non-entanglable holds no entangled state,
+    so its ENT_CONE volume returns zero hits without drawing its samples.
+    An origin with an empty hinge plan reaches the whole simplex, and is
+    asked no verdict."""
+
+    class Drew(Exception):
+        """Raised by ``_simplex_tiles`` while ``no_draws`` patches it."""
+
+    @classmethod
+    def no_draws(cls, monkeypatch):
+        def fail(*args):
+            raise cls.Drew
+
+        monkeypatch.setattr(geo, "_simplex_tiles", fail)
+
+    @classmethod
+    def without_draw(cls, ctx, p):
+        """The ENT_CONE volume from p of 2 BLOCK samples at seed 3, or None
+        where it draws them (under ``no_draws``)."""
+        try:
+            return geo.volume_of("ENT_CONE", ctx, p, 2 * geo.BLOCK, 3)
+        except cls.Drew:
+            return None
 
     @staticmethod
-    def origins(beta, rng):
+    def all_entanglable(monkeypatch):
+        monkeypatch.setattr(geo, "is_thermally_entanglable",
+                            lambda p, ctx: SimpleNamespace(in_TE=True))
+
+    @staticmethod
+    def origins(ctx):
         """Uniform states, states near gamma (non-entanglable at every
-        beta) and the inner points of the boundary cloud."""
-        ctx = ctx2q(beta)
+        finite beta), the inner points of the boundary cloud, the boundary
+        origin, gamma, and a state on the beta = 0 boundary (f* = 0 in
+        reals)."""
+        rng = np.random.default_rng(7)
         near = ctx.gamma + 0.1 * (random_states(rng, 40) - ctx.gamma)
-        return np.concatenate([random_states(rng, 40), near,
-                               geo.tne_boundary(ctx, 6, 30).inner_points])
+        return [core.PopVector(p) for p in np.concatenate([
+            random_states(rng, 40), near, geo.tne_boundary(ctx, 6, 30).inner_points,
+            [BOUNDARY_ORIGIN, ctx.gamma, (0.4625, 0.3, 0.1625, 0.075)]])]
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0, 8.0, math.inf])
     def test_certified_origins_have_empty_cones(self, monkeypatch, beta):
-        ctx, rng = ctx2q(beta), np.random.default_rng(int(10 * beta) + 7)
-        certified = [p for p in map(core.PopVector, self.origins(beta, rng))
-                     if en._cone_misses_entanglement(p, ctx)]
-        assert certified
-        monkeypatch.setattr(geo, "_cone_misses_entanglement", lambda p, ctx: False)
-        for p in certified:
-            assert not en.is_thermally_entanglable(p, ctx).in_TE
-            for seed in (3, 2**64 - 1):
-                assert geo.volume_of("ENT_CONE", ctx, p, 2 * geo.BLOCK, seed).fraction == 0.0
+        # every non-entanglable origin returns zero hits without a draw and
+        # every entanglable one draws; asked with the verdict patched to
+        # "entanglable", the stream counts the same zero at either end of
+        # the seeds, on one thread and on two (a worker per block)
+        ctx, n = ctx2q(beta), 2 * geo.BLOCK
+        zero = []
+        with monkeypatch.context() as m:
+            self.no_draws(m)
+            for p in self.origins(ctx):
+                est = self.without_draw(ctx, p)
+                assert (est is None) == en.is_thermally_entanglable(p, ctx).in_TE
+                if est is not None:
+                    assert est == geo.VolumeEstimate.from_counts(0, n, 3)
+                    zero.append(p)
+        assert zero
+        self.all_entanglable(monkeypatch)
+        for p in zero:
+            for seed, threads in ((3, 1), (2**64 - 1, 2)):
+                est = geo.volume_of("ENT_CONE", ctx, p, n, seed, threads)
+                assert est == geo.VolumeEstimate.from_counts(0, n, seed)
 
-    @pytest.mark.parametrize("beta, origin", [
-        (0.0, (0.25, 0.25, 0.25, 0.25)),  # gamma: its cone is the point itself, Delta = 0
-        (1.0, None),  # gamma
-        (1.0, (0, 0, 0, 1)),  # reaches every entangled state
-        (1.0, BOUNDARY_ORIGIN),  # non-entanglable, but mu is too small
-        (0.0, (0.4625, 0.3, 0.1625, 0.075)),  # on the boundary: f* = 0 in reals
-    ])
-    def test_declines(self, beta, origin):
-        ctx = ctx2q(beta)
-        p = core.PopVector(ctx.gamma if origin is None else origin)
-        assert not en._cone_misses_entanglement(p, ctx)
-
-    def test_declines_at_infinite_beta_before_the_cone(self, monkeypatch):
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+    def test_top_state_asks_no_verdict(self, monkeypatch, beta):
+        # the top state's plan is empty: its cone is the whole simplex
         def fail(*args):
-            raise AssertionError("the cone was built")
+            raise AssertionError("asked for a verdict")
 
-        monkeypatch.setattr(en, "all_extreme_points", fail)
-        for origin in ((0.4, 0.25, 0.33, 0.02), (1, 0, 0, 0), (0, 0, 0, 1)):
-            assert not en._cone_misses_entanglement(core.PopVector(origin), ctx2q(math.inf))
+        monkeypatch.setattr(geo, "is_thermally_entanglable", fail)
+        ctx, top = ctx2q(beta), core.PopVector([0, 0, 0, 1])
+        assert (geo.volume_of("ENT_CONE", ctx, top, 70_000, 5)
+                == geo.volume_of("E", ctx, None, 70_000, 5))
 
-    #: origins certified of 400 uniform ones (``default_rng(2027)``) per beta,
-    #: recorded while Delta was read from the kernel's own cumulative sums
-    #: rather than from ``curve``
-    CERTIFIED = {0.0: 124, 0.5: 90, 1.0: 51, 3.0: 0, 10.0: 0}
+    #: origins of 400 uniform ones (``default_rng(2027)``) per beta whose
+    #: volume returns zero hits without a draw
+    CERTIFIED = {0.0: 124, 0.5: 90, 1.0: 51, 3.0: 1, 10.0: 0}
 
     @pytest.mark.parametrize("beta", list(CERTIFIED))
-    def test_decisions_pinned(self, beta):
-        ctx = ctx2q(beta)
-        P = np.random.default_rng(2027).dirichlet(np.ones(4), 400)
-        certified = sum(en._cone_misses_entanglement(core.PopVector(p), ctx) for p in P)
+    def test_decisions_pinned(self, monkeypatch, beta):
+        self.no_draws(monkeypatch)
+        ctx, P = ctx2q(beta), np.random.default_rng(2027).dirichlet(np.ones(4), 400)
+        certified = sum(self.without_draw(ctx, core.PopVector(p)) is not None for p in P)
         assert certified == self.CERTIFIED[beta]
 
     def test_volume_matches_the_stream(self, monkeypatch):
         # the estimate without a draw is the one the stream gives, at any
         # thread count
         ctx, p = ctx2q(0.0), core.PopVector([0.4, 0.25, 0.33, 0.02])
-        assert en._cone_misses_entanglement(p, ctx)
+        assert not en.is_thermally_entanglable(p, ctx).in_TE
         fast = [geo.volume_of("ENT_CONE", ctx, p, 70_000, 5, threads=t) for t in (1, 2)]
-        monkeypatch.setattr(geo, "_cone_misses_entanglement", lambda p, ctx: False)
+        self.all_entanglable(monkeypatch)
         assert fast == [geo.volume_of("ENT_CONE", ctx, p, 70_000, 5)] * 2
 
 
