@@ -5,7 +5,9 @@ resolved seed, version, wall time) alongside the result; rerunning with the
 same parameters and seed reproduces the result bytes exactly.  JSON is
 indented by two spaces; a float prints as ``repr`` of its 12-significant-digit
 value, or as json's ``NaN`` and ``Infinity``; CSV and OBJ numbers use
-``%.12g``.  Exit codes: 0 success, 2 validation error, 1 internal error.
+``%.12g``.  Arrays and tables are formatted CHUNK rows at a time and the
+text is written in pieces, which changes no byte.  Exit codes: 0 success, 2
+validation error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .core import PopVector, make_context, pop_vector, two_qubit_context
+from .core import PopVector, make_context, pop_vector, row_blocks, two_qubit_context
 from .entangle import (MAX_SCAN, _margin, critical_temps_general, critical_temps_thermal,
                        is_thermally_entanglable)
 from .geometry import MAX_ITERS, MAX_THREADS, convex_hull_export, tne_boundary, volume_of
@@ -46,60 +48,163 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _items(values, indent) -> list:
+#: an array of at least this many entries is written in row blocks, each
+#: checked by one vectorized test (``_needs_repr``); a smaller one, such as
+#: a classify result's, is written as its lists, which costs less there (the
+#: two cost the same at about 20 entries)
+BULK = 32
+
+#: repr of the non-finite floats, as json spells them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _needs_repr(x: np.ndarray) -> np.ndarray:
+    """Where the %.12g token of a float may differ from the repr of the
+    double it spells: not finite, 0 < |x| < 1e-300 (near the subnormals),
+    or within 1e-11 |x| of an integer, zero included.  The last is where the
+    token may lack the point that repr writes, as rounding to 12 digits
+    moves x by at most 5e-12 |x|; it holds for every |x| >= 5e10, and with
+    it where %g turns to an exponent and repr does not (from 1e12).
+    Elsewhere the token reads back as itself (``_floats``), and both write
+    an exponent below 1e-4 alike."""
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        return ~np.isfinite(x) | ((a > 0.0) & (a < 1e-300)) | (np.abs(x - np.rint(x)) <= 1e-11 * a)
+
+
+def _repr(token: str) -> str:
+    """JSON text of the float a %.12g token spells: its repr, or NaN and Infinity."""
+    r = float.__repr__(float(token))
+    return _NON_FINITE.get(r, r)
+
+
+def _floats(values: list) -> list:
+    """JSON text of each float of a run, from one %.12g pass.  A token with
+    a point and no exponent is kept as it is: %g writes it for a value of at
+    least 1e-4, which a normal double holds, and a decimal of at most 15
+    significant digits survives a round trip through a normal double
+    (Goldberg, ACM Comput. Surv. 23(1), 1991), so repr writes the same
+    digits in the same fixed-point form.  Any other token (an integer, an exponent, nan or inf) is read
+    back through ``_repr``."""
+    return [t if "." in t and "e" not in t else _repr(t)
+            for t in (("%.12g " * len(values)) % tuple(values)).split()]
+
+
+def _items(values, indent, nl) -> list:
     """JSON text of each value; a run of ints, or of floats, in one call."""
     kinds = set(map(type, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
-    if kinds != {float}:
-        return [_json(v, indent) for v in values]
-    text = ("%.12g " * len(values)) % tuple(values)
-    out = list(map(float.__repr__, map(float, text.split())))
-    if "n" in text:  # nan or inf, which json spells NaN and Infinity
-        out = " ".join(out).replace("nan", "NaN").replace("inf", "Infinity").split()
-    return out
+    if kinds == {float}:
+        return _floats(values)
+    return [_json(v, indent, nl) for v in values]
 
 
-def _wrap(items: list, brackets: str, indent) -> str:
-    """Items in brackets, laid out as ``json.dumps`` with this indent does."""
-    if items and indent is not None:  # one item per line, all indented once more
-        items = [("\n" + ",\n".join(items)).replace("\n", "\n" + indent) + "\n"]
-    return brackets[0] + ", ".join(items) + brackets[1]
+def _layout(indent, nl) -> tuple:
+    """The layout of a container whose own line starts with ``nl`` (a newline
+    and its indentation), as ``json.dumps`` with this indent writes it: what
+    follows the opening bracket (``nl`` indented once more, which starts the
+    line of every item), what parts two items, and what precedes the closing
+    bracket.  With no indent, ``nl`` is not read."""
+    if indent is None:
+        return "", ", ", ""
+    return nl + indent, "," + nl + indent, nl
 
 
-def _nest(shape: tuple, indent) -> str:
+def _nest(shape: tuple, indent, nl) -> str:
     """%-template of a nested list of this shape, one ``%s`` per entry."""
-    return _wrap([_nest(shape[1:], indent)] * shape[0], "[]", indent) if shape else "%s"
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    head, sep, tail = _layout(indent, nl)
+    return "[" + head + sep.join([_nest(shape[1:], indent, head)] * shape[0]) + tail + "]"
 
 
-def _json(obj, indent="  ") -> str:
-    """JSON text of a result in one walk, laid out as ``json.dumps(obj, indent=indent)``:
-    floats (numpy's too) at 12 significant digits, a ``PopVector`` as its
-    populations, a ``Fraction`` (any ``numbers.Rational`` that is not an
-    integer, so that ``fractions`` need not be imported) as its str, a
-    dataclass as its fields, an array as nested lists; dict keys must be str."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return {None: "null", True: "true", False: "false"}[obj]
-    if isinstance(obj, (float, np.floating)):
-        return _items([float(obj)], None)[0]
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, numbers.Rational) and not isinstance(obj, numbers.Integral):
-        return encode_basestring_ascii(str(obj))
-    if isinstance(obj, PopVector):
-        obj = obj.probs
-    elif dataclasses.is_dataclass(obj):
-        obj = _fields(obj)
-    if isinstance(obj, np.ndarray):
-        return _nest(obj.shape, indent) % tuple(_items(obj.ravel().tolist(), indent))
-    if isinstance(obj, dict):
-        return _wrap([encode_basestring_ascii(k) + ": " + _json(v, indent)
-                      for k, v in obj.items()], "{}", indent)
-    if isinstance(obj, (list, tuple)):
-        return _wrap(_items(obj, indent), "[]", indent)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _put_array(a: np.ndarray, out: list, indent, nl) -> None:
+    """Append the JSON text of an array, as its nested lists, to ``out``.
+    One of fewer than BULK entries is written as its lists; a larger one
+    CHUNK rows at a time into a template of its rows, and a float block whose
+    tokens all read back as themselves (``_needs_repr``) is formatted
+    straight into it."""
+    if a.size < BULK:
+        return _put(a.tolist(), out, indent, nl)
+    head, sep, tail = _layout(indent, nl)
+    row = _nest(a.shape[1:], indent, head)
+    direct = row.replace("%s", "%.12g") if a.dtype == np.float64 else None
+    out.append("[" + head)
+    for b, values in row_blocks(a):
+        if direct is not None and not _needs_repr(b).any():
+            out.append(sep.join([direct] * len(b)) % tuple(values))
+        else:
+            out.append(sep.join([row] * len(b)) % tuple(_items(values, indent, head)))
+        out.append(sep)
+    out[-1] = tail + "]"
+
+
+def _put(obj, out: list, indent, nl) -> None:
+    """Append the JSON text of a result to ``out`` in pieces, laid out as
+    ``json.dumps(obj, indent=indent)``: floats (numpy's too) at 12
+    significant digits, a ``PopVector`` as its populations, a ``Fraction``
+    (any ``numbers.Rational`` that is not an integer, so that ``fractions``
+    need not be imported) as its str, a dataclass as its fields, an array as
+    nested lists; dict keys must be str.  ``nl`` starts the line of ``obj``,
+    a newline and its indentation."""
+    kind = type(obj)  # the exact types first: nearly every node is one of them
+    if kind is float:
+        return out.append(_floats([obj])[0])
+    if kind is int:
+        return out.append(int.__repr__(obj))
+    if kind is str:
+        return out.append(encode_basestring_ascii(obj))
+    if kind is not dict and kind is not list:
+        if isinstance(obj, str):
+            return out.append(encode_basestring_ascii(obj))
+        if obj is None or obj is True or obj is False:
+            return out.append({None: "null", True: "true", False: "false"}[obj])
+        if isinstance(obj, (float, np.floating)):
+            return out.append(_floats([float(obj)])[0])
+        if isinstance(obj, (int, np.integer)):
+            return out.append(int.__repr__(int(obj)))
+        if isinstance(obj, numbers.Rational) and not isinstance(obj, numbers.Integral):
+            return out.append(encode_basestring_ascii(str(obj)))
+        if isinstance(obj, PopVector):
+            obj = obj.probs
+        elif dataclasses.is_dataclass(obj):
+            obj = _fields(obj)
+        if isinstance(obj, np.ndarray):
+            return _put_array(obj, out, indent, nl)
+        if not isinstance(obj, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return out.append("{}" if is_dict else "[]")
+    head, sep, tail = _layout(indent, nl)
+    if is_dict:
+        out.append("{" + head)
+        for k, v in obj.items():
+            out.append(encode_basestring_ascii(k) + ": ")
+            _put(v, out, indent, head)
+            out.append(sep)
+        out[-1] = tail + "}"
+        return
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        return out.append("[" + head + sep.join(_floats(obj)) + tail + "]")
+    if kinds == {int}:
+        return out.append("[" + head + sep.join(map(int.__repr__, obj)) + tail + "]")
+    out.append("[" + head)
+    for v in obj:
+        _put(v, out, indent, head)
+        out.append(sep)
+    out[-1] = tail + "]"
+
+
+def _json(obj, indent="  ", nl="\n") -> str:
+    """JSON text of a result (``_put``)."""
+    out = []
+    _put(obj, out, indent, nl)
+    return "".join(out)
 
 
 def _parse_state(text: str, renorm: bool) -> PopVector:
@@ -126,23 +231,27 @@ def _context(args, dim_hint: int = 4):
 
 
 def _emit(args, manifest: dict, result, table) -> None:
-    """Write JSON, or CSV with the manifest as a comment line."""
+    """Write JSON, or CSV with the manifest as a comment line, in pieces that
+    are never joined into one string."""
     if args.format == "csv":
         header, rows = table
-        cells = ["%.12g" if isinstance(v, float) else "%s" for v in rows[0]] if rows else []
-        text = "\n".join([f"# manifest: {_json(manifest, None)}", ",".join(header), ""])
-        text += (",".join(cells) + "\n") * len(rows) % tuple(v for row in rows for v in row)
+        cells = ["%.12g" if isinstance(v, float) else "%s" for v in rows[0]] if len(rows) else []
+        line = ",".join(cells) + "\n"
+        parts = [f"# manifest: {_json(manifest, None)}\n", ",".join(header) + "\n",
+                 *(line * len(b) % tuple(values) for b, values in row_blocks(rows))]
     else:
-        text = _json({"manifest": manifest, "result": result}) + "\n"
+        parts = []
+        _put({"manifest": manifest, "result": result}, parts, "  ", "\n")
+        parts.append("\n")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (result, table): what ``_json`` encodes, and
+# subcommand runners: each returns (result, table): what ``_put`` writes, and
 # (header, rows) with every row typed as the first, or None where there is no CSV
 # ---------------------------------------------------------------------------
 
@@ -198,9 +307,8 @@ def _run_boundary(args):
         mesh = convex_hull_export(cloud)
         with open(args.mesh_out, "w", encoding="utf-8") as fh:
             fh.write(mesh.to_obj())
-    # the table's Python floats are built only for the CSV that reads them
-    table = (["p1", "p2", "p3", "p4"], cloud.points.tolist()) if args.format == "csv" else None
-    return {"n_points": len(cloud.points), "points": cloud.points}, table
+    header = ["p1", "p2", "p3", "p4"]
+    return {"n_points": len(cloud.points), "points": cloud.points}, (header, cloud.points)
 
 
 def _run_critical_temp(args):

@@ -209,6 +209,17 @@ PI_STAR = BetaOrdering((2, 1, 3, 4))
 CHUNK = 8192
 
 
+def row_blocks(rows):
+    """``rows`` (a 2-D array, or a list of rows) in slices of CHUNK rows, each
+    with its entries in row order as Python objects.  The text writers fill a
+    %-template a block at a time, so that only one block's entries are Python
+    objects at once."""
+    for lo in range(0, len(rows), CHUNK):
+        block = rows[lo:lo + CHUNK]
+        yield block, (block.ravel().tolist() if isinstance(block, np.ndarray)
+                      else [v for row in block for v in row])
+
+
 #: largest dimension whose orderings are read from a table of every pair
 #: code (2^(d(d-1)/2) entries: 64 at four levels, 32,768 at six); it covers
 #: every spectrum the package defines

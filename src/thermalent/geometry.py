@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context
+from .core import (CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context,
+                   row_blocks)
 from .entangle import _margin, fstar_batch, is_thermally_entanglable, witness_batch
 from .majorization import _hinge_plan, _within_cone, batch_tight_points, tight_point_tiles
 
@@ -208,8 +209,13 @@ def simplex_facet_grid(resolution: int) -> np.ndarray:
 
 
 def _ray_points(O: np.ndarray, gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(1 - t) gamma + t o for each row o: exactly gamma at t = 0 and o at t = 1."""
-    return (1.0 - t)[:, None] * gamma + t[:, None] * O
+    """(1 - t) gamma + t o for each row o: exactly gamma at t = 0 and o at t = 1.
+    The sum is made in the one (n, 4) array of the products t o, a level at
+    a time."""
+    P, u = t[:, None] * O, 1.0 - t
+    for j, g in enumerate(gamma):
+        P[:, j] += u * g
+    return P
 
 
 def _ray_roots(dq: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -243,17 +249,24 @@ def _confirmed_ends(O: np.ndarray, gamma: np.ndarray, t: np.ndarray, step: float
     verdict is non-entanglable for a step toward gamma (step < 0), and
     entanglable for one toward o.  A row whose verdict differs doubles its
     step until it agrees; at a step of 1 the points are gamma and o
-    themselves."""
-    steps = np.full(len(t), step)
-    todo = np.arange(len(t))
-    ends = np.empty_like(O)
-    for _ in range(MAX_ITERS + 2):
-        ends[todo] = _ray_points(O[todo], gamma, np.clip(t[todo] + steps[todo], 0.0, 1.0))
-        todo = todo[(_margin(fstar_batch(ends[todo], gamma)) >= 0.0) != (step < 0)]
+    themselves.  The first round reads every row in place; a later one reads
+    only the rows still to confirm."""
+    def disagree(P):
+        return (_margin(fstar_batch(P, gamma)) >= 0.0) != (step < 0)
+
+    ends = _ray_points(O, gamma, np.clip(t + step, 0.0, 1.0))
+    todo = np.flatnonzero(disagree(ends))
+    steps = np.full(todo.size, step)
+    for _ in range(MAX_ITERS + 1):
         if not todo.size:
             return ends
-        steps[todo] *= 2.0
-    raise RuntimeError(f"{todo.size} boundary ends disagree with their verdict at gamma or o")
+        steps *= 2.0
+        ends[todo] = _ray_points(O[todo], gamma, np.clip(t[todo] + steps, 0.0, 1.0))
+        keep = disagree(ends[todo])
+        todo, steps = todo[keep], steps[keep]
+    if todo.size:
+        raise RuntimeError(f"{todo.size} boundary ends disagree with their verdict at gamma or o")
+    return ends
 
 
 def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
@@ -286,6 +299,7 @@ def tne_boundary(ctx: GibbsContext, grid: int, iters: int) -> BoundaryCloud:
     keep = _margin(witness_batch(Q)) < 0.0
     O, Q = O[keep], Q[keep]  # the entanglable rows; the full grid's are freed
     t = _ray_roots(np.subtract(Q, gamma, out=Q), gamma)
+    del Q  # not read again: freed before the ends are confirmed
     half = 2.0 ** -(iters + 1)
     return BoundaryCloud(points=_ray_points(O, gamma, t),
                          inner_points=_confirmed_ends(O, gamma, t, -half),
@@ -325,8 +339,8 @@ class HullMesh:
 
     def to_obj(self) -> str:
         """OBJ text: ``v x y z`` lines at ``%.12g``, then ``f a b c`` lines, 1-based."""
-        v = "v %.12g %.12g %.12g\n" * len(self.points3d) % tuple(self.points3d.ravel().tolist())
-        return v + "f %d %d %d\n" * len(self.faces) % tuple((self.faces + 1).ravel().tolist())
+        lines = (("v %.12g %.12g %.12g\n", self.points3d), ("f %d %d %d\n", self.faces + 1))
+        return "".join(row * len(b) % tuple(v) for row, a in lines for b, v in row_blocks(a))
 
 
 def convex_hull_export(cloud) -> HullMesh:

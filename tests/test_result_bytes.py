@@ -34,7 +34,7 @@ from hypothesis.extra import numpy as hnp
 
 from thermalent import cli
 from thermalent.cli import dispatch
-from thermalent.core import PopVector
+from thermalent.core import CHUNK, PopVector
 from thermalent.geometry import HullMesh, VolumeEstimate
 
 _WALL_TIME = re.compile(rb'"wall_time_s": [-+0-9.eE]+')
@@ -242,3 +242,37 @@ class TestWriter:
         mesh = HullMesh(vertices=points3d, points3d=points3d, faces=faces, volume=0.0,
                         volume_fraction=0.0)
         assert mesh.to_obj() == ref_obj_text(points3d, faces)
+
+    @given(st.lists(floats, min_size=cli.BULK, max_size=3 * cli.BULK))
+    def test_bulk_floats(self, values):
+        """Runs of at least BULK floats: a list, and a 1-D and a four-column
+        array, whose row blocks the vectorized test checks, in a dict."""
+        points = np.array(values[:len(values) // 4 * 4]).reshape(-1, 4)
+        for obj in (values, np.array(values), {"n": len(points), "points": points}):
+            assert cli._json(obj) == ref_result_text(obj)
+            assert cli._json(obj, None) == ref_result_text(obj, None)
+
+    @given(hnp.arrays(st.sampled_from([np.int64, np.bool_]),
+                      st.tuples(st.integers(cli.BULK, 2 * cli.BULK), st.integers(1, 3))))
+    def test_bulk_arrays_of_other_kinds(self, arr):
+        assert cli._json({"a": arr}) == ref_result_text({"a": arr})
+
+    def test_row_blocks(self):
+        """An array, tables and a mesh of more than CHUNK rows, which cross a
+        row-block boundary: every value of the first block reads back from
+        its token, and the second block holds every edge float."""
+        points = np.random.default_rng(0).dirichlet(np.ones(4), CHUNK + 5)
+        points[CHUNK:] = np.resize(EDGE_FLOATS, (5, 4))
+        result = {"n_points": len(points), "points": points}
+        assert cli._json(result) == ref_result_text(result)
+        mesh = HullMesh(vertices=points, points3d=points[:, :3], volume=0.0, volume_fraction=0.0,
+                        faces=np.arange(3 * len(points)).reshape(-1, 3))
+        assert mesh.to_obj() == ref_obj_text(mesh.points3d, mesh.faces)
+        manifest = {"subcommand": "boundary", "n": 1.5}
+        header = ["order", "p1", "p2", "p3", "p4"]
+        for rows in (points, [[i, *row] for i, row in enumerate(points.tolist())]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._emit(SimpleNamespace(format="csv", out=None), manifest, None,
+                          (header[-len(rows[0]):], rows))
+            assert out.getvalue() == ref_csv_text(manifest, header[-len(rows[0]):], rows)
