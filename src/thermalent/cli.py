@@ -115,8 +115,6 @@ def _nest(shape: tuple, indent, nl) -> str:
     """%-template of a nested list of this shape, one ``%s`` per entry."""
     if not shape:
         return "%s"
-    if not shape[0]:
-        return "[]"
     head, sep, tail = _layout(indent, nl)
     return "[" + head + sep.join([_nest(shape[1:], indent, head)] * shape[0]) + tail + "]"
 

@@ -200,12 +200,10 @@ PI_STAR = BetaOrdering((2, 1, 3, 4))
 
 
 #: columns per tile of the batch calls and of a volume's sample stream.  A
-#: tile is level-major, one contiguous row per level, and writes each step
-#: into its stream's ``_Workspace`` (a few levels x CHUNK arrays, 256 KB each
-#: at four levels), so it stays resident from its draw to its hit count and,
-#: past a stream's first tile, allocates nothing.  A tile also costs some 50
-#: numpy calls whatever its size, so larger tiles run faster, while the
-#: workspace of a volume stream stays under 2 MB
+#: tile is level-major, one contiguous row per level.  Its steps allocate as
+#: numpy does, and only the sampler refills its buffers, so a volume stream
+#: holds a few (levels, CHUNK) arrays, under 2 MB.  A tile also costs some
+#: 50 numpy calls whatever its size, so larger tiles run faster
 CHUNK = 8192
 
 
@@ -226,47 +224,6 @@ def row_blocks(rows):
 MAX_DENSE_DIM = 6
 
 
-class _Workspace:
-    """The scratch arrays of one stream of ``rows`` rows in tiles, by name.
-
-    ``array(name, shape, dtype)`` is a C-contiguous array for one step of a
-    tile.  In a stream of more than CHUNK rows it is a view of the buffer
-    ``name``, which the first tile that asks for it makes, and a later one
-    makes again only when it asks for more, so every later tile writes into
-    the arrays of the first.  A stream of one tile has nothing to reuse:
-    there each array is new, and is freed when its step is done, as numpy's
-    own temporaries are, rather than held to the end of the stream.  A
-    workspace serves one stream in one thread.
-    """
-
-    def __init__(self, rows: int):
-        self._views = {} if rows > CHUNK else None
-        self._columns = np.arange(0)
-
-    def array(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        if self._views is None:
-            return np.empty(shape, dtype)
-        view = self._views.get(name)
-        if view is None or view.shape != shape:
-            base = view if view is None or view.base is None else view.base
-            size = math.prod(shape)
-            view = self._views[name] = (np.empty(shape, dtype) if base is None or base.size < size
-                                        else base.reshape(-1)[:size].reshape(shape))
-        return view
-
-    def level_major(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """The (n, d) ``rows`` copied into the (d, n) array ``name``."""
-        tile = self.array(name, rows.shape[::-1])
-        np.copyto(tile, rows.T)
-        return tile
-
-    def columns(self, n: int) -> np.ndarray:
-        """The column indices 0, 1, ..., n - 1."""
-        if len(self._columns) < n:
-            self._columns = np.arange(n)
-        return self._columns[:n]
-
-
 @functools.cache
 def _pairs(d: int) -> tuple:
     """The pairs of levels i < j of d levels, as index arrays (I, J), and
@@ -278,11 +235,11 @@ def _pairs(d: int) -> tuple:
     return I, J, bit
 
 
-def _pair_bits(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _pair_bits(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """For each pair of levels i < j, in the order of ``_pairs``, whether
     level i goes before level j in each column of the level-major (d, n) tile
-    P: a (d(d-1)/2, n) bool array of ``ws``.  ``gammas`` is one (d,) Gibbs
-    vector shared by every column, or a positive (d, n) tile, one per column.
+    P: a (d(d-1)/2, n) bool array.  ``gammas`` is one (d,) Gibbs vector
+    shared by every column, or a positive (d, n) tile, one per column.
 
     Level i goes first when its population-to-Gibbs ratio is >= level j's,
     so ties go to the lower index.  A zero weight of a shared vector
@@ -295,9 +252,7 @@ def _pair_bits(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
     """
     d, n = P.shape
     I, J, _ = _pairs(d)
-    # the ratios go in the array that ``_take_levels`` fills with the sorted
-    # populations once the comparisons are done
-    R, B = ws.array("sorted", (d, n)), ws.array("bits", (len(I), n), bool)
+    R, B = np.empty((d, n)), np.empty((len(I), n), bool)
     weighted = (gammas > 0).tolist() if gammas.ndim == 1 else [bool((gammas > 0).all())] * d
     if all(weighted):
         np.divide(P, gammas if gammas.ndim == 2 else gammas[:, None], out=R)
@@ -332,17 +287,17 @@ def _orders_from_bits(bits: np.ndarray, d: int) -> np.ndarray:
     return levels
 
 
-def ordering_codes(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> np.ndarray:
+def ordering_codes(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Pair code of every column of a level-major tile, for up to
     MAX_DENSE_DIM levels (at most 15 pairs, so a code fits in 16 bits): bit
-    k is row k of ``_pair_bits``.  An intp array of ``ws``.
+    k is row k of ``_pair_bits``, in an intp array.
 
     Each byte of the code is packed in place in the top row of its eight
     bits, read as bytes, by Horner's rule from its highest bit: adding a
     byte to itself shifts it by one, and numpy adds bytes several times
     faster than it shifts them.  The bits are spent."""
-    bits = _pair_bits(P, gammas, ws).view(np.uint8)
-    code = ws.array("code", bits.shape[1:], np.intp)
+    bits = _pair_bits(P, gammas).view(np.uint8)
+    code = np.empty(bits.shape[1:], np.intp)
     for lo in range(0, len(bits), 8)[::-1]:
         group = bits[lo:lo + 8]
         byte = group[-1]
@@ -369,18 +324,16 @@ def code_orders(d: int) -> np.ndarray:
     return table.T
 
 
-def _tile_levels(P: np.ndarray, gammas: np.ndarray, ws: _Workspace) -> tuple:
+def _tile_levels(P: np.ndarray, gammas: np.ndarray) -> tuple:
     """``(levels, code)`` of the level-major tile P: each column's ordering
     (``batch_order``), as a (d, n) intp array whose row k holds the level of
     rank k, and up to MAX_DENSE_DIM levels the pair codes that name the
-    orderings (None above, where the ranks are counted from the pair bits).
-    Both are arrays of ``ws`` up to MAX_DENSE_DIM levels."""
-    d, n = P.shape
+    orderings (None above, where the ranks are counted from the pair bits)."""
+    d = len(P)
     if d > MAX_DENSE_DIM:
-        return _orders_from_bits(_pair_bits(P, gammas, ws), d), None
-    code = ordering_codes(P, gammas, ws)
-    levels = ws.array("levels", (d, n), np.intp)
-    return np.take(code_orders(d).T, code, axis=1, out=levels, mode="clip"), code
+        return _orders_from_bits(_pair_bits(P, gammas), d), None
+    code = ordering_codes(P, gammas)
+    return np.take(code_orders(d).T, code, axis=1, mode="clip"), code
 
 
 def _check_gammas(P: np.ndarray, G: np.ndarray) -> None:
@@ -408,8 +361,8 @@ def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     G = np.asarray(gammas, dtype=float)
     _check_gammas(P, G)
-    order, ws = np.empty(P.shape, dtype=np.intp), _Workspace(len(P))
+    order = np.empty(P.shape, dtype=np.intp)
     for lo in range(0, len(P), CHUNK):
-        Gt = G if G.ndim == 1 else ws.level_major("gammas", G[lo:lo + CHUNK])
-        order[lo:lo + CHUNK] = _tile_levels(ws.level_major("rows", P[lo:lo + CHUNK]), Gt, ws)[0].T
+        Gt = G if G.ndim == 1 else G[lo:lo + CHUNK].T.copy()
+        order[lo:lo + CHUNK] = _tile_levels(P[lo:lo + CHUNK].T.copy(), Gt)[0].T
     return order

@@ -4,8 +4,8 @@ Volumes are Monte Carlo fractions of uniform simplex samples passing a
 membership predicate.  Sampling uses the counter-based Philox generator,
 keyed per fixed-size block, so streams are reproducible bit-for-bit and can
 be partitioned across workers without changing the result.  Each worker
-draws, normalizes and classifies its blocks as one stream of level-major
-tiles of CHUNK samples, in one workspace.
+classifies its blocks as one stream of level-major tiles of CHUNK samples,
+which draws, sums and normalizes every tile into the same three buffers.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CHUNK, PI_STAR, GibbsContext, PopVector, _Workspace, is_two_qubit_context,
-                   row_blocks)
+from .core import CHUNK, PI_STAR, GibbsContext, PopVector, is_two_qubit_context, row_blocks
 from .entangle import _margin, fstar_batch, is_thermally_entanglable, witness_batch
 from .majorization import _hinge_plan, _within_cone, batch_tight_points, tight_point_tiles
 
@@ -57,33 +56,40 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
 
 
-def _simplex_tiles(d: int, n: int, seed: int, blocks, ws: _Workspace):
+def _simplex_tiles(d: int, n: int, seed: int, blocks):
     """The uniform simplex points of the given ``blocks`` of an ``n``-sample
-    stream, as level-major (d, m) tiles of up to CHUNK columns, each the
-    array ``tile`` of ``ws``, refilled per tile.  Block b holds the samples
-    b BLOCK to min(n, (b + 1) BLOCK), drawn from the Philox key (seed, b);
-    as BLOCK is a multiple of CHUNK, only a tile that ends at n is short."""
+    stream, as level-major (d, m) tiles of up to CHUNK columns.  Block b
+    holds the samples b BLOCK to min(n, (b + 1) BLOCK), drawn from the
+    Philox key (seed, b); as BLOCK is a multiple of CHUNK, only a tile that
+    ends at n is short.  A stream of more than CHUNK samples draws, sums and
+    normalizes every tile into the three buffers of its first tile, which
+    each later tile overwrites."""
+    kept = []
     for b in blocks:
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         for lo in range(b * BLOCK, min(n, (b + 1) * BLOCK), CHUNK):
-            yield _normalized(gen.standard_exponential(
-                out=ws.array("draws", (min(CHUNK, n - lo), d))), ws)
+            yield _normalized(gen, min(CHUNK, n - lo), d, kept if n > CHUNK else [])
 
 
-def _normalized(e: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """The (n, d) rows of e divided by their sums, as the level-major (d, n)
-    array ``tile`` of ``ws`` (in a function of its own, so that a stream of
-    one tile frees the draws before the tile's next steps)."""
-    s = ws.array("sums", e.shape[:1])
+def _normalized(gen: np.random.Generator, m: int, d: int, buffers: list) -> np.ndarray:
+    """m rows of d standard exponentials drawn from ``gen``, each divided by
+    its sum, as a level-major (d, m) tile.  The draws, their sums and the
+    tile fill contiguous prefixes of the three flat ``buffers``; an empty
+    list first gets three sized for this tile.  A stream of one tile passes
+    a new list, so that its draws are freed before the tile's next steps."""
+    if not buffers:
+        buffers += np.empty(m * d), np.empty(m), np.empty(m * d)
+    draws, sums, tile = buffers
+    e, s = gen.standard_exponential(out=draws[:m * d].reshape(m, d)), sums[:m]
     # numpy sums a row of fewer than 8 entries left to right, as these column
     # adds do (d >= 2), and pairwise from 8 on
-    if e.shape[1] < 8:
+    if d < 8:
         np.add(e[:, 0], e[:, 1], out=s)
-        for k in range(2, e.shape[1]):
+        for k in range(2, d):
             s += e[:, k]
     else:
         e.sum(axis=1, out=s)
-    return np.divide(e.T, s, out=ws.array("tile", e.shape[::-1]))
+    return np.divide(e.T, s, out=tile[:m * d].reshape(d, m))
 
 
 def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
@@ -97,8 +103,8 @@ def sample_simplex_array(d: int, n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_seed(seed)
-    out, ws = np.empty((n, d)), _Workspace(n)
-    tiles = _simplex_tiles(d, n, seed, range(-(-n // BLOCK)), ws)
+    out = np.empty((n, d))
+    tiles = _simplex_tiles(d, n, seed, range(-(-n // BLOCK)))
     for lo, tile in zip(range(0, n, CHUNK), tiles):
         out[lo:lo + tile.shape[1]] = tile.T
     return out
@@ -155,15 +161,16 @@ def volume_of(set_id: str, ctx: GibbsContext, origin: PopVector | None,
     # the non-entanglable sets count a verdict margin >= 0, the others one below
     compare = np.greater_equal if set_id in ("NE", "TNE") else np.less
 
+    def hits(Q):
+        return int(np.count_nonzero(_within_cone(plan, Q, compare(
+            _margin(witness_batch(Q.T)), 0.0))))
+
     def count(blocks):
-        # one stream of tiles, in one workspace, for all of a worker's blocks
-        ws = _Workspace(n)
-        Qs = _simplex_tiles(4, n, seed, blocks, ws)
+        # one stream of tiles per worker; ``map`` lets go of a tile before the next
+        Qs = _simplex_tiles(4, n, seed, blocks)
         if set_id == "TNE":
-            Qs = tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR, ws)
-        return sum(int(np.count_nonzero(_within_cone(plan, Q, compare(
-            _margin(w := witness_batch(Q.T, ws), out=w), 0.0,
-            out=ws.array("mask", Q.shape[1:], bool)), ws))) for Q in Qs)
+            Qs = tight_point_tiles(Qs, ctx.checked_gamma(), PI_STAR)
+        return sum(map(hits, Qs))
 
     # blocks are drawn lazily, so the set-up does not grow with n; worker w
     # takes blocks w, w + workers, ...

@@ -23,8 +23,7 @@ Junior, Czartowski, Zyczkowski & Korzekwa, Phys. Rev. E 106, 064109 (2022).
 Every tight point goes through these maps and one applier, ``_tight``: for
 the d! targets of one state (``all_extreme_points``), or for one target over
 a stream of level-major (d, n) tiles (``tight_point_tiles``: the rows of an
-array, or the samples of a volume), each step of which writes into the
-stream's one ``core._Workspace``.
+array, or the samples of a volume).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .core import (
     _check_gammas,
     _readonly,
     _tile_levels,
-    _Workspace,
     batch_order,
     code_orders,
 )
@@ -73,10 +71,10 @@ class ThermoCurve:
         inside = (x >= -1e-12) & (x <= 1 + 1e-12)
         if not inside.all():
             raise ValueError(f"x={x[~inside].flat[0]} outside [0, 1]")
-        X, flat, ws = self.xs[None, 1:], np.clip(x, 0.0, 1.0).reshape(1, -1), _Workspace(0)
+        X, flat = self.xs[None, 1:], np.clip(x, 0.0, 1.0).reshape(1, -1)
         rises = np.diff(self.ys)[None, :]
         # the sum over segments of each rise times its covered fraction
-        upper = np.concatenate([np.einsum("nts,ns->nt", _covered(X, flat[:, lo:lo + CHUNK], ws),
+        upper = np.concatenate([np.einsum("nts,ns->nt", _covered(X, flat[:, lo:lo + CHUNK]),
                                           rises) for lo in range(0, max(x.size, 1), CHUNK)], axis=1)
         y = np.where(x <= 0.0, 0.0, upper.reshape(x.shape))
         return float(y) if y.ndim == 0 else y
@@ -89,10 +87,10 @@ def _check_dims(ctx: GibbsContext, *objs) -> None:
 
 def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
     """Thermomajorization curve of ``p`` in the context ``ctx``."""
-    gamma, ws = ctx.checked_gamma(), _Workspace(0)
+    gamma = ctx.checked_gamma()
     order = batch_order(p.probs[None, :], gamma)
-    xs = np.concatenate([[0.0], _cumulative_weights(gamma, order, ws, "elbows")[:, 0]])
-    ys = np.concatenate([[0.0], _cumulative_weights(p.probs[:, None], order, ws, "heights")[:, 0]])
+    xs = np.concatenate([[0.0], _cumulative_weights(gamma, order)[:, 0]])
+    ys = np.concatenate([[0.0], _cumulative_weights(p.probs[:, None], order)[:, 0]])
     # a zero-width run keeps only its top point; the origin always stays
     keep = np.append(xs[:-1] != xs[1:], True)
     keep[0] = True
@@ -162,15 +160,15 @@ def all_extreme_points(p: PopVector, ctx: GibbsContext):
     _check_dims(ctx, p)
     if d > MAX_ENUM_DIM:
         raise ValueError(f"dimension {d} too large for {d}! enumeration")
-    gamma, ws = ctx.checked_gamma(), _Workspace(0)
+    gamma = ctx.checked_gamma()
     order = batch_order(p.probs[None, :], gamma)
-    sorted_p = _take_levels(p.probs, order.T, ws)
+    sorted_p = _take_levels(p.probs, order.T)
     targets = _targets(d)
     points = np.empty(targets.shape)
     for lo in range(0, len(targets), CHUNK):
         t = targets[lo:lo + CHUNK]
         R = np.repeat(sorted_p, len(t), axis=1)
-        q = _tight(_map_plan(_tight_maps(order, gamma, t, ws)), R, None, ws)
+        q = _tight(_map_plan(_tight_maps(order, gamma, t)), R, None)
         points[lo + np.arange(len(t))[:, None], t] = q.T
     return targets, points
 
@@ -190,31 +188,29 @@ def future_cone(p: PopVector, ctx: GibbsContext) -> ThermalCone:
 # weight means infinite beta.
 # ---------------------------------------------------------------------------
 
-def _take_levels(A: np.ndarray, levels: np.ndarray, ws: _Workspace,
-                 name: str = "sorted") -> np.ndarray:
-    """``A[levels[k, r], r]`` at [k, r] of a contiguous (d, n) array ``name``
-    of ``ws``: row k holds the k-th entry of every column's ordering, for a
-    level-major (d, n) array ``A``, or ``A[levels[k, r]]`` for one (d,)
-    vector shared by all columns; columns of ``A`` and ``levels`` broadcast.
+def _take_levels(A: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``A[levels[k, r], r]`` at [k, r] of a contiguous (d, n) array: row k
+    holds the k-th entry of every column's ordering, for a level-major (d,
+    n) array ``A``, or ``A[levels[k, r]]`` for one (d,) vector shared by all
+    columns; columns of ``A`` and ``levels`` broadcast.
     For a 2-D ``A`` the flat indices overwrite ``levels``, laid out as the
     result, which ``np.take`` reads several times faster."""
     if A.ndim == 2:
-        np.add(np.multiply(levels, A.shape[1], out=levels), ws.columns(A.shape[1]), out=levels)
-    return np.take(A, levels, out=ws.array(name, levels.shape), mode="clip")
+        np.add(np.multiply(levels, A.shape[1], out=levels), np.arange(A.shape[1]), out=levels)
+    return np.take(A, levels, mode="clip")
 
 
-def _covered(X: np.ndarray, T: np.ndarray, ws: _Workspace,
-             F: np.ndarray | None = None) -> np.ndarray:
+def _covered(X: np.ndarray, T: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
     """Covered fraction F[n, t, s] of segment s of row n's curve, whose
     elbows are X, at the row's target T[n, t]; rows of X and T broadcast.
     A zero-width segment is a step at its left edge: a target at or right of
     that edge covers all of it.  Written into ``F`` when it is given, in any
-    layout, with the segments' edges and widths in arrays of ``ws``."""
-    X0 = ws.array("left_edges", X.shape[::-1]).T
+    layout; the segments' edges and widths take the layout of X."""
+    X0 = np.empty_like(X)
     X0[:, 0] = 0.0
     X0[:, 1:] = X[:, :-1]
-    W = np.subtract(X, X0, out=ws.array("widths", X.shape[::-1]).T)
-    step = np.equal(W, 0.0, out=ws.array("steps", X.shape[::-1], bool).T)
+    W = X - X0
+    step = W == 0.0
     np.copyto(W, 1.0, where=step)
     F = np.subtract(T[:, :, None], X0[:, None, :], out=F)
     F /= W[:, None, :]
@@ -222,43 +218,40 @@ def _covered(X: np.ndarray, T: np.ndarray, ws: _Workspace,
     return np.clip(F, 0.0, 1.0, out=F)
 
 
-def _row_tiles(P: np.ndarray, ws: _Workspace):
-    """The rows of P as level-major (d, n) tiles of CHUNK columns, each the
-    array ``rows`` of ``ws``, refilled per tile."""
-    return (ws.level_major("rows", P[lo:lo + CHUNK]) for lo in range(0, len(P), CHUNK))
+def _row_tiles(P: np.ndarray):
+    """The rows of P as level-major (d, n) tiles of CHUNK columns."""
+    return (P[lo:lo + CHUNK].T.copy() for lo in range(0, len(P), CHUNK))
 
 
-def _cumulative_weights(gammas: np.ndarray, orders: np.ndarray, ws: _Workspace,
-                        name: str) -> np.ndarray:
+def _cumulative_weights(gammas: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """The elbow positions (heights, for populations) of each row's ordering,
-    ``np.cumsum`` of its weights in that order: a level-major (d, rows) array
-    ``name`` of ``ws``.  Rows of ``orders`` broadcast with the columns of
-    ``gammas``, a (d, n) tile or one shared (d,) vector."""
+    ``np.cumsum`` of its weights in that order: a level-major (d, rows)
+    array.  Rows of ``orders`` broadcast with the columns of ``gammas``, a
+    (d, n) tile or one shared (d,) vector."""
     rows = max(len(orders), gammas.shape[1] if gammas.ndim == 2 else 1)
-    levels = ws.array("index", (orders.shape[1], rows), np.intp)
+    levels = np.empty((orders.shape[1], rows), np.intp)
     np.copyto(levels, orders.T)
-    W = _take_levels(gammas, levels, ws, name)
+    W = _take_levels(gammas, levels)
     for k in range(1, len(W)):
         W[k] += W[k - 1]
     return W
 
 
-def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray,
-                ws: _Workspace) -> np.ndarray:
+def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Linear maps from a state's sorted populations r = p[orders[c]] to its
     tight point for the target ordering t: q[t[j]] = sum_k maps[c, k, j] r[k],
     the covered fractions (``_covered``) at the target elbows
     cumsum(gamma[t]), differenced.  Rows of ``orders`` and ``targets``
     broadcast with the columns of ``gammas``, a level-major (d, n) tile, or
     one shared (d,) vector.  Every entry is >= 0, a difference of
-    non-decreasing covered fractions.  The maps are a view of the (d, d,
-    classes) array ``maps`` of ``ws``, so that each entry is one contiguous
-    row over the classes.
+    non-decreasing covered fractions.  The maps are a view of a (d, d,
+    classes) array, so that each entry is one contiguous row over the
+    classes.
     """
-    X = _cumulative_weights(gammas, orders, ws, "elbows")
-    T = _cumulative_weights(gammas, targets, ws, "target_elbows")
+    X = _cumulative_weights(gammas, orders)
+    T = _cumulative_weights(gammas, targets)
     d, rows = len(X), max(X.shape[1], T.shape[1])
-    F = _covered(X.T, T.T, ws, ws.array("maps", (d, d, rows)).transpose(2, 0, 1))
+    F = _covered(X.T, T.T, np.empty((d, d, rows)).transpose(2, 0, 1))
     for j in range(d - 1, 0, -1):  # np.diff(F, prepend=0.0, axis=1), in place
         F[:, j] -= F[:, j - 1]
     return F.transpose(0, 2, 1)
@@ -290,18 +283,19 @@ def _map_plan(maps: np.ndarray, levels=None) -> list:
     return terms
 
 
-def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None, ws: _Workspace) -> np.ndarray:
-    """Tight points, a level-major (d, n) array (``tight`` of ``ws``), of the
-    sorted populations R, a (d, n) array with one column per row: each
-    column goes through the map of its class ``cls``, or column j through
-    class j when ``cls`` is None.  Each output adds its terms to 0 in
-    ascending k, as ``np.einsum("nki,nk->ni", maps, r)`` does, bit for bit,
-    and is clipped at 0 (``np.maximum``, which ``np.clip`` calls).  A term
-    whose entry varies between classes gathers each column's entry into one
-    row, ``scaled`` of ``ws``, which then takes its product with the
-    populations."""
-    Q, tmp = ws.array("tight", R.shape), ws.array("scaled", R.shape[1:])
-    Q.fill(0.0)
+def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None) -> np.ndarray:
+    """Tight points, a level-major (d, n) array, of the sorted populations
+    R, a (d, n) array with one column per row: each column goes through the
+    map of its class ``cls``, or column j through class j when ``cls`` is
+    None.  Each output adds its terms to 0 in ascending k, as
+    ``np.einsum("nki,nk->ni", maps, r)`` does, bit for bit, and is clipped
+    at 0 (``np.maximum``, which ``np.clip`` calls).  A term whose entry
+    varies between classes gathers each column's entry into one row, which
+    then takes its product with the populations; every gather and product
+    of the call writes one scratch row, which stays in cache from term to
+    term."""
+    Q, tmp = np.empty(R.shape), np.empty(R.shape[1:])
+    Q.fill(0.0)  # np.zeros would map fresh zeroed pages for every tile
     for q, col in zip(Q, plan):
         for k, scale, entries in col:
             if entries is not None:
@@ -315,11 +309,10 @@ def _tight(plan: list, R: np.ndarray, cls: np.ndarray | None, ws: _Workspace) ->
     return np.maximum(Q, 0.0, out=Q)
 
 
-def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Workspace):
+def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
     """Extreme point of every row's cone for one shared target ordering, for
-    a stream of level-major (d, n) tiles (``_row_tiles(P, ws)`` for an
-    array): yields each tile's tight points, a level-major (d, n) array of
-    ``ws``.
+    a stream of level-major (d, n) tiles (``_row_tiles(P)`` for an array):
+    yields each tile's tight points, a level-major (d, n) array.
 
     Each column's sorted populations go through the map of its ordering
     (``_tight_maps``, applied by ``_tight``).  ``gammas`` is one (d,) Gibbs
@@ -334,30 +327,31 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering, ws: _Work
     t, gammas = target.zero_based(), np.asarray(gammas, dtype=float)
 
     def plan_of(orders, G):
-        return _map_plan(_tight_maps(orders, G, t[None], ws), t)
+        return _map_plan(_tight_maps(orders, G, t[None]), t)
 
     lo, n, plan = 0, 0, None
     for P in tiles:
         lo, (d, n) = lo + n, P.shape
-        G = gammas if gammas.ndim == 1 else ws.level_major("gammas", gammas[lo:lo + n])
-        levels, code = _tile_levels(P, G, ws)
+        G = gammas if gammas.ndim == 1 else gammas[lo:lo + n].T.copy()
+        levels, code = _tile_levels(P, G)
         if code is None or gammas.ndim == 2:
+            plan = None  # the previous tile's maps go before this tile's are built
             plan, cls = plan_of(levels.T, G), None
         else:
             orders = code_orders(d)
             if plan is None:
                 cls_of = np.full(len(orders), -1)  # each code's class, -1 until seen
                 seen = np.zeros(0, dtype=int)
-            cls = np.take(cls_of, code, out=ws.array("classes", (n,), np.intp), mode="clip")
+            cls = np.take(cls_of, code, mode="clip")
             if cls.min() < 0:
                 fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
                 cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
                 seen = np.concatenate([seen, fresh])
                 plan = plan_of(orders[seen], G)
                 np.take(cls_of, code, out=cls, mode="clip")
-        sorted_p = _take_levels(P, levels, ws)
-        del levels, code  # in a stream of one tile, freed before the tile's next steps
-        yield _tight(plan, sorted_p, cls, ws)
+        sorted_p = _take_levels(P, levels)
+        del levels, code  # freed before the tile's next steps
+        yield _tight(plan, sorted_p, cls)
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
@@ -366,8 +360,8 @@ def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) 
     for ``batch_order``."""
     P, G = np.asarray(P, dtype=float), np.asarray(gammas, dtype=float)
     _check_gammas(P, G)
-    out, ws = np.empty_like(P), _Workspace(len(P))
-    for lo, q in zip(range(0, len(P), CHUNK), tight_point_tiles(_row_tiles(P, ws), G, target, ws)):
+    out = np.empty_like(P)
+    for lo, q in zip(range(0, len(P), CHUNK), tight_point_tiles(_row_tiles(P), G, target)):
         out[lo:lo + q.shape[1]] = q.T
     return out
 
@@ -403,18 +397,16 @@ def _hinge_plan(origin: PopVector, ctx: GibbsContext) -> list:
     return plan
 
 
-def _within_cone(plan: list, Q: np.ndarray, ok: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _within_cone(plan: list, Q: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """``ok``, a bool per column of the level-major (d, n) tile ``Q``, ANDed
     with each column's verdict under ``plan`` (``_hinge_plan``), in place:
-    two passes per term, into arrays of ``ws`` (none for an empty plan)."""
-    n = Q.shape[1:]
+    two passes per term."""
     for terms, bound in plan:
-        acc, term = ws.array("hinges", n), ws.array("hinge", n)
         (j, c), *rest = terms
-        np.maximum(Q[j], c, out=acc)
+        acc = np.maximum(Q[j], c)
         for j, c in rest:
-            acc += np.maximum(Q[j], c, out=term)
-        ok &= np.less_equal(acc, bound, out=ws.array("held", n, bool))
+            acc += np.maximum(Q[j], c)
+        ok &= acc <= bound
     return ok
 
 
@@ -424,7 +416,7 @@ def batch_majorizes(origin: PopVector, Q: np.ndarray, ctx: GibbsContext) -> np.n
     Q = np.asarray(Q, dtype=float)
     if Q.shape[1:] != (ctx.dim,):
         raise ValueError("dimension mismatch")
-    plan, out, ws = _hinge_plan(origin, ctx), np.ones(len(Q), dtype=bool), _Workspace(len(Q))
-    for lo, T in zip(range(0, len(Q), CHUNK), _row_tiles(Q, ws)):
-        _within_cone(plan, T, out[lo:lo + T.shape[1]], ws)
+    plan, out = _hinge_plan(origin, ctx), np.ones(len(Q), dtype=bool)
+    for lo, T in zip(range(0, len(Q), CHUNK), _row_tiles(Q)):
+        _within_cone(plan, T, out[lo:lo + T.shape[1]])
     return out

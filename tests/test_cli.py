@@ -505,7 +505,7 @@ class TestPeakMemory:
     Python and numpy allocate (``tracemalloc``'s peak).  Each bound is a
     measured peak plus 5 %: 24.25 MB for ``tne_boundary``, which is also the
     peak of ``boundary`` as CSV and as JSON (their text, in row blocks, is
-    written in pieces and never joined), and 11.22 MB for
+    written in pieces and never joined), and 10.73 MB for
     ``critical-temp``.  A boundary that holds one more (2 MAX_GRID^2 + 2, 4)
     array, 4.2 MB, to the end fails."""
 
@@ -516,7 +516,7 @@ class TestPeakMemory:
           "--format", "json"), ("boundary", "--grid", "2", "--format", "json"), 24.25e6),
         (("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--range", "0:20",
           "--scan", str(entangle.MAX_SCAN)),
-         ("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--scan", "10"), 11.22e6),
+         ("critical-temp", "--state", "0.12,0.38,0.12,0.38", "--scan", "10"), 10.73e6),
     ], ids=["boundary", "boundary-json", "critical-temp"])
     def test_command(self, tmp_path, argv, small, peak):
         out = str(tmp_path / "out")

@@ -133,6 +133,10 @@ class TestPopVector:
     def test_clamps_tiny_negative(self):
         p = core.PopVector([1.0 + 5e-11, -5e-11, 0, 0])
         assert p.probs[1] == 0.0
+        # equal by value, and hashed alike; never equal to a bare array
+        q = core.PopVector(p.probs.tolist())
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != core.PopVector([1.0, 0, 0, 0]) and p != p.probs
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
@@ -145,6 +149,9 @@ class TestPopVector:
     def test_rejects_non_finite(self):
         for bad in ([math.nan, 0.5, 0.5, 0.0], [math.inf, 0.0, 0.0, 0.0]):
             with pytest.raises(ValueError):
+                core.PopVector(bad)
+        for bad in ([], [[0.5, 0.5]], 1.0):
+            with pytest.raises(ValueError, match="non-empty 1-d"):
                 core.PopVector(bad)
 
     def test_renorm_helper(self):
@@ -261,9 +268,9 @@ class TestBetaOrdering:
         rows = []
         pair_bits = core._pair_bits
 
-        def counting(P, gammas, ws):
+        def counting(P, gammas):
             rows.append(P.shape[1])
-            return pair_bits(P, gammas, ws)
+            return pair_bits(P, gammas)
 
         monkeypatch.setattr(core, "_pair_bits", counting)
         return rows
@@ -314,7 +321,7 @@ class TestBetaOrdering:
         with pytest.raises(ValueError, match="dimension mismatch"):
             batch(np.full((5, 3), 1 / 3), gammas)
 
-    def test_infinite_beta_conventions(self):
+    def test_infinite_beta_conventions(self, rng):
         ctx = core.make_context((0, 1, 1, 2), math.inf)
         # populated zero-weight levels first by descending population,
         # unpopulated zero-weight levels last
@@ -322,6 +329,19 @@ class TestBetaOrdering:
         assert one_row_order(p, ctx) == (3, 2, 1, 4)
         q = core.PopVector([1.0, 0.0, 0.0, 0.0])
         assert one_row_order(q, ctx) == (1, 2, 3, 4)
+        # a ground level after an excited one: gamma = (0, 1, 0, 0), so a
+        # zero-weight level comes before a weighted one in the pair order
+        ctx = core.make_context((1, 0, 1, 2), math.inf)
+        assert one_row_order(core.PopVector([0.3, 0.2, 0.5, 0.0]), ctx) == (3, 1, 2, 4)
+        assert one_row_order(core.PopVector([0.0, 0.6, 0.0, 0.4]), ctx) == (4, 2, 1, 3)
+        for energies in ((1, 0, 1, 2), (2, 1, 1, 0), (1, 0, 2, 0, 1), (3, 2, 1, 0, 2, 1, 0)):
+            gamma = core.make_context(energies, math.inf).gamma
+            P = random_states(rng, 500, d=len(energies))
+            P[rng.random(P.shape) < 0.3] = 0.0
+            P[:, 0] += P.sum(axis=1) == 0.0
+            P /= P.sum(axis=1, keepdims=True)
+            for p, o in zip(P, core.batch_order(P, gamma)):
+                assert o.tolist() == ref_order(p, gamma)
 
 
 def test_array_dataclasses_compare_by_identity():

@@ -30,6 +30,9 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             dy.DensityMatrix(np.diag([0.7, 0.7, 0.0, 0.0]))
+        for shape in ((2, 3), (4,), (1, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                dy.DensityMatrix(np.zeros(shape))
 
     def test_rejects_negative_eigenvalue(self):
         m = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
@@ -267,6 +270,9 @@ class TestSchedules:
         with pytest.raises(ValueError):
             dy.apply_schedule(core.PopVector([1, 0, 0, 0]), ctx,
                               dy.ThermalizationSchedule((((1, 7), 0.5),)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dy.apply_schedule(core.PopVector([0.5, 0.3, 0.2]), ctx,
+                              dy.ThermalizationSchedule((((1, 2), 0.5),)))
 
 
 class TestMtpSearch:

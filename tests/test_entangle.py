@@ -231,6 +231,11 @@ class TestBruteforceOracle:
         for decide in (en.tne_bruteforce, en.is_thermally_entanglable):
             with pytest.raises(ValueError, match="not a two-qubit"):
                 decide(p, ladder)
+        # three levels, and the two-qubit shape with a gap that is not positive
+        for q, energies in ((core.PopVector([0.5, 0.3, 0.2]), (0, 1, 2)),
+                            (p, (0, 0, 0, 0)), (p, (2, 1, 1, 0))):
+            with pytest.raises(ValueError, match="not a two-qubit"):
+                en.is_thermally_entanglable(q, core.make_context(energies, 1.0))
         with pytest.raises(ValueError, match="d = 4"):
             en.tne_bruteforce(core.PopVector([0.5, 0.3, 0.2]), ctx2q(1.0))
 

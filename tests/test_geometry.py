@@ -59,6 +59,8 @@ class TestSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             geo.sample_simplex_array(1, 10, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            geo.sample_simplex_array(4, -1, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 12])
     def test_tiles_match_block_reference(self, d):
@@ -72,8 +74,7 @@ class TestSampling:
                 assert np.array_equal(geo.sample_simplex_array(d, n, seed), np.concatenate(blocks))
                 for b, want in enumerate(blocks):
                     # each tile is a level-major view of one reused buffer, so copy its rows
-                    ws = core._Workspace(len(want))
-                    tiles = [t.T.copy() for t in geo._simplex_tiles(d, n, seed, [b], ws)]
+                    tiles = [t.T.copy() for t in geo._simplex_tiles(d, n, seed, [b])]
                     assert max(map(len, tiles)) <= core.CHUNK
                     assert np.array_equal(np.concatenate(tiles), want)
 
@@ -166,6 +167,10 @@ class TestVolumes:
                                ("ENT_CONE", core.PopVector([0.1, 0.1, 0.2, 0.6]))):
             with pytest.raises(ValueError, match="two-qubit"):
                 geo.volume_of(set_id, ladder, origin, 10, seed=0)
+        # three levels, and the two-qubit shape with a gap that is not positive
+        for energies in ((0.0, 1.0, 2.0), (0.0, 0.0, 0.0, 0.0), (2.0, 1.0, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="two-qubit"):
+                geo.volume_of("E", core.make_context(energies, 1.0), None, 10, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits(self, seed):
@@ -333,10 +338,11 @@ class TestVolumes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2 MB: the stream's workspace, made by its first tiles and reused by
-        # the rest, holds a few (4, 8192) arrays of 256 KB each (the draws, the
-        # tile, its orderings, its ratios and then its sorted populations, and
-        # its tight points) and a few rows of 64 KB
+        # 2 MB: a tile's steps hold a few (4, 8192) arrays of 256 KB each at
+        # once (the draws and the tile, which the sampler reuses from tile to
+        # tile, the ratios and then the orderings, the sorted populations and
+        # the tight points) and a few rows of 64 KB, the sampler's sums among
+        # them
         assert peak <= 4 * 8 * 4096 * 4 * 4
 
     def test_infinite_beta_tne_is_negligible(self):

@@ -66,9 +66,9 @@ class TestCurve:
         logw = -betas[:, None] * E[None, :]
         G = np.exp(logw - logw.max(axis=1, keepdims=True))
         G /= G.sum(axis=1, keepdims=True)
-        order, ws = core.batch_order(P, G), core._Workspace(0)
-        X = mj._cumulative_weights(G.T, order, ws, "elbows").T
-        Y = mj._cumulative_weights(P.T, order, ws, "heights").T
+        order = core.batch_order(P, G)
+        X = mj._cumulative_weights(G.T, order).T
+        Y = mj._cumulative_weights(P.T, order).T
         widths = np.diff(np.concatenate([np.zeros((n, 1)), X], axis=1), axis=1)
         assert widths.min() > 0
         slopes = np.diff(np.concatenate([np.zeros((n, 1)), Y], axis=1), axis=1) / widths
@@ -85,6 +85,11 @@ class TestCurve:
         # the least positive x reads the top of the jump
         assert c.evaluate(5e-324) == c.ys[1]
         assert c.evaluate(0.5) == pytest.approx(0.9)
+        # a ground level after an excited one: gamma = (0, 1, 0, 0)
+        ctx = core.make_context((1, 0, 1, 2), math.inf)
+        for probs in ([0.3, 0.2, 0.5, 0.0], [0.0, 0.6, 0.0, 0.4], [0.0, 1.0, 0.0, 0.0]):
+            c, ref = mj.curve(core.PopVector(probs), ctx), ref_curve(np.array(probs), ctx.gamma)
+            assert np.array_equal(c.xs, ref[0]) and np.array_equal(c.ys, ref[1])
 
 
 class TestThermoMajorizes:
@@ -200,6 +205,16 @@ class TestExtremePoint:
         p = core.PopVector([0.4, 0.2, 0.3, 0.1])
         out = mj.extreme_point(p, ctx, core.PI_STAR)
         assert np.allclose(out.probs, [0.4, 0.6, 0.0, 0.0], atol=1e-15)
+        # a ground level after an excited one: gamma = (0, 1, 0, 0); all 24
+        # extreme points against the reference curve
+        ctx = core.make_context((1, 0, 1, 2), math.inf)
+        for probs in ([0.4, 0.2, 0.3, 0.1], [0.0, 0.6, 0.0, 0.4], [0.5, 0.0, 0.5, 0.0]):
+            targets, points = mj.all_extreme_points(core.PopVector(probs), ctx)
+            for perm, q in zip(targets + 1, points):
+                ref = ref_extreme_point(np.array(probs), ctx.gamma, perm)
+                assert np.allclose(q, ref, rtol=0, atol=1e-12)
+                assert np.array_equal(mj.extreme_point(core.PopVector(probs), ctx,
+                                                       core.BetaOrdering(perm)).probs, q)
 
 
 class TestFutureCone:
@@ -557,16 +572,14 @@ class TestPairCodes:
             built.append(orders.copy())
             return tight_maps(orders, *args)
 
-        def spy_tight(plan, R, cls, ws):
+        def spy_tight(plan, R, cls):
             applied.append((R.copy(), built[-1], cls if cls is None else cls.copy()))
-            return tight(plan, R, cls, ws)
+            return tight(plan, R, cls)
 
-        ws = core._Workspace(len(P))
         with mock.patch.object(mj, "CHUNK", chunk), \
                 mock.patch.object(mj, "_tight_maps", spy_maps), \
                 mock.patch.object(mj, "_tight", spy_tight):
-            widths = [q.shape[1] for q in mj.tight_point_tiles(mj._row_tiles(P, ws), gamma,
-                                                                target, ws)]
+            widths = [q.shape[1] for q in mj.tight_point_tiles(mj._row_tiles(P), gamma, target)]
         los = range(0, len(P), chunk)
         assert widths == [min(chunk, len(P) - lo) for lo in los] and len(applied) == len(los)
         for lo, (sorted_p, table, cls) in zip(los, applied):
@@ -717,17 +730,17 @@ class TestMapApplier:
     def test_matches_einsum_reference(self, rng, d, beta):
         gamma = core.make_context(degenerate_energies(d), beta).gamma
         P = faces_and_ties(rng, 6000, d)
-        order, ws = core.batch_order(P, gamma), core._Workspace(0)
-        sorted_p = mj._take_levels(P.T, order.T.copy(), ws)
+        order = core.batch_order(P, gamma)
+        sorted_p = mj._take_levels(P.T, order.T.copy())
         t0 = rng.permutation(d)
-        expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :], ws), sorted_p.T)
+        expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :]), sorted_p.T)
 
         # one map per row, and one per ordering with each row's class
-        per_row = mj._tight(mj._map_plan(mj._tight_maps(order, gamma, t0[None, :], ws)),
-                            sorted_p, None, ws)
+        per_row = mj._tight(mj._map_plan(mj._tight_maps(order, gamma, t0[None, :])),
+                            sorted_p, None)
         classes, cls = np.unique(order, axis=0, return_inverse=True)
-        plan = mj._map_plan(mj._tight_maps(classes, gamma, t0[None, :], ws))
-        per_class = mj._tight(plan, sorted_p, cls.ravel(), ws)
+        plan = mj._map_plan(mj._tight_maps(classes, gamma, t0[None, :]))
+        per_class = mj._tight(plan, sorted_p, cls.ravel())
         for q in (per_row, per_class):
             assert np.array_equal(q.T.view(np.int64), expected.view(np.int64))
 
@@ -742,10 +755,10 @@ class TestMapApplier:
         # (2,1,3,4) point reads each sorted population once, with no product
         gamma = ctx2q(0.0).gamma
         orders = core.code_orders(4)[np.unique(core.ordering_codes(random_states(
-            np.random.default_rng(1), 4000).T, gamma, core._Workspace(4000)))]
+            np.random.default_rng(1), 4000).T, gamma))]
         # every term a population with no scale and no varying entries
         t = core.PI_STAR.zero_based()
-        terms = mj._map_plan(mj._tight_maps(orders, gamma, t[None, :], core._Workspace(0)), t)
+        terms = mj._map_plan(mj._tight_maps(orders, gamma, t[None, :]), t)
         assert terms == [[(1, None, None)], [(0, None, None)], [(2, None, None)], [(3, None, None)]]
 
 

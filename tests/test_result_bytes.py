@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -211,6 +212,8 @@ class TestWriter:
     @given(results)
     @example({"a": [1.0, -0.0, math.nan], "b": {"c": (math.inf, None, True)}, "\u00e9": "x"})
     @example(np.zeros((0, 4)))
+    @example(np.zeros((2, 0)))
+    @example({"a": np.zeros((0, 3), dtype=np.intp)})
     @example([VolumeEstimate(0.1234567890123456, 0.5, 10, 3), PopVector([0.5, 0.5]),
               Fraction(3, 4)])
     def test_indented_json(self, obj):
@@ -219,6 +222,15 @@ class TestWriter:
     @given(st.dictionaries(texts, results, max_size=5))
     def test_compact_json(self, obj):
         assert cli._json(obj, None) == ref_result_text(obj, None)
+
+    @pytest.mark.parametrize("obj", [object(), {"a": [1.0, {1, 2}]}, (1 + 2j,)])
+    def test_unserializable_raises(self, obj):
+        # as json.dumps does
+        with pytest.raises(TypeError):
+            json.dumps(obj)
+        for indent in ("  ", None):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._json(obj, indent)
 
     @given(st.integers(0, 4), st.integers(0, 5), st.data())
     def test_csv(self, n_int, n_float, data):
