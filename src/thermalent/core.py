@@ -9,6 +9,7 @@ physics convention for labelling energy levels; internal numpy work is
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -313,56 +314,37 @@ def ordering_codes(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def code_orders(d: int) -> np.ndarray:
-    """Ordering of every pair code of d <= MAX_DENSE_DIM levels, indexed by
-    the code: a read-only view of the level-major table ``code_orders(d).T``.
-    Codes that no ordering produces hold no permutation and are never read."""
-    bit = _pairs(d)[2]
-    codes = np.arange(2 ** len(bit))
-    table = _orders_from_bits((codes >> bit & 1).astype(bool), d)
-    table.setflags(write=False)
-    return table.T
+def orderings(d: int) -> np.ndarray:
+    """The d! zero-based orderings of d levels in lexicographic order, one
+    per row (read-only).  An ordering's row is its class."""
+    return _readonly(np.array(list(itertools.permutations(range(d))), np.intp).reshape(-1, d))
+
+
+@functools.cache
+def _code_tables(d: int) -> tuple:
+    """``(levels, classes)``, indexed by the pair codes of d <= MAX_DENSE_DIM
+    levels: column c of the (d, codes) ``levels`` lists by rank the levels of
+    the ordering whose code is c, and ``classes[c]`` is its class (both
+    read-only).  Codes that no ordering produces are never read."""
+    orders, (I, J, bit) = orderings(d), _pairs(d)
+    rank = np.empty_like(orders)
+    np.put_along_axis(rank, orders, np.arange(d), axis=1)
+    codes = ((rank[:, I] < rank[:, J]).astype(np.intp) << bit.astype(np.intp).T).sum(axis=1)
+    levels, classes = np.zeros((d, 2 ** len(I)), np.intp), np.zeros(2 ** len(I), np.intp)
+    levels[:, codes], classes[codes] = orders.T, np.arange(len(orders))
+    return _readonly(levels), _readonly(classes)
 
 
 def _tile_levels(P: np.ndarray, gammas: np.ndarray) -> tuple:
-    """``(levels, code)`` of the level-major tile P: each column's ordering
-    (``batch_order``), as a (d, n) intp array whose row k holds the level of
-    rank k, and up to MAX_DENSE_DIM levels the pair codes that name the
-    orderings (None above, where the ranks are counted from the pair bits)."""
+    """``(levels, cls)`` of the level-major (d, n) tile P, ``gammas`` as for
+    ``_pair_bits``: each column's ordering by non-increasing
+    population-to-Gibbs ratio, as a (d, n) intp array whose row k holds the
+    level of rank k, and up to MAX_DENSE_DIM levels its class (None above).
+    Each ordering is fixed by the pairwise comparisons of ``_pair_bits``.  Up
+    to MAX_DENSE_DIM levels they are packed into a pair code, which indexes
+    ``_code_tables``; above, each level's rank is counted from them."""
     d = len(P)
     if d > MAX_DENSE_DIM:
         return _orders_from_bits(_pair_bits(P, gammas), d), None
-    code = ordering_codes(P, gammas)
-    return np.take(code_orders(d).T, code, axis=1, mode="clip"), code
-
-
-def _check_gammas(P: np.ndarray, G: np.ndarray) -> None:
-    """ValueError unless G is one (d,) Gibbs vector for the (n, d) rows of
-    P, or an (n, d) array of one per row."""
-    if P.ndim != 2 or G.shape not in (P.shape[1:], P.shape):
-        raise ValueError("dimension mismatch")
-
-
-def batch_order(P: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Zero-based level orderings, one row per state, by non-increasing
-    population-to-Gibbs ratio.
-
-    ``gammas`` is one shared (d,) Gibbs vector, or a matching (n, d) array
-    of positive weights (ValueError on a zero, and on any other shape, before
-    the first tile).  Each row is fixed by the d(d-1)/2 pairwise comparisons
-    of ``_pair_bits``: ties break by ascending level index; the zero weights
-    of a shared vector (infinite beta) put populated levels first, among
-    themselves by descending population, and unpopulated ones last.  Up to
-    MAX_DENSE_DIM levels the comparisons are packed into a code that indexes
-    ``code_orders``; above, each level's rank is counted from them.  Rows go
-    in level-major tiles of CHUNK (``_tile_levels``), so the (d(d-1)/2, rows)
-    comparisons do not grow with the batch.
-    """
-    P = np.asarray(P, dtype=float)
-    G = np.asarray(gammas, dtype=float)
-    _check_gammas(P, G)
-    order = np.empty(P.shape, dtype=np.intp)
-    for lo in range(0, len(P), CHUNK):
-        Gt = G if G.ndim == 1 else G[lo:lo + CHUNK].T.copy()
-        order[lo:lo + CHUNK] = _tile_levels(P[lo:lo + CHUNK].T.copy(), Gt)[0].T
-    return order
+    code, (levels, classes) = ordering_codes(P, gammas), _code_tables(d)
+    return np.take(levels, code, axis=1, mode="clip"), np.take(classes, code, mode="clip")

@@ -14,7 +14,6 @@ the same bits for the same state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .core import (
     PopVector,
     _gibbs_rows,
     is_two_qubit_context,
+    orderings,
     two_qubit_context,
 )
 from .majorization import all_extreme_points, batch_tight_points
@@ -136,7 +136,7 @@ def tne_bruteforce(p: PopVector, ctx: GibbsContext) -> bool:
     if not is_two_qubit_context(ctx):
         raise ValueError("context is not a two-qubit (0, E, E, 2E) spectrum")
     if ctx.beta == 0.0:
-        points = p.probs[list(itertools.permutations(range(4)))]
+        points = p.probs[orderings(4)]
     else:
         points = all_extreme_points(p, ctx)[1]
     return bool((_margin(witness_batch(points)) >= 0.0).all())

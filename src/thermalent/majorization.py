@@ -28,8 +28,6 @@ array, or the samples of a volume).
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +37,9 @@ from .core import (
     BetaOrdering,
     GibbsContext,
     PopVector,
-    _check_gammas,
     _readonly,
     _tile_levels,
-    batch_order,
-    code_orders,
+    orderings,
 )
 
 #: absolute tolerance of dominance (on hinge sums) and of extreme-point dedup
@@ -87,8 +83,9 @@ def _check_dims(ctx: GibbsContext, *objs) -> None:
 
 def curve(p: PopVector, ctx: GibbsContext) -> ThermoCurve:
     """Thermomajorization curve of ``p`` in the context ``ctx``."""
+    _check_dims(ctx, p)
     gamma = ctx.checked_gamma()
-    order = batch_order(p.probs[None, :], gamma)
+    order = _tile_levels(p.probs[:, None], gamma)[0].T
     xs = np.concatenate([[0.0], _cumulative_weights(gamma, order)[:, 0]])
     ys = np.concatenate([[0.0], _cumulative_weights(p.probs[:, None], order)[:, 0]])
     # a zero-width run keeps only its top point; the origin always stays
@@ -145,25 +142,18 @@ def _dedup(points, tol):
     return np.flatnonzero(kept).tolist()
 
 
-@functools.cache
-def _targets(d: int) -> np.ndarray:
-    """The d! zero-based orderings of d levels in lexicographic order."""
-    return _readonly(np.array(list(itertools.permutations(range(d)))))
-
-
 def all_extreme_points(p: PopVector, ctx: GibbsContext):
-    """``(targets, points)``: the d! zero-based target orderings in
-    lexicographic order (read-only) and the tight-majorized state of each,
-    equal to its ``extreme_point``.  p is ordered once; the targets go in
-    tiles of CHUNK."""
+    """``(targets, points)``: the d! target orderings, ``orderings(d)``, and
+    the tight-majorized state of each, equal to its ``extreme_point``.  p is
+    ordered once; the targets go in tiles of CHUNK."""
     d = p.dim
     _check_dims(ctx, p)
     if d > MAX_ENUM_DIM:
         raise ValueError(f"dimension {d} too large for {d}! enumeration")
     gamma = ctx.checked_gamma()
-    order = batch_order(p.probs[None, :], gamma)
-    sorted_p = _take_levels(p.probs, order.T)
-    targets = _targets(d)
+    levels = _tile_levels(p.probs[:, None], gamma)[0]
+    sorted_p, order = _take_levels(p.probs, levels), levels.T
+    targets = orderings(d)
     points = np.empty(targets.shape)
     for lo in range(0, len(targets), CHUNK):
         t = targets[lo:lo + CHUNK]
@@ -257,19 +247,22 @@ def _tight_maps(orders: np.ndarray, gammas: np.ndarray, targets: np.ndarray) -> 
     return F.transpose(0, 2, 1)
 
 
-def _map_plan(maps: np.ndarray, levels=None) -> list:
+def _map_plan(maps: np.ndarray, levels=None, mask=None) -> list:
     """How ``_tight`` reads the maps ``maps[c, k, j]`` of the classes c, with
-    output j at level ``levels[j]`` (at level j when ``levels`` is None).
+    output j at level ``levels[j]`` (at level j when ``levels`` is None), for
+    columns of the classes where the bool ``mask`` is set (of any class when
+    it is None).
 
     Returns ``terms``: terms[i] lists the terms ``(k, scale, entries)`` of
-    level i in ascending k.  An entry that is the same in every class is a
-    ``scale`` (None for 1), with ``entries`` None; any other is ``entries``,
-    its value in each class (a view of ``maps``).  An entry 0 in every class
-    is left out: its product with a finite population is +0 or -0, which
-    changes no sum that starts at +0, since such a sum is never -0.
+    level i in ascending k.  An entry that is the same in every masked class
+    is a ``scale`` (None for 1), with ``entries`` None; any other is
+    ``entries``, its value in each class (a view of ``maps``).  An entry 0 in
+    every masked class is left out: its product with a finite population is
+    +0 or -0, which changes no sum that starts at +0, since such a sum is
+    never -0.
     """
-    d = maps.shape[1]
-    least, most = maps.min(axis=0).tolist(), maps.max(axis=0).tolist()
+    d, read = maps.shape[1], maps if mask is None else maps[mask]
+    least, most = read.min(axis=0).tolist(), read.max(axis=0).tolist()
     at = range(d) if levels is None else levels.tolist()
     terms = [[] for _ in range(d)]
     for k in range(d):
@@ -317,49 +310,43 @@ def tight_point_tiles(tiles, gammas: np.ndarray, target: BetaOrdering):
     Each column's sorted populations go through the map of its ordering
     (``_tight_maps``, applied by ``_tight``).  ``gammas`` is one (d,) Gibbs
     vector shared by the stream, or an (N, d) array of one per row of the
-    stream, all weights positive.  With a shared vector and pair codes
-    (``core._tile_levels``), a column's code names its ordering, and the
-    maps are built once per stream for each ordering seen, again for all of
-    them when a tile brings codes that no earlier tile had.  Otherwise each
-    column gets its own map.  Swapping the populations of two levels of
-    equal weight swaps the tight point exactly.
+    stream, all weights positive.  With a shared vector and classes
+    (``core._tile_levels``), the maps of all d! orderings are built once per
+    stream, indexed by class, and planned over the classes seen so far (so
+    an entry that varies only between orderings no column has is a scalar),
+    again when a tile brings a new class.  Otherwise each column gets its
+    own map.  Swapping the populations of two levels of equal weight swaps
+    the tight point exactly.
     """
     t, gammas = target.zero_based(), np.asarray(gammas, dtype=float)
-
-    def plan_of(orders, G):
-        return _map_plan(_tight_maps(orders, G, t[None]), t)
-
-    lo, n, plan = 0, 0, None
+    lo, n, plan, maps = 0, 0, None, None
     for P in tiles:
         lo, (d, n) = lo + n, P.shape
         G = gammas if gammas.ndim == 1 else gammas[lo:lo + n].T.copy()
-        levels, code = _tile_levels(P, G)
-        if code is None or gammas.ndim == 2:
+        levels, cls = _tile_levels(P, G)
+        if cls is None or gammas.ndim == 2:
             plan = None  # the previous tile's maps go before this tile's are built
-            plan, cls = plan_of(levels.T, G), None
+            plan, cls = _map_plan(_tight_maps(levels.T, G, t[None]), t), None
         else:
-            orders = code_orders(d)
-            if plan is None:
-                cls_of = np.full(len(orders), -1)  # each code's class, -1 until seen
-                seen = np.zeros(0, dtype=int)
-            cls = np.take(cls_of, code, mode="clip")
-            if cls.min() < 0:
-                fresh = np.flatnonzero(np.bincount(code[cls < 0], minlength=len(orders)))
-                cls_of[fresh] = np.arange(len(seen), len(seen) + len(fresh))
-                seen = np.concatenate([seen, fresh])
-                plan = plan_of(orders[seen], G)
-                np.take(cls_of, code, out=cls, mode="clip")
+            if maps is None:
+                maps = _tight_maps(orderings(d), G, t[None])
+                seen = np.zeros(len(maps), dtype=bool)
+            if not (seen.all() or np.take(seen, cls, mode="clip").all()):
+                seen[cls] = True
+                plan = _map_plan(maps, t, seen)
         sorted_p = _take_levels(P, levels)
-        del levels, code  # freed before the tile's next steps
+        del levels  # freed before the tile's next steps
         yield _tight(plan, sorted_p, cls)
 
 
 def batch_tight_points(P: np.ndarray, gammas: np.ndarray, target: BetaOrdering) -> np.ndarray:
     """Extreme point of every row's cone for one shared target ordering
-    (``tight_point_tiles`` gathered into one (n, d) array); ``gammas`` as
-    for ``batch_order``."""
+    (``tight_point_tiles`` gathered into one (n, d) array).  ``gammas`` is
+    one (d,) Gibbs vector, or an (n, d) array of one per row (ValueError on
+    any other shape, before the first tile)."""
     P, G = np.asarray(P, dtype=float), np.asarray(gammas, dtype=float)
-    _check_gammas(P, G)
+    if P.ndim != 2 or G.shape not in (P.shape[1:], P.shape):
+        raise ValueError("dimension mismatch")
     out = np.empty_like(P)
     for lo, q in zip(range(0, len(P), CHUNK), tight_point_tiles(_row_tiles(P), G, target)):
         out[lo:lo + q.shape[1]] = q.T

@@ -40,6 +40,15 @@ def ref_order(p, gamma):
     return sorted(range(len(p)), key=key)
 
 
+def tile_order(P, gammas):
+    """The package's zero-based orderings of the (n, d) rows P, one row each:
+    ``core._tile_levels`` on P as one level-major tile.  ``gammas`` is one
+    (d,) Gibbs vector, or an (n, d) array of one per row."""
+    from thermalent.core import _tile_levels
+    G = np.asarray(gammas, dtype=float)
+    return _tile_levels(np.asarray(P, dtype=float).T.copy(), G if G.ndim == 1 else G.T.copy())[0].T
+
+
 def ref_curve(p, gamma):
     """Elbows of the curve; a zero-width run keeps its top point, and a jump
     at x=0 keeps a second x=0 entry above the origin."""
@@ -421,6 +430,18 @@ def ref_fstar_exact(p, gamma):
         y = height(x)
         q[i], prev = max(y - prev, Fraction(0)), y
     return 4 * q[0] * q[3] - (q[1] - q[2]) ** 2
+
+
+def ref_chamber_fstar(P):
+    """f* of each (n, 4) row at beta = 0, in closed form: the populations in
+    descending order p1 >= p2 >= p3 >= p4 fill the (2,1,3,4) extreme point
+    as (p2, p1, p3, p4), so f* = 4 p2 p4 - (p1 - p3)^2, computed in the
+    operation order of ``witness_batch``."""
+    S = np.sort(np.asarray(P, dtype=float), axis=1)[:, ::-1]
+    w = S[:, 1] * 4.0
+    w *= S[:, 3]
+    t = S[:, 0] - S[:, 2]
+    return w - t * t
 
 
 # ---------------------------------------------------------------------------

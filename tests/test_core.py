@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from thermalent import core, entangle as en, majorization as mj
-from tests.conftest import random_states, ref_order
+from tests.conftest import random_states, ref_order, tile_order
 
 
 def one_row_order(p, ctx):
-    """The 1-based level ordering of one state: a one-row ``batch_order``."""
-    return tuple((core.batch_order(p.probs[None, :], ctx.checked_gamma())[0] + 1).tolist())
+    """The 1-based level ordering of one state: a one-row ``tile_order``."""
+    return tuple((tile_order(p.probs[None, :], ctx.checked_gamma())[0] + 1).tolist())
 
 
 def probs_strategy(d=4):
@@ -240,11 +240,11 @@ class TestBetaOrdering:
         P /= P.sum(axis=1, keepdims=True)
         for beta in (0.0, 1.0, math.inf, 3.0):
             gamma = core.two_qubit_context(beta).gamma
-            for p, o in zip(P, core.batch_order(P, gamma)):
+            for p, o in zip(P, tile_order(P, gamma)):
                 assert o.tolist() == ref_order(p, gamma)
         G = np.array([core.two_qubit_context(b).gamma
                       for b in np.resize([0.0, 1.0, 20.0, 3.0], 60)])
-        order = core.batch_order(P, G)
+        order = tile_order(P, G)
         for p, g, o in zip(P, G, order):
             assert o.tolist() == ref_order(p, g)
 
@@ -255,10 +255,10 @@ class TestBetaOrdering:
         energies, P = case
         gammas = [core.make_context(energies, b).gamma for b in (0.0, 1.0, 3.0, math.inf)]
         for gamma in gammas:
-            for p, o in zip(P, core.batch_order(P, gamma)):
+            for p, o in zip(P, tile_order(P, gamma)):
                 assert o.tolist() == ref_order(p, gamma)
         G = np.array([gammas[r % 3] for r in range(len(P))])
-        for p, g, o in zip(P, G, core.batch_order(P, G)):
+        for p, g, o in zip(P, G, tile_order(P, G)):
             assert o.tolist() == ref_order(p, g)
 
     @pytest.fixture
@@ -274,24 +274,6 @@ class TestBetaOrdering:
 
         monkeypatch.setattr(core, "_pair_bits", counting)
         return rows
-
-    def test_batch_order_in_tiles(self, rng, compared_rows):
-        # the (d(d-1)/2, rows) comparisons never span more than one tile
-        n = 3 * core.CHUNK + 1
-        P = random_states(rng, n)
-        P[::7, 2] = P[::7, 1]
-        P /= P.sum(axis=1, keepdims=True)
-        G = np.array([core.two_qubit_context(b).gamma for b in np.resize([0.0, 1.0, 3.0], n)])
-        for gammas in (G[1], G):
-            compared_rows.clear()
-            order = core.batch_order(P, gammas)
-            assert compared_rows == [core.CHUNK] * 3 + [1]
-            tiles = [core.batch_order(P[lo:lo + core.CHUNK],
-                                      gammas if gammas.ndim == 1 else gammas[lo:lo + core.CHUNK])
-                     for lo in range(0, n, core.CHUNK)]
-            assert np.array_equal(order, np.concatenate(tiles))
-            G_rows = np.broadcast_to(gammas, P.shape)
-            assert all(order[r].tolist() == ref_order(P[r], G_rows[r]) for r in range(0, n, 97))
 
     def test_one_row_is_one_tile(self, compared_rows):
         one_row_order(core.PopVector([0.1, 0.2, 0.3, 0.4]), core.two_qubit_context(1.0))
@@ -311,10 +293,9 @@ class TestBetaOrdering:
         np.full((1, 3), 1 / 3),         # one row for five
     ], ids=["shared", "shared-zero-weight", "rows-levels", "rows-count", "one-row"])
     @pytest.mark.parametrize("batch", [
-        core.batch_order,
         lambda P, G: mj.batch_tight_points(P, G, core.BetaOrdering((2, 1, 3))),
         en.fstar_batch,
-    ], ids=["batch_order", "batch_tight_points", "fstar_batch"])
+    ], ids=["batch_tight_points", "fstar_batch"])
     def test_batch_dimension_mismatch(self, batch, gammas):
         # the batch calls check their Gibbs weights against the rows before
         # the first tile, rather than fail inside the comparisons
@@ -340,7 +321,7 @@ class TestBetaOrdering:
             P[rng.random(P.shape) < 0.3] = 0.0
             P[:, 0] += P.sum(axis=1) == 0.0
             P /= P.sum(axis=1, keepdims=True)
-            for p, o in zip(P, core.batch_order(P, gamma)):
+            for p, o in zip(P, tile_order(P, gamma)):
                 assert o.tolist() == ref_order(p, gamma)
 
 

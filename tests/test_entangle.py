@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from thermalent import core, entangle as en, geometry as geo, majorization as mj
 from tests.conftest import (
-    random_states, ref_critical_roots, ref_extreme_point, ref_fstar, ref_fstar_exact,
-    ref_fstar_thermal_hotter, ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses, ref_thermal_c2,
-    state_strategy)
+    random_states, ref_chamber_fstar, ref_critical_roots, ref_extreme_point, ref_fstar,
+    ref_fstar_exact, ref_fstar_thermal_hotter, ref_min_ppt_eigenvalue, ref_qubit_qutrit_witnesses,
+    ref_thermal_c2, state_strategy, tile_order)
 
 
 def ctx2q(beta):
@@ -208,7 +208,7 @@ class TestThermallyEntanglable:
         eps = 0.01
         p = core.PopVector([eps, 1 - eps - eps**2, 0, eps**2])
         ctx = ctx2q(1.0)
-        assert (core.batch_order(p.probs[None, :], ctx.gamma)[0] + 1).tolist() == [2, 1, 4, 3]
+        assert (tile_order(p.probs[None, :], ctx.gamma)[0] + 1).tolist() == [2, 1, 4, 3]
         rep = en.is_thermally_entanglable(p, ctx)
         assert en.witness_f(p) < rep.f_star
 
@@ -278,6 +278,34 @@ class TestExactFstarOracle:
         gamma = ctx2q(2.0).gamma
         g = [Fraction(v) for v in gamma.tolist()]
         assert ref_fstar_exact(gamma, gamma) == 4 * g[0] * g[3] - (g[1] - g[2]) ** 2
+
+
+class TestChamberAtZero:
+    """At beta = 0, f* is the chamber form 4 p2 p4 - (p1 - p3)^2 of the
+    populations in descending order, bit for bit."""
+
+    @staticmethod
+    def faces_and_ties(rng, n):
+        """Rows with zeroed levels, and a third of them with two levels tied."""
+        P = random_states(rng, n)
+        P[rng.random(P.shape) < 0.25] = 0.0
+        tied, pair = np.arange(n) % 3 == 0, rng.integers(0, 4, (n, 2))
+        P[tied, pair[tied, 0]] = P[tied, pair[tied, 1]]
+        P[:4] = np.eye(4)
+        P[P.sum(axis=1) == 0.0, 0] = 1.0
+        return P / P.sum(axis=1, keepdims=True)
+
+    def test_fstar_is_the_chamber_form(self, rng):
+        gamma = ctx2q(0.0).gamma
+        for P in (random_states(rng, 200_000), self.faces_and_ties(rng, 20_000)):
+            got, want = en.fstar_batch(P, gamma), ref_chamber_fstar(P)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_bruteforce_reads_the_chamber_form(self, rng):
+        ctx = ctx2q(0.0)
+        P = np.vstack([random_states(rng, 2000), self.faces_and_ties(rng, 2000)])
+        verdicts = [en.tne_bruteforce(core.PopVector(p), ctx) for p in P]
+        assert verdicts == (en._margin(ref_chamber_fstar(P)) >= 0.0).tolist()
 
 
 class TestNegativity:

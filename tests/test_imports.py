@@ -152,9 +152,9 @@ MAP_INTERNALS = ("_cumulative_weights", "_tight_maps", "_map_plan", "_tight", "_
 #: reads it; only ``majorization`` and ``geometry``'s volume stream read these
 HINGE_INTERNALS = ("_hinge_plan", "_within_cone")
 
-#: the level-ordering rules, zero weights included, and their encodings;
-#: only ``core`` reads these
-ORDERING_INTERNALS = ("_pair_bits", "_orders_from_bits", "ordering_codes")
+#: the level-ordering rules, zero weights included, and the pair codes that
+#: encode them; only ``core`` reads these
+ORDERING_INTERNALS = ("_pair_bits", "_orders_from_bits", "ordering_codes", "_code_tables")
 
 
 def foreign_reads(sources: dict, owner: str, names) -> list:
@@ -208,8 +208,9 @@ def test_one_verdict_rule():
 
 
 def test_ordering_rules_stay_in_core():
-    """Only ``core`` compares levels; the other modules read orderings
-    through ``batch_order``, ``_tile_levels`` and ``code_orders``."""
+    """Only ``core`` compares levels and knows pair codes; the other modules
+    read orderings and their classes through ``_tile_levels`` and
+    ``orderings``."""
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert foreign_reads(sources, "core.py", ORDERING_INTERNALS) == []
 

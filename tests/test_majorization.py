@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from thermalent import core, entangle as en, majorization as mj
 from tests.conftest import (
     qutrit_strategy, random_states, ref_curve, ref_dual_curve, ref_extreme_point,
-    ref_hinge_excess, ref_margin, ref_order, ref_tight, ref_upper, state_strategy)
+    ref_hinge_excess, ref_margin, ref_order, ref_tight, ref_upper, state_strategy, tile_order)
 
 
 def ctx2q(beta):
@@ -66,7 +66,7 @@ class TestCurve:
         logw = -betas[:, None] * E[None, :]
         G = np.exp(logw - logw.max(axis=1, keepdims=True))
         G /= G.sum(axis=1, keepdims=True)
-        order = core.batch_order(P, G)
+        order = tile_order(P, G)
         X = mj._cumulative_weights(G.T, order).T
         Y = mj._cumulative_weights(P.T, order).T
         widths = np.diff(np.concatenate([np.zeros((n, 1)), X], axis=1), axis=1)
@@ -159,7 +159,7 @@ class TestExtremePoint:
         ctx = ctx2q(0.9)
         for row in random_states(rng, 25):
             p = core.PopVector(row)
-            own = core.BetaOrdering(core.batch_order(row[None, :], ctx.gamma)[0] + 1)
+            own = core.BetaOrdering(tile_order(row[None, :], ctx.gamma)[0] + 1)
             assert np.allclose(mj.extreme_point(p, ctx, own).probs, p.probs, atol=1e-12)
 
     def test_thermal_state_population_exchange(self):
@@ -335,7 +335,7 @@ class TestAgainstReference:
     def test_order_curve_and_fstar(self, probs, beta):
         ctx = ctx2q(beta)
         p = core.PopVector(probs)
-        order = core.batch_order(probs[None, :], ctx.gamma)[0]
+        order = tile_order(probs[None, :], ctx.gamma)[0]
         assert order.tolist() == ref_order(probs, ctx.gamma)
         c, ref = mj.curve(p, ctx), ref_curve(probs, ctx.gamma)
         assert np.array_equal(c.xs, ref[0]) and np.array_equal(c.ys, ref[1])
@@ -447,7 +447,7 @@ class TestPerOrderingMaps:
         P[:50, 3] = 0.0  # face states, whose zero-weight levels rank last at beta=inf
         P[50:100, 2] = P[50:100, 1]  # ties between the two levels of equal weight
         P /= P.sum(axis=1, keepdims=True)
-        classes = np.unique(core.batch_order(P, ctx.gamma), axis=0)
+        classes = np.unique(tile_order(P, ctx.gamma), axis=0)
         # at beta=inf the ground level ranks after every populated excited one
         assert len(classes) == (24 if math.isfinite(beta) else 8)
         self.assert_matches_reference(P, ctx.gamma)
@@ -537,11 +537,11 @@ class TestPairCodes:
     def test_orders_match_reference(self, batch):
         energies, P, betas = batch
         gamma = core.make_context(energies, betas[0]).gamma
-        for p, o in zip(P, core.batch_order(P, gamma)):
+        for p, o in zip(P, tile_order(P, gamma)):
             assert o.tolist() == ref_order(p, gamma)
         # one Gibbs vector per row only at finite beta
         G = np.array([core.make_context(energies, min(b, 50.0)).gamma for b in betas])
-        for p, g, o in zip(P, G, core.batch_order(P, G)):
+        for p, g, o in zip(P, G, tile_order(P, G)):
             assert o.tolist() == ref_order(p, g)
 
     @pytest.mark.parametrize("energies", [(0, 1, 1, 2), tuple(range(7))])
@@ -551,7 +551,7 @@ class TestPairCodes:
         P = random_states(rng, 3, d=d)
         G = np.array([core.make_context(energies, b).gamma for b in (1.0, math.inf, 0.0)])
         with pytest.raises(ValueError, match="must be positive"):
-            core.batch_order(P, G)
+            tile_order(P, G)
         with pytest.raises(ValueError, match="must be positive"):
             mj.batch_tight_points(P, G, core.BetaOrdering(range(d, 0, -1)))
         if d == 4:
@@ -562,6 +562,8 @@ class TestPairCodes:
     def test_classes_across_tiles(self, batch, chunk):
         energies, P, betas = batch
         gamma = core.make_context(energies, betas[0]).gamma
+        # one Gibbs vector per row only at finite beta
+        G = np.array([core.make_context(energies, min(b, 50.0)).gamma for b in betas])
         target = core.BetaOrdering(range(P.shape[1], 0, -1))
         dense = P.shape[1] <= core.MAX_DENSE_DIM
         built, applied = [], []
@@ -576,21 +578,31 @@ class TestPairCodes:
             applied.append((R.copy(), built[-1], cls if cls is None else cls.copy()))
             return tight(plan, R, cls)
 
-        with mock.patch.object(mj, "CHUNK", chunk), \
-                mock.patch.object(mj, "_tight_maps", spy_maps), \
-                mock.patch.object(mj, "_tight", spy_tight):
-            widths = [q.shape[1] for q in mj.tight_point_tiles(mj._row_tiles(P), gamma, target)]
         los = range(0, len(P), chunk)
-        assert widths == [min(chunk, len(P) - lo) for lo in los] and len(applied) == len(los)
-        for lo, (sorted_p, table, cls) in zip(los, applied):
-            # above the dense table every column is its own class
-            assert (cls is None) != dense
-            for p, s, o in zip(P[lo:lo + chunk], sorted_p.T, table if cls is None else table[cls]):
-                assert o.tolist() == ref_order(p, gamma)
-                assert np.array_equal(s, p[o])
-        if dense:
-            # one class per ordering seen in the whole call
-            assert len(np.unique(built[-1], axis=0)) == len(built[-1])
+        for gammas in (gamma, G):
+            built.clear()
+            applied.clear()
+            with mock.patch.object(mj, "CHUNK", chunk), \
+                    mock.patch.object(mj, "_tight_maps", spy_maps), \
+                    mock.patch.object(mj, "_tight", spy_tight):
+                tiles = mj.tight_point_tiles(mj._row_tiles(P), gammas, target)
+                widths = [q.shape[1] for q in tiles]
+            assert widths == [min(chunk, len(P) - lo) for lo in los] and len(applied) == len(los)
+            # classes need a shared vector and the dense table; otherwise
+            # every column is its own class
+            classes = dense and gammas.ndim == 1
+            rows = np.broadcast_to(gammas, P.shape)
+            for lo, (sorted_p, table, cls) in zip(los, applied):
+                assert (cls is not None) == classes
+                for p, g, s, o in zip(P[lo:lo + chunk], rows[lo:lo + chunk], sorted_p.T,
+                                      table if cls is None else table[cls]):
+                    assert o.tolist() == ref_order(p, g)
+                    assert np.array_equal(s, p[o])
+            # with classes, the maps of every ordering are built once per
+            # stream, whatever classes later tiles bring; otherwise once per tile
+            assert len(built) == (1 if classes else len(los))
+            if classes:
+                assert np.array_equal(built[0], core.orderings(P.shape[1]))
 
     @given(ordering_batches(), st.integers(1, 4))
     def test_outputs_do_not_depend_on_tile_size(self, batch, chunk):
@@ -730,7 +742,7 @@ class TestMapApplier:
     def test_matches_einsum_reference(self, rng, d, beta):
         gamma = core.make_context(degenerate_energies(d), beta).gamma
         P = faces_and_ties(rng, 6000, d)
-        order = core.batch_order(P, gamma)
+        order = tile_order(P, gamma)
         sorted_p = mj._take_levels(P.T, order.T.copy())
         t0 = rng.permutation(d)
         expected = ref_tight(mj._tight_maps(order, gamma, t0[None, :]), sorted_p.T)
@@ -754,8 +766,7 @@ class TestMapApplier:
         # at beta = 0 every ordering's map is one permutation, so the
         # (2,1,3,4) point reads each sorted population once, with no product
         gamma = ctx2q(0.0).gamma
-        orders = core.code_orders(4)[np.unique(core.ordering_codes(random_states(
-            np.random.default_rng(1), 4000).T, gamma))]
+        orders = core.orderings(4)
         # every term a population with no scale and no varying entries
         t = core.PI_STAR.zero_based()
         terms = mj._map_plan(mj._tight_maps(orders, gamma, t[None, :]), t)

@@ -194,7 +194,7 @@ arrays = st.one_of(
 populations = st.lists(st.floats(0, 1), min_size=1, max_size=5).filter(
     lambda v: sum(v) > 0).map(lambda v: PopVector(np.array(v) / sum(v)))
 scalars = st.one_of(
-    floats, st.integers(), st.booleans(), st.none(), texts,
+    floats, st.integers(), st.booleans(), st.none(), texts, texts.map(np.str_),
     floats.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.fractions().map(Fraction), populations, arrays,
     st.builds(VolumeEstimate, floats, floats, st.integers(0, 10 ** 9), st.integers(0, 99)),
